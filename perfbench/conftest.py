@@ -1,0 +1,6 @@
+"""Lets `python3 -m pytest perfbench` import gf2kq from the checkout's src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
