@@ -21,7 +21,7 @@ X = "X"
 _ARITY = {CNOT: 2, CCZ: 3, TOFFOLI: 3, H: 1, X: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate; operand order is canonical (CCZ sorted, TOF controls sorted)."""
 

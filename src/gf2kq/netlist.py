@@ -11,8 +11,10 @@ parse_netlist(emit_netlist(c)) equals c structurally.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .circuit import Circuit, Gate, RegisterLayout, _ARITY
-from .errors import NetlistParseError
+from .errors import InputError, NetlistParseError
 
 
 def emit_netlist(circuit: Circuit) -> str:
@@ -44,14 +46,16 @@ def _parse_range(token: str, name: str, line_no: int) -> range:
 
 
 def parse_netlist(text: str) -> Circuit:
+    """Parse netlist text into a Circuit, validating every gate line.
+
+    Each distinct gate line is checked once; a repeated line appends the
+    same (immutable) Gate, so large netlists, which repeat most lines,
+    parse and store their gates once per distinct line.
+    """
     lines = text.splitlines()
-    header: list[tuple[int, str]] = []
-    body: list[tuple[int, str]] = []
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        (header if len(header) < 3 else body).append((i, stripped))
+    numbered = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
+    body = ((i, line) for i, line in numbered if line)
+    header = list(islice(body, 3))
     if len(header) < 3:
         raise NetlistParseError("missing header lines", len(lines))
 
@@ -96,24 +100,35 @@ def parse_netlist(text: str) -> Circuit:
 
     layout = RegisterLayout(n=n, ancillas=len(ranc), phase_wires=phase)
     circuit = Circuit(layout)
+    seen: dict[str, Gate] = {}
     for line_no, line in body:
-        toks = line.split()
-        kind = toks[0]
-        if kind not in _ARITY:
-            raise NetlistParseError(f"unknown gate token {kind!r}", line_no)
-        if len(toks) - 1 != _ARITY[kind]:
-            raise NetlistParseError(
-                f"{kind} takes {_ARITY[kind]} operands, got {len(toks) - 1}", line_no
-            )
-        try:
-            ops = tuple(int(t) for t in toks[1:])
-        except ValueError:
-            raise NetlistParseError(f"non-integer operand in {line!r}", line_no) from None
-        for w in ops:
-            if not 0 <= w < total:
-                raise NetlistParseError(f"operand {w} overflows {total} wires", line_no)
-        try:
-            circuit.append(Gate(kind, ops))
-        except Exception as exc:
-            raise NetlistParseError(str(exc), line_no) from None
+        gate = seen.get(line)
+        if gate is None:
+            gate = _parse_gate(line, line_no, total)
+            try:
+                circuit.append(gate)
+            except InputError as exc:
+                raise NetlistParseError(str(exc), line_no) from None
+            seen[line] = gate
+        else:
+            circuit.gates.append(gate)
     return circuit
+
+
+def _parse_gate(line: str, line_no: int, total: int) -> Gate:
+    toks = line.split()
+    kind = toks[0]
+    if kind not in _ARITY:
+        raise NetlistParseError(f"unknown gate token {kind!r}", line_no)
+    if len(toks) - 1 != _ARITY[kind]:
+        raise NetlistParseError(
+            f"{kind} takes {_ARITY[kind]} operands, got {len(toks) - 1}", line_no
+        )
+    try:
+        ops = tuple(int(t) for t in toks[1:])
+    except ValueError:
+        raise NetlistParseError(f"non-integer operand in {line!r}", line_no) from None
+    for w in ops:
+        if not 0 <= w < total:
+            raise NetlistParseError(f"operand {w} overflows {total} wires", line_no)
+    return Gate(kind, ops)

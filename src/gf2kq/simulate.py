@@ -13,7 +13,11 @@ Two simulation paths:
 
 Both paths are bit-sliced: a wire's value across T test inputs is one
 T-bit integer, so verification over thousands of inputs costs one gate
-walk.
+walk. `verify_multiplier` stays on columns end to end: inputs are drawn
+as seeded random columns (or, in exhaustive mode, all 4^n operand pairs,
+run twice), the expected product is computed on columns, and whole
+columns are compared; only the lowest failing trial is decoded into a
+counterexample, which the same seed reproduces.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional, Sequence
 
 from .circuit import CCZ, CNOT, Circuit, Gate, H, RegisterLayout, TOFFOLI, X
 from .errors import FormError, InputError, SimulationError
-from .gf2 import BinaryPolynomial, _mod, _mul
+from .gf2 import BinaryPolynomial, _mod, _mul, build_reduction_matrix
 from .phasepoly import _bits
 
 DEFAULT_SEED = 0x6F2C0DE
@@ -61,6 +65,8 @@ def _split_sandwich(circuit: Circuit):
         raise FormError("circuit is not an H sandwich (layers missing or unequal)")
     if len(front) != lo or len(back) != len(gates) - hi:
         raise FormError("duplicate H on one wire in a sandwich layer")
+    if front != circuit.layout.phase_wires:
+        raise FormError("H layers do not match the layout's phase wires")
     return frozenset(front), gates[lo:hi]
 
 
@@ -245,6 +251,50 @@ def _pretty(bits: int) -> str:
 EXHAUSTIVE_CAP = 8
 
 
+def _index_columns(bits: int) -> list[int]:
+    """Column k holds bit k of the trial index, over all 2^bits trials.
+
+    Built by doubling: 2^k zeros then 2^k ones, repeated out to 2^bits bits.
+    """
+    width = 1 << bits
+    cols = []
+    for k in range(bits):
+        half = 1 << k
+        col = ((1 << half) - 1) << half
+        span = 2 * half
+        while span < width:
+            col |= col << span
+            span *= 2
+        cols.append(col)
+    return cols
+
+
+def product_columns(
+    a_cols: Sequence[int], b_cols: Sequence[int], p: BinaryPolynomial
+) -> list[int]:
+    """Bit-sliced a*b mod p: column k of the result is bit k over all trials.
+
+    The schoolbook product gives d_m = XOR_{i+j=m} a_i & b_j; each d_m with
+    m >= n then folds into the rows set in column m - n of the reduction
+    matrix, as `mastrovito_product` does for one input.
+    """
+    n = p.degree
+    d = [0] * (2 * n - 1)
+    for i, ai in enumerate(a_cols):
+        for j, bj in enumerate(b_cols):
+            d[i + j] ^= ai & bj
+    want = d[:n]
+    if n >= 2:
+        for k, row in enumerate(build_reduction_matrix(p).rows):
+            for j in _bits(row):
+                want[k] ^= d[n + j]
+    return want
+
+
+def _decode(cols: Sequence[int], idx: int) -> int:
+    return sum(((col >> idx) & 1) << i for i, col in enumerate(cols))
+
+
 def verify_multiplier(
     circuit: Circuit,
     p: BinaryPolynomial,
@@ -253,11 +303,16 @@ def verify_multiplier(
     seed: Optional[int] = None,
     variant: str = "",
 ) -> VerificationReport:
-    """Check circuit output = c0 xor (a*b mod p) on many basis inputs.
+    """Check circuit output = c0 xor (a*b mod p) on many basis inputs at once.
 
-    Exhaustive mode runs all 2^(2n) operand pairs twice, once with c0 = 0
-    and once with seeded random c0; randomized mode uses seeded triples.
-    Operand preservation and ancilla cleanliness are always checked.
+    Inputs are drawn as whole columns from `random.Random(seed)`. Exhaustive
+    mode runs all 4^n operand pairs (trial a*2^n + b) twice: once with
+    c0 = 0, then with one `getrandbits(4^n)` column per c wire. Randomized
+    mode draws one `getrandbits(trials)` column per a, b and c wire, in that
+    order, and needs trials >= 1. The counterexample is the lowest failing
+    trial; the same seed reproduces it, and its bits replay through
+    `run_batch`. Operand preservation and ancilla cleanliness are always
+    checked.
     """
     n = p.degree
     lay = circuit.layout
@@ -265,68 +320,66 @@ def verify_multiplier(
         raise InputError(f"circuit registers are size {lay.n}, modulus degree is {n}")
     if exhaustive and n > EXHAUSTIVE_CAP:
         raise InputError(f"exhaustive mode is capped at n = {EXHAUSTIVE_CAP}")
+    if not exhaustive and trials < 1:
+        raise InputError(f"randomized verification needs trials >= 1, got {trials}")
     if seed is None:
         seed = default_seed()
     rng = random.Random(seed)
 
     if exhaustive:
-        pairs = [(a, b) for a in range(1 << n) for b in range(1 << n)]
-        c0s_list = [[0] * len(pairs), [rng.getrandbits(n) for _ in pairs]]
+        t = 1 << (2 * n)
+        index = _index_columns(2 * n)
+        a_cols, b_cols = index[n:], index[:n]
+        c0_passes = [[0] * n, [rng.getrandbits(t) for _ in range(n)]]
         mode = "exhaustive"
     else:
-        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
-        c0s_list = [[rng.getrandbits(n) for _ in pairs]]
+        t = trials
+        a_cols = [rng.getrandbits(t) for _ in range(n)]
+        b_cols = [rng.getrandbits(t) for _ in range(n)]
+        c0_passes = [[rng.getrandbits(t) for _ in range(n)]]
         mode = f"randomized({trials})"
 
-    for c0s in c0s_list:
-        report = _verify_batch(circuit, p, pairs, c0s, mode, seed, variant)
+    product = product_columns(a_cols, b_cols, p)
+    for c0_cols in c0_passes:
+        report = _verify_batch(
+            circuit, p, a_cols, b_cols, c0_cols, product, t, mode, seed, variant
+        )
         if not report.passed:
             return report
     return report
 
 
-def _verify_batch(circuit, p, pairs, c0s, mode, seed, variant) -> VerificationReport:
-    n = p.degree
+def _verify_batch(
+    circuit, p, a_cols, b_cols, c0_cols, product, t, mode, seed, variant
+) -> VerificationReport:
     lay = circuit.layout
-    t = len(pairs)
     cols = [0] * circuit.wire_count
-    for idx, (a, b) in enumerate(pairs):
-        for i in range(n):
-            cols[lay.a(i)] |= ((a >> i) & 1) << idx
-            cols[lay.b(i)] |= ((b >> i) & 1) << idx
-            cols[lay.c(i)] |= ((c0s[idx] >> i) & 1) << idx
+    for reg, reg_cols in ((lay.a_range, a_cols), (lay.b_range, b_cols), (lay.c_range, c0_cols)):
+        for w, col in zip(reg, reg_cols):
+            cols[w] = col
     out = run_batch(circuit, cols, t)
 
+    got_cols = [out[w] for w in lay.c_range]
     bad = 0  # trial mask of failures
-    for idx, (a, b) in enumerate(pairs):
-        want = c0s[idx] ^ _mod(_mul(a, b), p.bits)
-        got = 0
-        for i in range(n):
-            got |= ((out[lay.c(i)] >> idx) & 1) << i
-        if got != want:
-            bad |= 1 << idx
-    operands_ok = all(out[lay.a(i)] == cols[lay.a(i)] for i in range(n)) and all(
-        out[lay.b(i)] == cols[lay.b(i)] for i in range(n)
-    )
-    anc_ok = all(out[w] == 0 for w in lay.anc_range)
+    for got, c0, prod in zip(got_cols, c0_cols, product):
+        bad |= got ^ c0 ^ prod
+    operands_ok = all(out[w] == cols[w] for w in (*lay.a_range, *lay.b_range))
+    anc_ok = not any(out[w] for w in lay.anc_range)
 
     passed = bad == 0 and operands_ok and anc_ok
     counterexample = None
     if bad:
         idx = (bad & -bad).bit_length() - 1
-        a, b = pairs[idx]
-        got = 0
-        for i in range(n):
-            got |= ((out[lay.c(i)] >> idx) & 1) << i
+        a, b, c0, got = (_decode(cs, idx) for cs in (a_cols, b_cols, c0_cols, got_cols))
         counterexample = {
             "a": _pretty(a),
             "b": _pretty(b),
-            "c0": _pretty(c0s[idx]),
+            "c0": _pretty(c0),
             "got": _pretty(got),
-            "want": _pretty(c0s[idx] ^ _mod(_mul(a, b), p.bits)),
+            "want": _pretty(c0 ^ _mod(_mul(a, b), p.bits)),
             "a_bits": a,
             "b_bits": b,
-            "c0_bits": c0s[idx],
+            "c0_bits": c0,
             "got_bits": got,
         }
     elif not (operands_ok and anc_ok):

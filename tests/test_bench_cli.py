@@ -103,6 +103,9 @@ def test_cli_verify_failure_paths(tmp_path, capsys):
     # missing file -> 4
     assert main(["verify", "--circuit", str(tmp_path / "nope.qc"), "--poly", "4,1,0"]) == 4
     capsys.readouterr()
+    # a request that checks nothing -> 2, never a PASS
+    assert main(["verify", "--circuit", str(bad), "--poly", "4,1,0", "--trials", "0"]) == 2
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_cli_bench_and_fit(tmp_path, capsys):

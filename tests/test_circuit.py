@@ -172,6 +172,16 @@ def test_netlist_parse_errors_carry_line_numbers():
         parse_netlist("QUBITS 6\nREGISTERS a=0:2 b=2:4 c=4:6\nPHASEWIRES\n")
 
 
+def test_netlist_repeated_gate_lines():
+    c = _circ(n=2, gates=[Gate.cnot(0, 1), Gate.ccz(0, 2, 4), Gate.cnot(0, 1), Gate.cnot(0, 1)])
+    assert parse_netlist(emit_netlist(c)) == c
+    # a bad line that repeats reports where it first occurs
+    good_header = "QUBITS 6\nREGISTERS a=0:2 b=2:4 c=4:6 anc=6:6\nPHASEWIRES\n"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(good_header + "CNOT 0 1\nCNOT 3 3\nCNOT 0 1\nCNOT 3 3\n")
+    assert err.value.line_no == 5
+
+
 def test_empty_phasewires_round_trip():
     lay = RegisterLayout(n=2, ancillas=1, phase_wires=frozenset())
     c = Circuit(lay, [Gate.toffoli(0, 2, 4)])

@@ -7,10 +7,17 @@ import pytest
 from gf2kq.catalog import catalog_lookup
 from gf2kq.circuit import Circuit, Gate, RegisterLayout
 from gf2kq.errors import FormError, InputError, SimulationError
-from gf2kq.gf2 import BinaryPolynomial
+from gf2kq.gf2 import (
+    BinaryPolynomial,
+    build_reduction_matrix,
+    mastrovito_product,
+    poly_mul_mod,
+)
+from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.phasepoly import extract_phase
 from gf2kq.simulate import (
     is_classical,
+    product_columns,
     run_batch,
     simulate,
     to_toffoli_form,
@@ -187,10 +194,7 @@ def test_verify_multiplier_pass_and_fail():
     assert rep.passed and rep.ancillas_clean and rep.operands_preserved
 
     # dropping the last CCZ breaks it, with a replayable counterexample
-    broken_gates = list(circ.gates)
-    idx = max(i for i, g in enumerate(broken_gates) if g.kind == "CCZ")
-    del broken_gates[idx]
-    broken = Circuit(circ.layout, broken_gates)
+    broken = _drop_last_ccz(circ)
     rep = verify_multiplier(broken, P4, exhaustive=True)
     assert not rep.passed
     ce = rep.counterexample
@@ -198,6 +202,36 @@ def test_verify_multiplier_pass_and_fail():
     # the counterexample replays: re-simulating reproduces the wrong output
     got = simulate_product(broken, ce["a_bits"], ce["b_bits"], ce["c0_bits"])
     assert got == ce["got_bits"]
+    # exhaustive trials run in the order a*2^n + b; the first pass has c0 = 0
+    first_bad = next(
+        (a, b)
+        for a in range(16)
+        for b in range(16)
+        if simulate_product(broken, a, b) != simulate_product(circ, a, b)
+    )
+    assert (ce["a_bits"], ce["b_bits"], ce["c0_bits"]) == (*first_bad, 0)
+
+    # randomized mode catches the same mutant, with a counterexample that
+    # the seed reproduces and that replays the same way
+    for n in (4, 16):
+        p = catalog_lookup(n).polynomial
+        broken = _drop_last_ccz(synth(SynthesisOptions(variant="compact", modulus=p)))
+        for trials in (64, 1000):
+            rep = verify_multiplier(broken, p, trials=trials, seed=n)
+            assert not rep.passed, (n, trials)
+            assert rep == verify_multiplier(broken, p, trials=trials, seed=n)
+            ce = rep.counterexample
+            got = simulate_product(broken, ce["a_bits"], ce["b_bits"], ce["c0_bits"])
+            assert got == ce["got_bits"]
+            assert got != ce["c0_bits"] ^ poly_mul_mod(
+                BinaryPolynomial(ce["a_bits"]), BinaryPolynomial(ce["b_bits"]), p
+            ).bits
+
+
+def _drop_last_ccz(circ):
+    gates = list(circ.gates)
+    del gates[max(i for i, g in enumerate(gates) if g.kind == "CCZ")]
+    return Circuit(circ.layout, gates)
 
 
 def simulate_product(circ, a, b, c0=0):
@@ -236,6 +270,9 @@ def test_verify_multiplier_guards():
     circ = synth(SynthesisOptions(variant="compact", modulus=P4))
     with pytest.raises(InputError):
         verify_multiplier(circ, BinaryPolynomial.parse("5,2,0"))
+    for trials in (0, -1):  # a request that checks nothing
+        with pytest.raises(InputError):
+            verify_multiplier(circ, P4, trials=trials)
     big = catalog_lookup(9).polynomial
     big_circ = synth(SynthesisOptions(variant="compact", modulus=big))
     with pytest.raises(InputError):
@@ -248,6 +285,40 @@ def test_verify_seed_is_reproducible():
     r1 = verify_multiplier(circ, p, trials=50, seed=42)
     r2 = verify_multiplier(circ, p, trials=50, seed=42)
     assert r1 == r2
+
+
+def test_product_columns_match_both_oracles():
+    rng = random.Random(11)
+    width = 24
+    for n in (*range(2, 17), 64, 255):
+        p = catalog_lookup(n).polynomial
+        q = build_reduction_matrix(p)
+        a_cols = [rng.getrandbits(width) for _ in range(n)]
+        b_cols = [rng.getrandbits(width) for _ in range(n)]
+        want_cols = product_columns(a_cols, b_cols, p)
+        for t in range(width):
+            a, b, want = (
+                [(col >> t) & 1 for col in cols] for cols in (a_cols, b_cols, want_cols)
+            )
+            pa = BinaryPolynomial(sum(bit << i for i, bit in enumerate(a)))
+            pb = BinaryPolynomial(sum(bit << i for i, bit in enumerate(b)))
+            assert sum(bit << i for i, bit in enumerate(want)) == poly_mul_mod(pa, pb, p).bits
+            assert tuple(want) == mastrovito_product(a, b, q)
+
+
+def test_phasewires_header_must_match_h_layers():
+    circ = synth(SynthesisOptions(variant="compact", modulus=P4))
+    lay = circ.layout
+    text = emit_netlist(circ)
+    header = "PHASEWIRES " + ",".join(str(w) for w in lay.c_range)
+    assert header in text
+    # the header names one wire fewer than the H layers touch
+    short = ",".join(str(w) for w in list(lay.c_range)[:-1])
+    mismatched = parse_netlist(text.replace(header, "PHASEWIRES " + short))
+    with pytest.raises(FormError):
+        verify_multiplier(mismatched, P4, trials=8)
+    with pytest.raises(FormError):
+        to_toffoli_form(mismatched)
 
 
 def test_is_classical():
