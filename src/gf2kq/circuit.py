@@ -8,7 +8,9 @@ weighted by CCZ/Toffoli gates, since those dominate fault-tolerant cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import InputError
 
@@ -19,6 +21,8 @@ H = "H"
 X = "X"
 
 _ARITY = {CNOT: 2, CCZ: 3, TOFFOLI: 3, H: 1, X: 1}
+_KIND = attrgetter("kind")
+_OPERANDS = attrgetter("operands")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,36 +123,31 @@ class Circuit:
     def __init__(self, layout: RegisterLayout, gates=()):
         self.layout = layout
         self.gates: list[Gate] = []
-        for g in gates:
-            self.append(g)
+        self.extend(gates)
 
     @property
     def wire_count(self) -> int:
         return self.layout.total_wires
 
     def append(self, gate: Gate) -> "Circuit":
-        if gate.kind not in _ARITY:
-            raise InputError(f"unknown gate kind {gate.kind!r}")
-        if len(gate.operands) != _ARITY[gate.kind]:
-            raise InputError(f"{gate.kind} takes {_ARITY[gate.kind]} operands")
-        if len(set(gate.operands)) != len(gate.operands):
-            raise InputError(f"duplicate operand in {gate}")
-        for w in gate.operands:
-            if not 0 <= w < self.wire_count:
-                raise InputError(f"operand {w} outside {self.wire_count}-wire circuit")
-        self.gates.append(gate)
-        return self
+        return self.extend((gate,))
 
     def extend(self, gates) -> "Circuit":
-        for g in gates:
-            self.append(g)
+        """Append `gates` in order, all or nothing.
+
+        Every gate is checked first, in one pass: a known kind, its arity,
+        distinct operands, each inside the layout's wires. The first bad
+        gate raises InputError and leaves `self.gates` unchanged.
+        """
+        if not isinstance(gates, (list, tuple)):
+            gates = list(gates)
+        _check_gates(gates, self.layout.total_wires)
+        self.gates += gates
         return self
 
     def counts(self) -> dict[str, int]:
-        out = {k: 0 for k in _ARITY}
-        for g in self.gates:
-            out[g.kind] += 1
-        return out
+        tally = Counter(map(_KIND, self.gates))
+        return {k: tally[k] for k in _ARITY}
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -162,6 +161,43 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit(n={self.layout.n}, ancillas={self.layout.ancillas}, gates={len(self.gates)})"
+
+
+def _check_gates(gates, total: int) -> None:
+    """Raise InputError for the first gate `Circuit.extend` must refuse."""
+    arity = _ARITY
+    for g in gates:
+        ops = g.operands
+        k = len(ops)
+        if arity.get(g.kind) != k:
+            raise _gate_error(g, total)
+        if k == 2:
+            u, v = ops
+            if u == v or not (0 <= u < total and 0 <= v < total):
+                raise _gate_error(g, total)
+        elif k == 3:
+            u, v, w = ops
+            if (
+                u == v
+                or u == w
+                or v == w
+                or not (0 <= u < total and 0 <= v < total and 0 <= w < total)
+            ):
+                raise _gate_error(g, total)
+        elif not 0 <= ops[0] < total:
+            raise _gate_error(g, total)
+
+
+def _gate_error(gate: Gate, total: int) -> InputError:
+    """The error for a gate `_check_gates` refused, checks taken in order."""
+    if gate.kind not in _ARITY:
+        return InputError(f"unknown gate kind {gate.kind!r}")
+    if len(gate.operands) != _ARITY[gate.kind]:
+        return InputError(f"{gate.kind} takes {_ARITY[gate.kind]} operands")
+    if len(set(gate.operands)) != len(gate.operands):
+        return InputError(f"duplicate operand in {gate}")
+    w = next(w for w in gate.operands if not 0 <= w < total)
+    return InputError(f"operand {w} outside {total}-wire circuit")
 
 
 @dataclass(frozen=True)
@@ -182,27 +218,56 @@ class ResourceReport:
 
 
 def compute_depth(circuit: Circuit) -> ResourceReport:
-    """ASAP layering over all gates; toffoli_depth weights only CCZ/TOF."""
-    level = [0] * circuit.wire_count
-    tlevel = [0] * circuit.wire_count
-    depth = 0
-    tdepth = 0
-    for g in circuit.gates:
-        t = 1 + max(level[w] for w in g.operands)
-        weight = 1 if g.kind in (CCZ, TOFFOLI) else 0
-        tt = weight + max(tlevel[w] for w in g.operands)
-        for w in g.operands:
-            level[w] = t
-            tlevel[w] = tt
-        depth = max(depth, t)
-        tdepth = max(tdepth, tt)
-    counts = circuit.counts()
+    """ASAP layering over all gates; toffoli_depth weights only CCZ/TOF.
+
+    A gate lands one layer after the latest of its wires. Every 3-operand
+    gate is a CCZ or Toffoli and adds one to the toffoli level; CNOT, H
+    and X carry the latest toffoli level of their wires along. Levels only
+    grow, so the depths are the final maxima over the wires.
+    """
     qubits = circuit.wire_count
+    level = [0] * qubits
+    tlevel = [0] * qubits
+    for ops in map(_OPERANDS, circuit.gates):
+        k = len(ops)
+        if k == 2:
+            u, v = ops
+            t = level[u]
+            x = level[v]
+            if x > t:
+                t = x
+            level[u] = level[v] = t + 1
+            t = tlevel[u]
+            x = tlevel[v]
+            if x > t:
+                t = x
+            tlevel[u] = tlevel[v] = t
+        elif k == 3:
+            u, v, w = ops
+            t = level[u]
+            x = level[v]
+            if x > t:
+                t = x
+            x = level[w]
+            if x > t:
+                t = x
+            level[u] = level[v] = level[w] = t + 1
+            t = tlevel[u]
+            x = tlevel[v]
+            if x > t:
+                t = x
+            x = tlevel[w]
+            if x > t:
+                t = x
+            tlevel[u] = tlevel[v] = tlevel[w] = t + 1
+        else:
+            level[ops[0]] += 1
+    depth = max(level, default=0)
     return ResourceReport(
-        counts=counts,
+        counts=circuit.counts(),
         total_gates=len(circuit.gates),
         depth=depth,
-        toffoli_depth=tdepth,
+        toffoli_depth=max(tlevel, default=0),
         qubit_count=qubits,
         ancilla_count=circuit.layout.ancillas,
         spacetime=qubits * depth,

@@ -29,8 +29,18 @@ def emit_netlist(circuit: Circuit) -> str:
     )
     phase = ",".join(str(w) for w in sorted(lay.phase_wires))
     lines.append(f"PHASEWIRES {phase}".rstrip())
+    # One " <w>" string per wire, so each gate line is a single concatenation.
+    op = [f" {w}" for w in range(lay.total_wires)]
+    add = lines.append
     for g in circuit.gates:
-        lines.append(" ".join([g.kind, *map(str, g.operands)]))
+        ops = g.operands
+        k = len(ops)
+        if k == 2:
+            add(g.kind + op[ops[0]] + op[ops[1]])
+        elif k == 3:
+            add(g.kind + op[ops[0]] + op[ops[1]] + op[ops[2]])
+        else:
+            add(g.kind + op[ops[0]])
     return "\n".join(lines) + "\n"
 
 

@@ -94,23 +94,32 @@ class LinearWireState:
 
     Row w is a bit mask: wire w currently holds the XOR of the initial
     values selected by the mask. CNOT(c, t) adds row c to row t. When
-    `track_solver` is set, the inverse transpose is maintained alongside so
-    `solve` can express an arbitrary form as an XOR of current wire rows.
+    `track_solver` is set, every CNOT also updates two structures: the
+    inverse transpose, so `solve` can express an arbitrary form as an XOR
+    of current wire rows, and a dict from row to wire, so `find_wire` is
+    one lookup. The rows are distinct because the state is invertible.
     """
 
-    __slots__ = ("n", "rows", "_nt")
+    __slots__ = ("n", "rows", "_nt", "_where")
 
     def __init__(self, n: int, track_solver: bool = False):
         self.n = n
         self.rows = [1 << i for i in range(n)]
         self._nt = [1 << i for i in range(n)] if track_solver else None
+        self._where = {r: w for w, r in enumerate(self.rows)} if track_solver else None
 
     def cnot(self, control: int, target: int) -> None:
         if control == target:
             raise InputError("CNOT control equals target")
-        self.rows[target] ^= self.rows[control]
-        if self._nt is not None:
-            self._nt[control] ^= self._nt[target]
+        rows = self.rows
+        where = self._where
+        if where is None:
+            rows[target] ^= rows[control]
+            return
+        del where[rows[target]]
+        rows[target] ^= rows[control]
+        where[rows[target]] = target
+        self._nt[control] ^= self._nt[target]
 
     def row(self, wire: int) -> int:
         return self.rows[wire]
@@ -122,17 +131,22 @@ class LinearWireState:
         """Wire-selection mask s with XOR of rows[j] over j in s == form."""
         if self._nt is None:
             raise InputError("state was built without solver tracking")
-        s = 0
-        for i in range(self.n):
-            s |= ((self._nt[i] & form).bit_count() & 1) << i
-        return s
+        # Bit i of s is the parity of nt[i] & form: one byte per bit, then
+        # the bytes, most significant first, read as a base-2 numeral.
+        bits = bytes([(x & form).bit_count() & 1 for x in self._nt])
+        return int(bits.translate(_DIGITS)[::-1], 2) if bits else 0
 
     def find_wire(self, form: int) -> Optional[int]:
         """Lowest wire currently holding exactly `form`, if any."""
+        if self._where is not None:
+            return self._where.get(form)
         for w, r in enumerate(self.rows):
             if r == form:
                 return w
         return None
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def extract_phase(

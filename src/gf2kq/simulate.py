@@ -81,7 +81,7 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
     layout = RegisterLayout(
         circuit.layout.n, circuit.layout.ancillas, phase_wires=frozenset()
     )
-    out = Circuit(layout)
+    out: list[Gate] = []
     for g in core:
         if g.kind == CNOT:
             u, v = g.operands
@@ -106,7 +106,7 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
             out.append(g)
         else:
             raise FormError(f"unsupported core gate {g.kind}")
-    return out
+    return Circuit(layout, out)
 
 
 # ---------------------------------------------------------------------------

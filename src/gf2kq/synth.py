@@ -179,12 +179,8 @@ def cprime_ancilla_circuit(q: Gf2Matrix) -> Circuit:
     CNOT count equals popcount(Q); gates are emitted in diagonal rounds so
     the ASAP depth stays O(n).
     """
-    n = q.n_rows
-    layout = RegisterLayout(n=n, ancillas=n - 1)
-    circ = Circuit(layout)
-    for g in _cprime_gates(q, list(layout.c_range), list(layout.anc_range)):
-        circ.append(g)
-    return circ
+    layout = RegisterLayout(n=q.n_rows, ancillas=q.n_rows - 1)
+    return Circuit(layout, _cprime_gates(q, layout.c_range, layout.anc_range))
 
 
 def _cprime_gates(q: Gf2Matrix, c_wires: Sequence[int], anc_wires: Sequence[int]) -> list[Gate]:
@@ -261,6 +257,14 @@ def _reduction_stage_gates(
 # baseline variant
 
 
+def _check_modulus(p: BinaryPolynomial) -> None:
+    """Raise InputError unless p is an irreducible modulus of degree >= 2."""
+    if p.degree < 2:
+        raise InputError("modulus degree must be >= 2")
+    if not is_irreducible(p):
+        raise InputError(f"modulus {p} is reducible")
+
+
 def synth_baseline(
     p: BinaryPolynomial, ladder_style: str = "sequential"
 ) -> Circuit:
@@ -271,27 +275,24 @@ def synth_baseline(
     directly; that keeps the construction ancilla-free and correct for any
     initial value of the result register.
     """
+    _check_modulus(p)
+    return Circuit(*_baseline_gates(p, ladder_style))
+
+
+def _baseline_gates(p: BinaryPolynomial, ladder_style: str) -> tuple[RegisterLayout, list[Gate]]:
+    """Layout and gate list of `synth_baseline` for an already checked modulus."""
     n = p.degree
-    if n < 2:
-        raise InputError("modulus degree must be >= 2")
-    if not is_irreducible(p):
-        raise InputError(f"{p} is reducible")
     q = build_reduction_matrix(p)
     layout = RegisterLayout(n=n, ancillas=0, phase_wires=frozenset())
-    circ = Circuit(layout)
-    c_wires = list(layout.c_range)
-    stage2 = _reduction_stage_gates(p, q, c_wires, ladder_style)
-    for g in reversed(stage2):
-        circ.append(g)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            circ.append(Gate.toffoli(layout.a(j), layout.b(n + i - j), layout.c(i)))
-    for g in stage2:
-        circ.append(g)
-    for i in range(n):
-        for j in range(i + 1):
-            circ.append(Gate.toffoli(layout.a(j), layout.b(i - j), layout.c(i)))
-    return circ
+    a, b, c = layout.a_range, layout.b_range, layout.c_range
+    stage2 = _reduction_stage_gates(p, q, c, ladder_style)
+    gates = stage2[::-1]
+    gates += [
+        Gate.toffoli(a[j], b[n + i - j], c[i]) for i in range(n - 1) for j in range(i + 1, n)
+    ]
+    gates += stage2
+    gates += [Gate.toffoli(a[j], b[i - j], c[i]) for i in range(n) for j in range(i + 1)]
+    return layout, gates
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +359,18 @@ def ccz_count_bound(n: int) -> int:
 # compact builder: in-place materialization of linear forms
 
 
+class _CnotCache(dict):
+    """Maps a (control, target) wire pair to its CNOT Gate, built on first use.
+
+    Gates are immutable and the recursion repeats most CNOTs: compact at
+    n = 256 emits 241,905 CNOTs over 31,602 wire pairs.
+    """
+
+    def __missing__(self, pair: tuple[int, int]) -> Gate:
+        gate = self[pair] = Gate.cnot(*pair)
+        return gate
+
+
 class _InPlaceGroup:
     """Wires of one register whose contents are re-expressed by CNOTs.
 
@@ -369,23 +382,28 @@ class _InPlaceGroup:
         self.wires = list(wires)
         self.state = LinearWireState(len(wires), track_solver=True)
         self.emit = emit
+        self.cnots = _CnotCache()
 
     def _op(self, src: int, tgt: int) -> None:
-        self.emit(Gate.cnot(self.wires[src], self.wires[tgt]))
+        self.emit(self.cnots[self.wires[src], self.wires[tgt]])
         self.state.cnot(src, tgt)
 
     def materialize(self, form: int) -> int:
         if form == 0:
             raise SynthesisError("cannot materialize the zero form")
-        w = self.state.find_wire(form)
+        state = self.state
+        w = state.find_wire(form)
         if w is not None:
             return self.wires[w]
-        sel = self.state.solve(form)
+        sel = state.solve(form)
         tgt = (sel & -sel).bit_length() - 1
-        for j in _bits(sel):
-            if j != tgt:
-                self._op(j, tgt)
-        return self.wires[tgt]
+        # XOR every other selected wire onto the lowest one, in wire order.
+        wires, cnots, emit, cnot = self.wires, self.cnots, self.emit, state.cnot
+        wt = wires[tgt]
+        for j in _bits(sel & (sel - 1)):
+            emit(cnots[wires[j], wt])
+            cnot(j, tgt)
+        return wt
 
     def restore(self) -> None:
         """Return every wire to its initial value (emits CNOTs)."""
@@ -402,6 +420,7 @@ class _InPlaceGroup:
 
 
 def _compact_core_gates(
+    gates: list[Gate],
     a_wires: Sequence[int],
     b_wires: Sequence[int],
     cgroup_wires: Sequence[int],
@@ -409,8 +428,8 @@ def _compact_core_gates(
     b_forms: list[int],
     c_forms: list[int],
     cp_forms: list[int],
-) -> list[Gate]:
-    gates: list[Gate] = []
+) -> None:
+    """Append the compact recursion's gates to `gates`."""
     ga = _InPlaceGroup(a_wires, gates.append)
     gb = _InPlaceGroup(b_wires, gates.append)
     gc = _InPlaceGroup(cgroup_wires, gates.append)
@@ -427,7 +446,6 @@ def _compact_core_gates(
     ga.restore()
     gb.restore()
     gc.restore()
-    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +493,7 @@ class _ScheduledCore:
         self.anc_base = anc_base
         self.mode = mode
         self.peak = 0
+        self.cnots = _CnotCache()
 
     def _wire(self, offset: int) -> int:
         self.peak = max(self.peak, offset + 1)
@@ -492,7 +511,7 @@ class _ScheduledCore:
             tgt.wire = self._wire(cur)
             cur += 1
             allocated = True
-        self.emit(Gate.cnot(src.wire, tgt.wire))
+        self.emit(self.cnots[src.wire, tgt.wire])
         tgt.form ^= src.form
         journal.append((src, tgt, allocated))
         return cur
@@ -501,7 +520,7 @@ class _ScheduledCore:
         # Wires handed to lazily-materialized slots are released once the
         # journal unwinds; sibling branches may reuse the window.
         for src, tgt, allocated in reversed(journal):
-            self.emit(Gate.cnot(src.wire, tgt.wire))
+            self.emit(self.cnots[src.wire, tgt.wire])
             tgt.form ^= src.form
             if allocated:
                 if tgt.form != 0:
@@ -653,10 +672,6 @@ def prepare_second(c_wires: Sequence[int], cp_wires: Sequence[int]) -> list[Gate
 # scratch preparation of c' = Q^T c for the scheduled variants
 
 
-def _scratch_prep_generic(q: Gf2Matrix, c_wires, scratch_wires) -> list[Gate]:
-    return _cprime_gates(q, c_wires, scratch_wires)
-
-
 def _scratch_prep_trinomial(n, k, c_wires, scratch_wires, style) -> list[Gate]:
     gates = [Gate.cnot(c_wires[m], scratch_wires[m]) for m in range(n - 1)]
     gates += [Gate.cnot(c_wires[k + i], scratch_wires[i]) for i in range(n - k)]
@@ -692,21 +707,22 @@ def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> 
     b_wires = list(range(n, 2 * n))
     c_wires = list(range(2 * n, 3 * n))
     anc_base = 3 * n
-    core: list[Gate] = []
+    h_layer = [Gate.h(w) for w in c_wires]
+    gates = list(h_layer)
 
     if variant == "compact":
         a_forms = [1 << i for i in range(n)]
         c_forms = [1 << i for i in range(n)]
         cp_forms = [q.column(j) for j in range(n - 1)] + [0]
-        core = _compact_core_gates(
-            a_wires, b_wires, c_wires, a_forms, list(a_forms), c_forms, cp_forms
+        _compact_core_gates(
+            gates, a_wires, b_wires, c_wires, a_forms, list(a_forms), c_forms, cp_forms
         )
         anc_total = 0
     else:
         scratch = [anc_base + i for i in range(n - 1)]
         temps_used = 0
         if variant == "linear_depth":
-            prep = _scratch_prep_generic(q, c_wires, scratch)
+            prep = _cprime_gates(q, c_wires, scratch)
         else:
             tri = trinomial_split(p)
             es = equally_spaced_split(p)
@@ -723,34 +739,26 @@ def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> 
                 raise UnsupportedFamilyError(
                     f"log_depth needs a trinomial or equally spaced modulus, got {p}"
                 )
-        core.extend(prep)
-        sched = _ScheduledCore(core.append, anc_base + (n - 1) + temps_used, variant)
+        gates += prep
+        sched = _ScheduledCore(gates.append, anc_base + (n - 1) + temps_used, variant)
         a_slots = [Slot(1 << i, a_wires[i]) for i in range(n)]
         b_slots = [Slot(1 << i, b_wires[i]) for i in range(n)]
         c_slots = [Slot(1 << i, c_wires[i]) for i in range(n)]
         cp_slots = [Slot(q.column(j), scratch[j]) for j in range(n - 1)] + [Slot.zero()]
         sched.run(a_slots, b_slots, c_slots, cp_slots)
-        core.extend(reversed(prep))
+        gates += reversed(prep)
         anc_total = (n - 1) + temps_used + sched.peak
 
-    layout = RegisterLayout(n=n, ancillas=anc_total)
-    circ = Circuit(layout)
-    for w in layout.c_range:
-        circ.append(Gate.h(w))
-    circ.extend(core)
-    for w in layout.c_range:
-        circ.append(Gate.h(w))
-    return circ
+    gates += h_layer
+    return Circuit(RegisterLayout(n=n, ancillas=anc_total), gates)
 
 
-def _toffoli_to_sandwich(circ: Circuit) -> Circuit:
+def _toffoli_to_sandwich(layout: RegisterLayout, gates: Sequence[Gate]) -> Circuit:
     """Rewrite a classical multiplier circuit as the equivalent H sandwich."""
-    phase = frozenset(circ.layout.c_range)
-    layout = RegisterLayout(circ.layout.n, circ.layout.ancillas, phase_wires=phase)
-    out = Circuit(layout)
-    for w in sorted(phase):
-        out.append(Gate.h(w))
-    for g in circ.gates:
+    phase = frozenset(layout.c_range)
+    h_layer = [Gate.h(w) for w in sorted(phase)]
+    out = list(h_layer)
+    for g in gates:
         if g.kind == "TOF":
             c1, c2, t = g.operands
             if t not in phase or c1 in phase or c2 in phase:
@@ -766,9 +774,8 @@ def _toffoli_to_sandwich(circ: Circuit) -> Circuit:
                 raise FormError("CNOT mixes result and operand registers")
         else:
             raise FormError(f"cannot rewrite {g.kind} into sandwich form")
-    for w in sorted(phase):
-        out.append(Gate.h(w))
-    return out
+    out += h_layer
+    return Circuit(RegisterLayout(layout.n, layout.ancillas, phase_wires=phase), out)
 
 
 def synth(options: SynthesisOptions) -> Circuit:
@@ -780,17 +787,13 @@ def synth(options: SynthesisOptions) -> Circuit:
     rewrite, see README).
     """
     p = options.modulus
-    n = p.degree
-    if n < 2:
-        raise InputError("modulus degree must be >= 2")
-    if not is_irreducible(p):
-        raise InputError(f"modulus {p} is reducible")
+    _check_modulus(p)
 
     if options.variant == "baseline":
-        circ = synth_baseline(p, options.ladder_style)
+        layout, gates = _baseline_gates(p, options.ladder_style)
         if options.output_form == "ccz_form":
-            circ = _toffoli_to_sandwich(circ)
-        return circ
+            return _toffoli_to_sandwich(layout, gates)
+        return Circuit(layout, gates)
 
     circ = _karatsuba_circuit(p, options.variant, options.ladder_style)
     if options.output_form == "toffoli_form":
@@ -827,8 +830,8 @@ def karatsuba_core(k: int, mode: str = "compact") -> Circuit:
         a_forms = [1 << i for i in range(k)]
         c_forms = [1 << i for i in range(k)]
         cp_forms = [1 << (k + i) for i in range(k)]
-        gates = _compact_core_gates(
-            a_wires, b_wires, cgroup, a_forms, list(a_forms), c_forms, cp_forms
+        _compact_core_gates(
+            gates, a_wires, b_wires, cgroup, a_forms, list(a_forms), c_forms, cp_forms
         )
         extra = 0
     else:

@@ -5,6 +5,11 @@ import random
 import pytest
 
 from gf2kq.circuit import (
+    CCZ,
+    CNOT,
+    TOFFOLI,
+    H,
+    X,
     Circuit,
     Gate,
     RegisterLayout,
@@ -41,6 +46,43 @@ def test_append_rejects_bad_operands():
         c.append(Gate.cnot(0, 99))
     with pytest.raises(InputError):
         c.append(Gate("NOPE", (0,)))
+
+
+# (gate, netlist line, InputError message) for each check Circuit.extend makes;
+# the circuits below have n = 2 and 6 wires.
+BAD_GATES = [
+    (Gate("NOPE", (0,)), "NOPE 0", "unknown gate kind"),
+    (Gate(CNOT, (0, 1, 2)), "CNOT 0 1 2", "CNOT takes 2 operands"),
+    (Gate(H, ()), "H", "H takes 1 operands"),
+    (Gate(CNOT, (1, 1)), "CNOT 1 1", "duplicate operand"),
+    (Gate(CCZ, (0, 0, 1)), "CCZ 0 0 1", "duplicate operand"),
+    (Gate(CCZ, (0, 1, 0)), "CCZ 0 1 0", "duplicate operand"),
+    (Gate(TOFFOLI, (0, 1, 1)), "TOF 0 1 1", "duplicate operand"),
+    (Gate(CNOT, (0, 6)), "CNOT 0 6", "operand 6 outside 6-wire circuit"),
+    (Gate(TOFFOLI, (0, 1, 6)), "TOF 0 1 6", "operand 6 outside 6-wire circuit"),
+    (Gate(X, (-1,)), "X -1", "operand -1 outside 6-wire circuit"),
+    (Gate(CCZ, (-2, 0, 1)), "CCZ -2 0 1", "operand -2 outside 6-wire circuit"),
+]
+
+
+@pytest.mark.parametrize("bad,line,message", BAD_GATES)
+def test_extend_validates_every_gate_all_or_nothing(bad, line, message):
+    lay = RegisterLayout(n=2)
+    good = [Gate.cnot(0, 1), Gate.h(4)]
+    with pytest.raises(InputError, match=message):
+        Circuit(lay, good + [bad, Gate.x(3)])
+    c = Circuit(lay, good)
+    for batch in ([Gate.cnot(1, 0), bad, Gate.x(3)], (bad,), iter([Gate.x(3), bad])):
+        with pytest.raises(InputError, match=message):
+            c.extend(batch)
+        assert c.gates == good
+    with pytest.raises(InputError, match=message):
+        c.append(bad)
+    assert c.gates == good
+    header = "QUBITS 6\nREGISTERS a=0:2 b=2:4 c=4:6 anc=6:6\nPHASEWIRES 4,5\n"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(header + f"CNOT 0 1\n{line}\nX 3\n")
+    assert err.value.line_no == 5
 
 
 def test_layout_ranges():

@@ -142,6 +142,39 @@ def test_linear_wire_state_solver():
         assert acc == form
 
 
+def test_linear_wire_state_row_dict_matches_scan():
+    rng = random.Random(31)
+    n = 10
+    tracked = LinearWireState(n, track_solver=True)
+    plain = LinearWireState(n)
+    for _ in range(400):
+        control, target = rng.sample(range(n), 2)
+        tracked.cnot(control, target)
+        plain.cnot(control, target)
+    assert tracked.rows == plain.rows
+    assert not tracked.is_identity()
+    held = set(tracked.rows)
+    for w, r in enumerate(tracked.rows):
+        assert tracked.find_wire(r) == plain.find_wire(r) == w
+    absent = [form for form in range(1 << n) if form not in held]
+    assert 0 in absent and len(absent) > 900
+    for form in absent:
+        assert tracked.find_wire(form) is None
+        assert plain.find_wire(form) is None
+    for form in range(1 << n):
+        sel = tracked.solve(form)
+        acc = 0
+        for j in range(n):
+            if (sel >> j) & 1:
+                acc ^= tracked.row(j)
+        assert acc == form
+    with pytest.raises(InputError):
+        plain.solve(1)
+    with pytest.raises(InputError):
+        tracked.cnot(3, 3)
+    assert LinearWireState(0, track_solver=True).solve(0) == 0
+
+
 def test_g_h_values_match_monomial_evaluation():
     rng = random.Random(17)
     for n in (1, 2, 3, 5, 8):

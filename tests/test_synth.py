@@ -2,13 +2,14 @@
 
 import math
 import random
+import sys
 
 import pytest
 
 from gf2kq.catalog import catalog_lookup, family_degrees
 from gf2kq.circuit import Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, UnsupportedFamilyError
-from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, transpose_apply
+from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
 from gf2kq.phasepoly import extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
@@ -276,6 +277,29 @@ def test_synth_rejects_reducible_and_degree_one():
         synth(_opts("compact", BinaryPolynomial.parse("4,2,0")))
     with pytest.raises(InputError):
         synth(_opts("compact", BinaryPolynomial.parse("x+1")))
+
+
+def test_irreducibility_checked_once_per_call(monkeypatch):
+    module = sys.modules[synth.__module__]
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_irreducible(p)
+
+    monkeypatch.setattr(module, "is_irreducible", counting)
+    for variant in ("baseline", "compact"):
+        for form in ("ccz_form", "toffoli_form"):
+            calls.clear()
+            synth(_opts(variant, P7, output_form=form))
+            assert calls == [P7], (variant, form)
+    calls.clear()
+    synth_baseline(P7)
+    assert calls == [P7]
+    with pytest.raises(InputError):
+        synth_baseline(BinaryPolynomial.parse("4,2,0"))
+    with pytest.raises(InputError):
+        synth_baseline(BinaryPolynomial.parse("x+1"))
 
 
 def test_synth_compact_n2_exhaustive_and_count():
