@@ -14,24 +14,6 @@ from .errors import Gf2kqError
 from .gf2 import BinaryPolynomial
 from .synth import SynthesisOptions, synth
 
-CSV_FIELDS = (
-    "n",
-    "polynomial",
-    "variant",
-    "ccz",
-    "toffoli",
-    "cnot",
-    "h",
-    "total_gates",
-    "depth",
-    "toffoli_depth",
-    "qubits",
-    "ancillas",
-    "spacetime",
-    "wall_time_ms",
-)
-
-
 @dataclass(frozen=True)
 class BenchRow:
     n: int
@@ -51,6 +33,9 @@ class BenchRow:
 
     def as_list(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
+
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchRow))
 
 
 def bench_row(

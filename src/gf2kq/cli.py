@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gf2 import BinaryPolynomial
 from .netlist import emit_netlist, parse_netlist
-from .simulate import default_seed, verify_multiplier
+from .simulate import DEFAULT_SEED, SEED_ENV_VAR, verify_multiplier
 from .synth import SynthesisOptions, synth
 
 EXIT_OK = 0
@@ -52,10 +52,21 @@ def _parse_poly(text: str) -> BinaryPolynomial:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise InputError(f"bad --sizes {text!r}: want a list (4,8,16) or a range (2..64)") from None
+
+
+def _parse_variants(text: str) -> list[str]:
+    try:
+        return [_VARIANTS[v] for v in text.split(",") if v]
+    except KeyError as exc:
+        choices = ", ".join(sorted(_VARIANTS))
+        raise InputError(f"unknown variant {exc} (choose from {choices})") from None
 
 
 def _report_lines(report) -> list[str]:
@@ -113,7 +124,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    variants = [_VARIANTS[v] for v in args.variant.split(",") if v]
+    variants = _parse_variants(args.variant)
     rows, notes = run_bench(
         sizes, variants, family=_FAMILIES[args.family], ladder_style=_LADDERS[args.ladder]
     )
@@ -167,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--exhaustive", action="store_true")
     pv.add_argument("--trials", type=int, default=1000)
     pv.add_argument("--seed", type=int, default=None,
-                    help=f"PRNG seed (default from GF2KQ_SEED, else {default_seed()})")
+                    help=f"PRNG seed (default from {SEED_ENV_VAR}, else {DEFAULT_SEED})")
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("bench", help="resource table as CSV")

@@ -14,12 +14,15 @@ a_i -> i, b_i -> n+i, c_i -> 2n+i, c'_i -> 3n+i.
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .circuit import CCZ, CNOT, Circuit
 from .errors import InputError
 from .gf2 import Gf2Matrix, _mul
+from .halving import C, CP, SUBCALLS, list_halves, pad_odd, split_even, xor_lists
 
 
 class CubicPhasePolynomial:
@@ -198,13 +201,30 @@ def target_polynomial(n: int) -> CubicPhasePolynomial:
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    a, b, c, cp = _free_forms(n)
+    return _sym_g(a, b, c, n) ^ _sym_h(a, b, cp, n)
+
+
+def _free_forms(n: int) -> list[list[int]]:
+    """a, b, c, c' as one free variable per position."""
+    return [[1 << var(n, i) for i in range(n)] for var in (var_a, var_b, var_c, var_cprime)]
+
+
+def _sym_g(a, b, c, n: int) -> CubicPhasePolynomial:
+    """g over vectors of linear forms, expanded into monomials."""
     poly = CubicPhasePolynomial()
     for i in range(n):
         for j in range(i + 1):
-            poly.xor_monomial(var_a(n, j), var_b(n, i - j), var_c(n, i))
+            poly.xor_product(a[j], b[i - j], c[i])
+    return poly
+
+
+def _sym_h(a, b, cp, n: int) -> CubicPhasePolynomial:
+    """h over vectors of linear forms, expanded into monomials."""
+    poly = CubicPhasePolynomial()
     for i in range(n - 1):
         for j in range(i + 1, n):
-            poly.xor_monomial(var_a(n, j), var_b(n, n + i - j), var_cprime(n, i))
+            poly.xor_product(a[j], b[n + i - j], cp[i])
     return poly
 
 
@@ -248,55 +268,71 @@ def h_value(a: int, b: int, cp: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbolic g/h over vectors of linear forms
+# the recursion identities, symbolic and on random bit masks
 
 
-def _sym_g(poly: CubicPhasePolynomial, av, bv, cv) -> None:
-    n = len(av)
-    for i in range(n):
-        for j in range(i + 1):
-            poly.xor_product(av[j], bv[i - j], cv[i])
+def _mask_halves(h: int):
+    """`halves` for size-2h registers held as bit masks."""
+    low = (1 << h) - 1
+    return lambda x: (x & low, x >> h)
 
 
-def _sym_h(poly: CubicPhasePolynomial, av, bv, cpv) -> None:
-    n = len(av)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            poly.xor_product(av[j], bv[n + i - j], cpv[i])
+def _pad_masks(regs, n: int) -> list[int]:
+    """pad_odd on bit-mask registers, by way of their bit lists."""
+    bits = [[(x >> i) & 1 for i in range(n)] for x in regs]
+    return [sum(v << i for i, v in enumerate(r)) for r in pad_odd(*bits, int)]
 
 
-def _xor_lists(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    return [x ^ y for x, y in zip(u, v)]
+class _Model(NamedTuple):
+    """How registers are held and g, h evaluated: linear forms or bit masks."""
+
+    g: Callable  # g(a, b, c, n)
+    h: Callable  # h(a, b, c', n)
+    combine: Callable  # XOR of two half registers
+    halves: Callable  # halves(h) splits a size-2h register into (low, high)
+    pad: Callable  # pad(regs, n) is pad_odd of size-n registers
 
 
-def _halving_sides(n: int, drop_term: Optional[int]):
-    """Return (lhs, rhs) as symbolic polynomials over free a, b, c, c'."""
-    a = [1 << var_a(n, i) for i in range(n)]
-    b = [1 << var_b(n, i) for i in range(n)]
-    c = [1 << var_c(n, i) for i in range(n)]
-    cp = [1 << var_cprime(n, i) for i in range(n)]
-    lhs = CubicPhasePolynomial()
-    _sym_g(lhs, a, b, c)
-    _sym_h(lhs, a, b, cp)
-    h = n // 2
-    aL, aR = a[:h], a[h:]
-    bL, bR = b[:h], b[h:]
-    cL, cR = c[:h], c[h:]
-    cpL, cpR = cp[:h], cp[h:]
-    terms = [
-        ("g", _xor_lists(aL, aR), _xor_lists(bL, bR), cR),
-        ("h", _xor_lists(aL, aR), _xor_lists(bL, bR), cpL),
-        ("g", aR, bR, _xor_lists(cpL, cR)),
-        ("h", aR, bR, _xor_lists(cpL, cpR)),
-        ("g", aL, bL, _xor_lists(cL, cR)),
-        ("h", aL, bL, _xor_lists(cpL, cR)),
-    ]
-    rhs = CubicPhasePolynomial()
-    for idx, (kind, ta, tb, tc) in enumerate(terms):
-        if idx == drop_term:
-            continue
-        (_sym_g if kind == "g" else _sym_h)(rhs, ta, tb, tc)
-    return lhs, rhs
+_FORMS = _Model(
+    _sym_g, _sym_h, xor_lists, lambda h: list_halves, lambda regs, n: pad_odd(*regs, int)
+)
+_MASKS = _Model(g_value, h_value, operator.xor, _mask_halves, _pad_masks)
+
+
+def _instances(n: int, trials: int, symbolic: bool, seed: int):
+    """The free symbolic registers if `symbolic`, then `trials` random bit masks."""
+    if symbolic:
+        yield _free_forms(n), _FORMS
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield [rng.getrandbits(n) for _ in range(4)], _MASKS
+
+
+def _gh(model: _Model, regs, n: int):
+    a, b, c, cp = regs
+    return model.g(a, b, c, n) ^ model.h(a, b, cp, n)
+
+
+def _halving_holds(
+    regs, n: int, model: _Model, dead: Optional[int], drop_term: Optional[int]
+) -> bool:
+    """g ^ h of `regs` equals the XOR of its halving terms, less `drop_term`.
+
+    The terms are g and h of each sub-call, in `SUBCALLS` order. With
+    register `dead` set to zero, the terms whose c-side reads only that
+    register vanish, and `drop_term` indexes the terms left.
+    """
+    if dead is not None:
+        regs = list(regs)
+        regs[dead] = model.combine(regs[dead], regs[dead])  # x ^ x: the zero register
+    k = n // 2
+    terms = []
+    for a, b, c, cp in split_even(regs, model.combine, model.halves(k)):
+        terms += (model.g(a, b, c, k), model.h(a, b, cp, k))
+    c_sides = [entry for call in SUBCALLS for entry in call[2:]]
+    live = [t for t, side in zip(terms, c_sides) if any(part // 2 != dead for part in side)]
+    rhs = reduce(operator.xor, (t for i, t in enumerate(live) if i != drop_term))
+    return _gh(model, regs, n) == rhs
 
 
 def check_halving_identity(
@@ -307,56 +343,14 @@ def check_halving_identity(
     drop_term: Optional[int] = None,
 ) -> bool:
     """Check the even-size halving identity; `drop_term` mutates the RHS."""
-    if n < 2 or n % 2:
-        raise InputError("halving identity needs even n >= 2")
-    if symbolic:
-        lhs, rhs = _halving_sides(n, drop_term)
-        if lhs != rhs:
-            return False
-    if trials:
-        h = n // 2
-        mh = (1 << h) - 1
-        rng = random.Random(seed)
-        for _ in range(trials):
-            a, b, c, cp = (rng.getrandbits(n) for _ in range(4))
-            lhs = g_value(a, b, c, n) ^ h_value(a, b, cp, n)
-            aL, aR = a & mh, a >> h
-            bL, bR = b & mh, b >> h
-            cL, cR = c & mh, c >> h
-            cpL, cpR = cp & mh, cp >> h
-            vals = [
-                g_value(aL ^ aR, bL ^ bR, cR, h),
-                h_value(aL ^ aR, bL ^ bR, cpL, h),
-                g_value(aR, bR, cpL ^ cR, h),
-                h_value(aR, bR, cpL ^ cpR, h),
-                g_value(aL, bL, cL ^ cR, h),
-                h_value(aL, bL, cpL ^ cR, h),
-            ]
-            rhs = 0
-            for idx, v in enumerate(vals):
-                if idx != drop_term:
-                    rhs ^= v
-            if lhs != rhs:
-                return False
-    return True
+    return _check_halving(n, trials, symbolic, seed, drop_term, (None,))
 
 
-def _padding_sides(n: int):
-    a = [1 << var_a(n, i) for i in range(n)]
-    b = [1 << var_b(n, i) for i in range(n)]
-    c = [1 << var_c(n, i) for i in range(n)]
-    cp = [1 << var_cprime(n, i) for i in range(n)]
-    lhs = CubicPhasePolynomial()
-    _sym_g(lhs, a, b, c)
-    _sym_h(lhs, a, b, cp)
-    at = a + [0]
-    bt = b + [0]
-    ct = c + [cp[0]]
-    cpt = cp[1:] + [0, 0]
-    rhs = CubicPhasePolynomial()
-    _sym_g(rhs, at, bt, ct)
-    _sym_h(rhs, at, bt, cpt)
-    return lhs, rhs
+def _padding_sides(n: int, regs=None, model: _Model = _FORMS):
+    """Both sides of the padding identity, over free symbolic registers by default."""
+    if regs is None:
+        regs = _free_forms(n)
+    return _gh(model, regs, n), _gh(model, model.pad(regs, n), n + 1)
 
 
 def check_padding_identity(
@@ -365,57 +359,11 @@ def check_padding_identity(
     """Check the odd-to-even padding identity at size n."""
     if n < 1:
         raise InputError("n must be >= 1")
-    if symbolic:
-        lhs, rhs = _padding_sides(n)
+    for regs, model in _instances(n, trials, symbolic, seed):
+        lhs, rhs = _padding_sides(n, regs, model)
         if lhs != rhs:
             return False
-    if trials:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            a, b, c, cp = (rng.getrandbits(n) for _ in range(4))
-            lhs = g_value(a, b, c, n) ^ h_value(a, b, cp, n)
-            at, bt = a, b  # top bit of the padded vectors is zero
-            ct = c | ((cp & 1) << n)
-            cpt = cp >> 1
-            rhs = g_value(at, bt, ct, n + 1) ^ h_value(at, bt, cpt, n + 1)
-            if lhs != rhs:
-                return False
     return True
-
-
-def _split_sides(n: int, which: str, drop_term: Optional[int]):
-    a = [1 << var_a(n, i) for i in range(n)]
-    b = [1 << var_b(n, i) for i in range(n)]
-    c = [1 << var_c(n, i) for i in range(n)]
-    cp = [1 << var_cprime(n, i) for i in range(n)]
-    h = n // 2
-    aL, aR = a[:h], a[h:]
-    bL, bR = b[:h], b[h:]
-    lhs = CubicPhasePolynomial()
-    if which == "g":
-        cL, cR = c[:h], c[h:]
-        _sym_g(lhs, a, b, c)
-        terms = [
-            ("g", _xor_lists(aL, aR), _xor_lists(bL, bR), cR),
-            ("g", aR, bR, cR),
-            ("g", aL, bL, _xor_lists(cL, cR)),
-            ("h", aL, bL, cR),
-        ]
-    else:
-        cpL, cpR = cp[:h], cp[h:]
-        _sym_h(lhs, a, b, cp)
-        terms = [
-            ("h", _xor_lists(aL, aR), _xor_lists(bL, bR), cpL),
-            ("g", aR, bR, cpL),
-            ("h", aR, bR, _xor_lists(cpL, cpR)),
-            ("h", aL, bL, cpL),
-        ]
-    rhs = CubicPhasePolynomial()
-    for idx, (kind, ta, tb, tc) in enumerate(terms):
-        if idx == drop_term:
-            continue
-        (_sym_g if kind == "g" else _sym_h)(rhs, ta, tb, tc)
-    return lhs, rhs
 
 
 def check_split_identities(
@@ -427,45 +375,17 @@ def check_split_identities(
 ) -> bool:
     """Check the separate g-split and h-split halving identities.
 
-    `drop_term` removes one RHS term from each split (negative control).
+    They are the halving identity with c' = 0 and with c = 0. `drop_term`
+    removes one surviving RHS term from each split (negative control).
     """
+    return _check_halving(n, trials, symbolic, seed, drop_term, (CP, C))
+
+
+def _check_halving(n, trials, symbolic, seed, drop_term, deads) -> bool:
     if n < 2 or n % 2:
-        raise InputError("split identities need even n >= 2")
-    if symbolic:
-        for which in ("g", "h"):
-            lhs, rhs = _split_sides(n, which, drop_term)
-            if lhs != rhs:
-                return False
-    if trials:
-        h = n // 2
-        mh = (1 << h) - 1
-        rng = random.Random(seed)
-        for _ in range(trials):
-            a, b, c, cp = (rng.getrandbits(n) for _ in range(4))
-            aL, aR = a & mh, a >> h
-            bL, bR = b & mh, b >> h
-            cL, cR = c & mh, c >> h
-            cpL, cpR = cp & mh, cp >> h
-            g_terms = [
-                g_value(aL ^ aR, bL ^ bR, cR, h),
-                g_value(aR, bR, cR, h),
-                g_value(aL, bL, cL ^ cR, h),
-                h_value(aL, bL, cR, h),
-            ]
-            h_terms = [
-                h_value(aL ^ aR, bL ^ bR, cpL, h),
-                g_value(aR, bR, cpL, h),
-                h_value(aR, bR, cpL ^ cpR, h),
-                h_value(aL, bL, cpL, h),
-            ]
-            g_rhs = 0
-            for idx, v in enumerate(g_terms):
-                if idx != drop_term:
-                    g_rhs ^= v
-            h_rhs = 0
-            for idx, v in enumerate(h_terms):
-                if idx != drop_term:
-                    h_rhs ^= v
-            if g_value(a, b, c, n) != g_rhs or h_value(a, b, cp, n) != h_rhs:
-                return False
-    return True
+        raise InputError("halving identities need even n >= 2")
+    return all(
+        _halving_holds(regs, n, model, dead, drop_term)
+        for regs, model in _instances(n, trials, symbolic, seed)
+        for dead in deads
+    )

@@ -28,10 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from . import halving
 from .circuit import Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
+from .halving import SUBCALLS, list_halves, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
+from .simulate import to_ccz_form, to_toffoli_form
 
 VARIANTS = ("compact", "linear_depth", "log_depth", "baseline")
 LADDER_STYLES = ("sequential", "prefix_ancilla")
@@ -220,21 +223,28 @@ def _completion_column(q: Gf2Matrix) -> int:
     raise SynthesisError("no completion column found")
 
 
-def _linear_gates_from_matrix(rows: Sequence[int], wires: Sequence[int]) -> list[Gate]:
-    """CNOT list whose classical action is x -> M x for invertible M."""
+def _gauss_jordan(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Row additions (source, target) that, applied in order as
+    rows[target] ^= rows[source], reduce an invertible GF(2) matrix to I.
+    """
     work = list(rows)
     n = len(work)
-    record: list[tuple[int, int]] = []
+    ops: list[tuple[int, int]] = []
     for i in range(n):
         if not (work[i] >> i) & 1:
             j = next(j for j in range(i + 1, n) if (work[j] >> i) & 1)
             work[i] ^= work[j]
-            record.append((j, i))
+            ops.append((j, i))
         for j in range(n):
             if j != i and (work[j] >> i) & 1:
                 work[j] ^= work[i]
-                record.append((i, j))
-    return [Gate.cnot(wires[s], wires[t]) for s, t in reversed(record)]
+                ops.append((i, j))
+    return ops
+
+
+def _linear_gates_from_matrix(rows: Sequence[int], wires: Sequence[int]) -> list[Gate]:
+    """CNOT list whose classical action is x -> M x for invertible M."""
+    return [Gate.cnot(wires[s], wires[t]) for s, t in reversed(_gauss_jordan(rows))]
 
 
 def _reduction_stage_gates(
@@ -308,22 +318,13 @@ def _forms_recursion(
     passed through so the leaf can drop vanishing terms.
     """
     k = len(a)
-    if not (len(b) == len(c) == len(cp) == k):
-        raise InputError("slot lists must have equal size")
     if k == 1:
         leaf(a[0], b[0], c[0])
-        return
-    if k % 2:
-        _forms_recursion(a + [0], b + [0], c + [cp[0]], cp[1:] + [0, 0], leaf)
-        return
-    h = k // 2
-    ax = [x ^ y for x, y in zip(a[:h], a[h:])]
-    bx = [x ^ y for x, y in zip(b[:h], b[h:])]
-    _forms_recursion(ax, bx, c[h:], cp[:h], leaf)
-    _forms_recursion(a[h:], b[h:], [x ^ y for x, y in zip(cp[:h], c[h:])],
-                     [x ^ y for x, y in zip(cp[:h], cp[h:])], leaf)
-    _forms_recursion(a[:h], b[:h], [x ^ y for x, y in zip(c[:h], c[h:])],
-                     [x ^ y for x, y in zip(cp[:h], c[h:])], leaf)
+    elif k % 2:
+        _forms_recursion(*halving.pad_odd(a, b, c, cp, int), leaf)  # int() is the zero form
+    else:
+        for sub in split_even((a, b, c, cp), xor_lists, list_halves):
+            _forms_recursion(*sub, leaf)
 
 
 def ccz_count(p: BinaryPolynomial) -> int:
@@ -343,10 +344,8 @@ def ccz_count(p: BinaryPolynomial) -> int:
         if fa and fb and fc:
             count += 1
 
-    a = [1 << i for i in range(n)]
-    c = [1 << i for i in range(n)]
-    cp = [q.column(j) for j in range(n - 1)] + [0]
-    _forms_recursion(a, list(a), c, cp, leaf)
+    ones = [1 << i for i in range(n)]
+    _forms_recursion(ones, ones, ones, [q.column(j) for j in range(n - 1)] + [0], leaf)
     return count
 
 
@@ -384,10 +383,6 @@ class _InPlaceGroup:
         self.emit = emit
         self.cnots = _CnotCache()
 
-    def _op(self, src: int, tgt: int) -> None:
-        self.emit(self.cnots[self.wires[src], self.wires[tgt]])
-        self.state.cnot(src, tgt)
-
     def materialize(self, form: int) -> int:
         if form == 0:
             raise SynthesisError("cannot materialize the zero form")
@@ -407,45 +402,9 @@ class _InPlaceGroup:
 
     def restore(self) -> None:
         """Return every wire to its initial value (emits CNOTs)."""
-        n = self.state.n
-        for i in range(n):
-            if not (self.state.rows[i] >> i) & 1:
-                j = next(
-                    j for j in range(i + 1, n) if (self.state.rows[j] >> i) & 1
-                )
-                self._op(j, i)
-            for j in range(n):
-                if j != i and (self.state.rows[j] >> i) & 1:
-                    self._op(i, j)
-
-
-def _compact_core_gates(
-    gates: list[Gate],
-    a_wires: Sequence[int],
-    b_wires: Sequence[int],
-    cgroup_wires: Sequence[int],
-    a_forms: list[int],
-    b_forms: list[int],
-    c_forms: list[int],
-    cp_forms: list[int],
-) -> None:
-    """Append the compact recursion's gates to `gates`."""
-    ga = _InPlaceGroup(a_wires, gates.append)
-    gb = _InPlaceGroup(b_wires, gates.append)
-    gc = _InPlaceGroup(cgroup_wires, gates.append)
-
-    def leaf(fa: int, fb: int, fc: int) -> None:
-        if not (fa and fb and fc):
-            return
-        wc = gc.materialize(fc)
-        wa = ga.materialize(fa)
-        wb = gb.materialize(fb)
-        gates.append(Gate.ccz(wa, wb, wc))
-
-    _forms_recursion(a_forms, b_forms, c_forms, cp_forms, leaf)
-    ga.restore()
-    gb.restore()
-    gc.restore()
+        for src, tgt in _gauss_jordan(self.state.rows):
+            self.emit(self.cnots[self.wires[src], self.wires[tgt]])
+            self.state.cnot(src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +415,19 @@ def _compact_core_gates(
 class Slot:
     """A c-side or operand-side value holder: linear form plus its wire.
 
-    Zero-valued slots may have no wire until something is XORed into them.
+    Zero-valued slots may have no wire until something is XORed into them;
+    `Slot()` is such a zero slot.
     """
 
-    form: int
-    wire: Optional[int]
-
-    @staticmethod
-    def zero() -> "Slot":
-        return Slot(0, None)
+    form: int = 0
+    wire: Optional[int] = None
 
 
 def pad_odd(a: list[Slot], b: list[Slot], c: list[Slot], cp: list[Slot]):
     """Grow odd-size slot vectors by one: zeros for a/b, cp_0 moves into c."""
-    k = len(a)
-    if k % 2 == 0:
+    if len(a) % 2 == 0:
         raise InputError("pad_odd needs odd-size slot vectors")
-    return (
-        a + [Slot.zero()],
-        b + [Slot.zero()],
-        c + [cp[0]],
-        cp[1:] + [Slot.zero(), Slot.zero()],
-    )
+    return halving.pad_odd(a, b, c, cp, Slot)
 
 
 class _ScheduledCore:
@@ -495,10 +445,6 @@ class _ScheduledCore:
         self.peak = 0
         self.cnots = _CnotCache()
 
-    def _wire(self, offset: int) -> int:
-        self.peak = max(self.peak, offset + 1)
-        return self.anc_base + offset
-
     def _xor_into(self, src: Slot, tgt: Slot, journal: list, cur: int) -> int:
         if src.form == 0:
             return cur
@@ -508,8 +454,9 @@ class _ScheduledCore:
         if tgt.wire is None:
             if tgt.form != 0:
                 raise SynthesisError("nonzero slot without a wire")
-            tgt.wire = self._wire(cur)
+            tgt.wire = self.anc_base + cur
             cur += 1
+            self.peak = max(self.peak, cur)
             allocated = True
         self.emit(self.cnots[src.wire, tgt.wire])
         tgt.form ^= src.form
@@ -527,98 +474,87 @@ class _ScheduledCore:
                     raise SynthesisError("released slot still holds a value")
                 tgt.wire = None
 
-    def _fresh_combo(self, sources: Sequence[Slot], journal: list, cur: int):
-        slot = Slot.zero()
-        for s in sources:
-            cur = self._xor_into(s, slot, journal, cur)
-        return slot, cur
-
-    def run(self, a: list[Slot], b: list[Slot], c: list[Slot], cp: list[Slot]) -> None:
-        self._rec(a, b, c, cp, 0)
-
-    def _rec(self, a, b, c, cp, base) -> int:
+    def rec(self, a, b, c, cp, base) -> int:
+        """Emit the size-len(a) instance with helpers from offset `base`; return the peak."""
         k = len(a)
         if k == 1:
             if a[0].form and b[0].form and c[0].form:
                 self.emit(Gate.ccz(a[0].wire, b[0].wire, c[0].wire))
             return base
         if k % 2:
-            return self._rec(*pad_odd(a, b, c, cp), base)
+            return self.rec(*pad_odd(a, b, c, cp), base)
         if self.mode == "linear_depth":
             return self._rec_linear(a, b, c, cp, base)
         return self._rec_log(a, b, c, cp, base)
 
     def _rec_linear(self, a, b, c, cp, base) -> int:
+        # Calls one and two run side by side on the folded halves and fresh
+        # wires; the third runs after both are undone, on the same window.
         h = len(a) // 2
         cur = base
         prep: list = []
-        # first transform, two layers: operand folds plus fresh c-combination
-        for i in range(h):
-            cur = self._xor_into(a[h + i], a[i], prep, cur)
-        for i in range(h):
-            cur = self._xor_into(b[h + i], b[i], prep, cur)
-        for i in range(h):
-            cur = self._xor_into(cp[i], cp[h + i], prep, cur)
-        fresh: list[Slot] = []
-        for i in range(h):
-            slot, cur = self._fresh_combo([c[h + i]], prep, cur)
-            fresh.append(slot)
-        for i in range(h):
-            cur = self._xor_into(cp[i], fresh[i], prep, cur)
-        peak_a = self._rec(a[:h], b[:h], c[h:], cp[:h], cur)
-        peak_b = self._rec(a[h:], b[h:], fresh, cp[h:], peak_a)
+
+        def xor(src: Slot, tgt: Slot) -> None:
+            nonlocal cur
+            cur = self._xor_into(src, tgt, prep, cur)
+
+        fresh = [Slot() for _ in range(h)]
+        _prepare_parallel(xor, a, b, c, cp, fresh)
+        peak_a = self.rec(a[:h], b[:h], c[h:], cp[:h], cur)
+        peak_b = self.rec(a[h:], b[h:], fresh, cp[h:], peak_a)
         self._unprep(prep)
-        # second transform: fold the right c-half into the left halves
-        prep2: list = []
-        cur2 = cur
-        for i in range(h):
-            cur2 = self._xor_into(c[h + i], c[i], prep2, cur2)
-        for i in range(h):
-            cur2 = self._xor_into(c[h + i], cp[i], prep2, cur2)
-        peak_c = self._rec(a[:h], b[:h], c[:h], cp[:h], cur2)
-        self._unprep(prep2)
+        prep.clear()
+        _prepare_second(xor, c, cp)
+        peak_c = self.rec(a[:h], b[:h], c[:h], cp[:h], cur)
+        self._unprep(prep)
         return max(peak_a, peak_b, peak_c)
 
     def _rec_log(self, a, b, c, cp, base) -> int:
+        # Every entry of every sub-call gets fresh wires, so the three calls
+        # share no wire and run side by side.
         h = len(a) // 2
+        parts = [half for r in (a, b, c, cp) for half in list_halves(r)]
         cur = base
         prep: list = []
-
-        def combos(pairs):
-            nonlocal cur
-            out = []
-            for srcs in pairs:
-                slot, cur = self._fresh_combo(srcs, prep, cur)
-                out.append(slot)
-            return out
-
-        call_a = (
-            combos([[a[i], a[h + i]] for i in range(h)]),
-            combos([[b[i], b[h + i]] for i in range(h)]),
-            combos([[c[h + i]] for i in range(h)]),
-            combos([[cp[i]] for i in range(h)]),
-        )
-        call_b = (
-            combos([[a[h + i]] for i in range(h)]),
-            combos([[b[h + i]] for i in range(h)]),
-            combos([[cp[i], c[h + i]] for i in range(h)]),
-            combos([[cp[i], cp[h + i]] for i in range(h)]),
-        )
-        call_c = (
-            combos([[a[i]] for i in range(h)]),
-            combos([[b[i]] for i in range(h)]),
-            combos([[c[i], c[h + i]] for i in range(h)]),
-            combos([[cp[i], c[h + i]] for i in range(h)]),
-        )
-        peak = self._rec(*call_a, cur)
-        peak = self._rec(*call_b, peak)
-        peak = self._rec(*call_c, peak)
+        calls = []
+        for call in SUBCALLS:
+            sub = [[Slot() for _ in range(h)] for _ in call]
+            for entry, column in zip(call, sub):
+                for i, slot in enumerate(column):
+                    for part in entry:
+                        cur = self._xor_into(parts[part][i], slot, prep, cur)
+            calls.append(sub)
+        peak = cur
+        for sub in calls:
+            peak = self.rec(*sub, peak)
         self._unprep(prep)
         return peak
 
 
 # ---------------------------------------------------------------------------
-# depth-2 preparation fragments, exposed for tests and reuse
+# depth-2 preparation fragments: the linear-depth builder's schedule
+
+
+def _prepare_parallel(xor, a, b, c, cp, fresh) -> None:
+    h = len(a) // 2
+    for i in range(h):
+        xor(a[h + i], a[i])
+    for i in range(h):
+        xor(b[h + i], b[i])
+    for i in range(h):
+        xor(cp[i], cp[h + i])
+    for i in range(h):
+        xor(c[h + i], fresh[i])
+    for i in range(h):
+        xor(cp[i], fresh[i])
+
+
+def _prepare_second(xor, c, cp) -> None:
+    h = len(c) // 2
+    for i in range(h):
+        xor(c[h + i], c[i])
+    for i in range(h):
+        xor(c[h + i], cp[i])
 
 
 def prepare_parallel(
@@ -637,21 +573,9 @@ def prepare_parallel(
     k = len(a_wires)
     if k % 2 or len(b_wires) != k or len(c_wires) != k or len(cp_wires) != k:
         raise InputError("prepare_parallel needs even equal-size registers")
-    h = k // 2
-    if len(fresh_wires) != h:
+    if len(fresh_wires) != k // 2:
         raise InputError("need ceil(k/2) fresh wires")
-    gates = []
-    for i in range(h):
-        gates.append(Gate.cnot(a_wires[h + i], a_wires[i]))
-    for i in range(h):
-        gates.append(Gate.cnot(b_wires[h + i], b_wires[i]))
-    for i in range(h):
-        gates.append(Gate.cnot(cp_wires[i], cp_wires[h + i]))
-    for i in range(h):
-        gates.append(Gate.cnot(c_wires[h + i], fresh_wires[i]))
-    for i in range(h):
-        gates.append(Gate.cnot(cp_wires[i], fresh_wires[i]))
-    return gates
+    return _cnots(_prepare_parallel, a_wires, b_wires, c_wires, cp_wires, fresh_wires)
 
 
 def prepare_second(c_wires: Sequence[int], cp_wires: Sequence[int]) -> list[Gate]:
@@ -659,12 +583,13 @@ def prepare_second(c_wires: Sequence[int], cp_wires: Sequence[int]) -> list[Gate
     k = len(c_wires)
     if k % 2 or len(cp_wires) != k:
         raise InputError("prepare_second needs even equal-size registers")
-    h = k // 2
-    gates = []
-    for i in range(h):
-        gates.append(Gate.cnot(c_wires[h + i], c_wires[i]))
-    for i in range(h):
-        gates.append(Gate.cnot(c_wires[h + i], cp_wires[i]))
+    return _cnots(_prepare_second, c_wires, cp_wires)
+
+
+def _cnots(fragment, *wires) -> list[Gate]:
+    """The gates of a fragment body run on wire lists, one CNOT per xor."""
+    gates: list[Gate] = []
+    fragment(lambda s, t: gates.append(Gate.cnot(s, t)), *wires)
     return gates
 
 
@@ -700,82 +625,77 @@ def _scratch_prep_equally_spaced(terms, k, c_wires, scratch_wires, temp_wires, s
 # top-level assembly
 
 
+def _core_gates(
+    gates: list[Gate],
+    mode: str,
+    n: int,
+    cp_forms: list[int],
+    cp_wires: Sequence[Optional[int]],
+    anc_base: int,
+) -> int:
+    """Append the recursion core on a, b, c = wires 0..3n-1; return its helper count.
+
+    c'_i has form `cp_forms[i]` over the c wires, then the c' wires, and sits
+    on `cp_wires[i]` (None for no wire). Helpers start at wire `anc_base`.
+    """
+    a_wires, b_wires, c_wires = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    ones = [1 << i for i in range(n)]
+    if mode == "compact":
+        c_group = [*c_wires, *(w for w in cp_wires if w is not None)]
+        ga, gb, gc = (_InPlaceGroup(ws, gates.append) for ws in (a_wires, b_wires, c_group))
+
+        def leaf(fa: int, fb: int, fc: int) -> None:
+            if not (fa and fb and fc):
+                return
+            wc = gc.materialize(fc)
+            wa = ga.materialize(fa)
+            wb = gb.materialize(fb)
+            gates.append(Gate.ccz(wa, wb, wc))
+
+        _forms_recursion(ones, ones, ones, cp_forms, leaf)
+        for group in (ga, gb, gc):
+            group.restore()
+        return 0
+    sched = _ScheduledCore(gates.append, anc_base, mode)
+    a, b, c = ([Slot(1 << i, w) for i, w in enumerate(ws)] for ws in (a_wires, b_wires, c_wires))
+    sched.rec(a, b, c, [Slot(f, w) for f, w in zip(cp_forms, cp_wires)], 0)
+    return sched.peak
+
+
 def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> Circuit:
     n = p.degree
     q = build_reduction_matrix(p)
-    a_wires = list(range(0, n))
-    b_wires = list(range(n, 2 * n))
     c_wires = list(range(2 * n, 3 * n))
     anc_base = 3 * n
-    h_layer = [Gate.h(w) for w in c_wires]
-    gates = list(h_layer)
-
-    if variant == "compact":
-        a_forms = [1 << i for i in range(n)]
-        c_forms = [1 << i for i in range(n)]
-        cp_forms = [q.column(j) for j in range(n - 1)] + [0]
-        _compact_core_gates(
-            gates, a_wires, b_wires, c_wires, a_forms, list(a_forms), c_forms, cp_forms
-        )
-        anc_total = 0
-    else:
+    # The scheduled variants first copy c' = Q^T c onto scratch wires.
+    scratch: list[int] = []
+    temps: list[int] = []
+    prep: list[Gate] = []
+    if variant != "compact":
         scratch = [anc_base + i for i in range(n - 1)]
-        temps_used = 0
+        tri = trinomial_split(p)
+        es = equally_spaced_split(p)
         if variant == "linear_depth":
             prep = _cprime_gates(q, c_wires, scratch)
+        elif tri is not None:
+            prep = _scratch_prep_trinomial(n, tri, c_wires, scratch, ladder_style)
+        elif es is not None:
+            terms, kk = es
+            temps = [anc_base + (n - 1) + i for i in range(kk * terms)]
+            prep = _scratch_prep_equally_spaced(terms, kk, c_wires, scratch, temps, ladder_style)
         else:
-            tri = trinomial_split(p)
-            es = equally_spaced_split(p)
-            if tri is not None:
-                prep = _scratch_prep_trinomial(n, tri, c_wires, scratch, ladder_style)
-            elif es is not None:
-                terms, kk = es
-                temp_wires = [anc_base + (n - 1) + i for i in range(kk * terms)]
-                temps_used = len(temp_wires)
-                prep = _scratch_prep_equally_spaced(
-                    terms, kk, c_wires, scratch, temp_wires, ladder_style
-                )
-            else:
-                raise UnsupportedFamilyError(
-                    f"log_depth needs a trinomial or equally spaced modulus, got {p}"
-                )
-        gates += prep
-        sched = _ScheduledCore(gates.append, anc_base + (n - 1) + temps_used, variant)
-        a_slots = [Slot(1 << i, a_wires[i]) for i in range(n)]
-        b_slots = [Slot(1 << i, b_wires[i]) for i in range(n)]
-        c_slots = [Slot(1 << i, c_wires[i]) for i in range(n)]
-        cp_slots = [Slot(q.column(j), scratch[j]) for j in range(n - 1)] + [Slot.zero()]
-        sched.run(a_slots, b_slots, c_slots, cp_slots)
-        gates += reversed(prep)
-        anc_total = (n - 1) + temps_used + sched.peak
-
+            raise UnsupportedFamilyError(
+                f"log_depth needs a trinomial or equally spaced modulus, got {p}"
+            )
+    h_layer = [Gate.h(w) for w in c_wires]
+    gates = h_layer + prep
+    cp_forms = [q.column(j) for j in range(n - 1)] + [0]
+    own = len(scratch) + len(temps)
+    cp_wires = scratch + [None] * (n - len(scratch))
+    helpers = _core_gates(gates, variant, n, cp_forms, cp_wires, anc_base + own)
+    gates += reversed(prep)
     gates += h_layer
-    return Circuit(RegisterLayout(n=n, ancillas=anc_total), gates)
-
-
-def _toffoli_to_sandwich(layout: RegisterLayout, gates: Sequence[Gate]) -> Circuit:
-    """Rewrite a classical multiplier circuit as the equivalent H sandwich."""
-    phase = frozenset(layout.c_range)
-    h_layer = [Gate.h(w) for w in sorted(phase)]
-    out = list(h_layer)
-    for g in gates:
-        if g.kind == "TOF":
-            c1, c2, t = g.operands
-            if t not in phase or c1 in phase or c2 in phase:
-                raise FormError("Toffoli does not target the result register")
-            out.append(Gate.ccz(c1, c2, t))
-        elif g.kind == "CNOT":
-            u, v = g.operands
-            if u in phase and v in phase:
-                out.append(Gate.cnot(v, u))
-            elif u not in phase and v not in phase:
-                out.append(g)
-            else:
-                raise FormError("CNOT mixes result and operand registers")
-        else:
-            raise FormError(f"cannot rewrite {g.kind} into sandwich form")
-    out += h_layer
-    return Circuit(RegisterLayout(layout.n, layout.ancillas, phase_wires=phase), out)
+    return Circuit(RegisterLayout(n=n, ancillas=own + helpers), gates)
 
 
 def synth(options: SynthesisOptions) -> Circuit:
@@ -792,7 +712,7 @@ def synth(options: SynthesisOptions) -> Circuit:
     if options.variant == "baseline":
         layout, gates = _baseline_gates(p, options.ladder_style)
         if options.output_form == "ccz_form":
-            return _toffoli_to_sandwich(layout, gates)
+            return to_ccz_form(layout, gates)
         return Circuit(layout, gates)
 
     circ = _karatsuba_circuit(p, options.variant, options.ladder_style)
@@ -802,8 +722,6 @@ def synth(options: SynthesisOptions) -> Circuit:
                 f"{options.variant} emits ccz_form only; its helper wires have "
                 "no gate-local Toffoli rewrite"
             )
-        from .simulate import to_toffoli_form
-
         circ = to_toffoli_form(circ)
     return circ
 
@@ -820,28 +738,7 @@ def karatsuba_core(k: int, mode: str = "compact") -> Circuit:
         raise InputError("k must be >= 1")
     if mode not in ("compact", "linear_depth", "log_depth"):
         raise InputError(f"unknown mode {mode!r}")
-    a_wires = list(range(0, k))
-    b_wires = list(range(k, 2 * k))
-    c_wires = list(range(2 * k, 3 * k))
-    cp_wires = list(range(3 * k, 4 * k))
     gates: list[Gate] = []
-    if mode == "compact":
-        cgroup = c_wires + cp_wires
-        a_forms = [1 << i for i in range(k)]
-        c_forms = [1 << i for i in range(k)]
-        cp_forms = [1 << (k + i) for i in range(k)]
-        _compact_core_gates(
-            gates, a_wires, b_wires, cgroup, a_forms, list(a_forms), c_forms, cp_forms
-        )
-        extra = 0
-    else:
-        sched = _ScheduledCore(gates.append, 4 * k, mode)
-        sched.run(
-            [Slot(1 << i, a_wires[i]) for i in range(k)],
-            [Slot(1 << i, b_wires[i]) for i in range(k)],
-            [Slot(1 << i, c_wires[i]) for i in range(k)],
-            [Slot(1 << (k + i), cp_wires[i]) for i in range(k)],
-        )
-        extra = sched.peak
-    layout = RegisterLayout(n=k, ancillas=k + extra)
-    return Circuit(layout, gates)
+    cp_forms = [1 << (k + i) for i in range(k)]
+    extra = _core_gates(gates, mode, k, cp_forms, range(3 * k, 4 * k), 4 * k)
+    return Circuit(RegisterLayout(n=k, ancillas=k + extra), gates)

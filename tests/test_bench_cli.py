@@ -152,3 +152,26 @@ def test_cli_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GF2KQ_SEED", "12345")
     assert main(["verify", "--circuit", str(out), "--poly", "5,2,0", "--trials", "64"]) == 0
     assert "seed=12345" in capsys.readouterr().out
+
+
+def test_cli_malformed_seed_env(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "m4.qc"
+    main(["synth", "--poly", "4,1,0", "--variant", "compact", "--out", str(out)])
+    monkeypatch.setenv("GF2KQ_SEED", "xyz")
+    # commands that draw no seed are unaffected
+    assert main(["catalog", "--n", "4"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--circuit", str(out), "--poly", "4,1,0", "--trials", "8"]) == 2
+    assert "GF2KQ_SEED" in capsys.readouterr().err
+    # an explicit seed needs no variable
+    assert main(["verify", "--circuit", str(out), "--poly", "4,1,0", "--seed", "7"]) == 0
+
+
+def test_cli_bench_rejects_bad_sizes_and_variant(capsys):
+    assert main(["bench", "--sizes", "4,x", "--variant", "compact"]) == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert main(["bench", "--sizes", "2..x", "--variant", "compact"]) == 2
+    capsys.readouterr()
+    assert main(["bench", "--sizes", "4", "--variant", "compact,fast"]) == 2
+    captured = capsys.readouterr()
+    assert "fast" in captured.err and not captured.out

@@ -252,6 +252,14 @@ def test_karatsuba_core_k5_bound_and_phase(mode):
     assert poly.restricted_to_zero(range(20, frag.wire_count)) == target_polynomial(5)
 
 
+def test_linear_depth_core_opens_with_prepare_parallel():
+    k = 4
+    frag = karatsuba_core(k, "linear_depth")
+    a, b, c, cp = (list(range(r * k, (r + 1) * k)) for r in range(4))
+    prep = prepare_parallel(a, b, c, cp, [4 * k, 4 * k + 1])
+    assert frag.gates[: len(prep)] == prep
+
+
 def test_pad_odd_structure():
     c0 = Slot(1, 10)
     cp0 = Slot(2, 11)
