@@ -34,20 +34,34 @@ def _mul(a: int, b: int) -> int:
     return c
 
 
+def _square(a: int) -> int:
+    """a^2 over GF(2): bit i of a moves to bit 2i, so zeros interleave its bits."""
+    return int("0".join(format(a, "b")), 2)
+
+
 def _divmod(a: int, b: int):
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    db = _degree(b)
+    size = b.bit_length()
     q = 0
-    while _degree(a) >= db:
-        shift = _degree(a) - db
+    shift = a.bit_length() - size
+    while shift >= 0:
         q |= 1 << shift
         a ^= b << shift
+        shift = a.bit_length() - size
     return q, a
 
 
 def _mod(a: int, b: int) -> int:
-    return _divmod(a, b)[1]
+    """a mod b; each step clears the top bit of a, so its degree only falls."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    size = b.bit_length()
+    shift = a.bit_length() - size
+    while shift >= 0:
+        a ^= b << shift
+        shift = a.bit_length() - size
+    return a
 
 
 def _gcd(a: int, b: int) -> int:
@@ -68,7 +82,7 @@ def _is_irreducible(p: int) -> bool:
     # gcd(x^(2^i) - x, p) == 1 for 1 <= i <= n/2.
     r = 2  # the polynomial x
     for i in range(1, n + 1):
-        r = _mod(_mul(r, r), p)
+        r = _mod(_square(r), p)
         if i <= n // 2 and _gcd(r ^ 2, p) != 1:
             return False
     return r == 2
@@ -188,10 +202,23 @@ def is_irreducible(p: BinaryPolynomial) -> bool:
 # bit matrices
 
 
+def _transpose(vecs: Sequence[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit j of out[i] is bit i of vecs[j], for i < width.
+
+    Each vector is written as `width` binary digits, lowest first; zipping
+    the digit strings reads them off position by position.
+    """
+    if not vecs or not width:
+        return [0] * width
+    mask = (1 << width) - 1
+    digits = [format(v & mask, f"0{width}b")[::-1] for v in vecs]
+    return [int("".join(bits)[::-1], 2) for bits in zip(*digits)]
+
+
 class Gf2Matrix:
     """Dense bit matrix; row i is an int with bit j = entry (i, j)."""
 
-    __slots__ = ("n_rows", "n_cols", "rows")
+    __slots__ = ("n_rows", "n_cols", "rows", "_columns")
 
     def __init__(self, n_rows: int, n_cols: int, rows: Sequence[int]):
         if len(rows) != n_rows:
@@ -203,6 +230,7 @@ class Gf2Matrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.rows = tuple(rows)
+        self._columns: tuple[int, ...] | None = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Matrix":
@@ -217,12 +245,7 @@ class Gf2Matrix:
 
     @classmethod
     def from_columns(cls, n_rows: int, cols: Sequence[int]) -> "Gf2Matrix":
-        rows = [0] * n_rows
-        for j, col in enumerate(cols):
-            for i in range(n_rows):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
-        return cls(n_rows, len(cols), rows)
+        return cls(n_rows, len(cols), _transpose(cols, n_rows))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -233,13 +256,13 @@ class Gf2Matrix:
     def column(self, j: int) -> int:
         if not 0 <= j < self.n_cols:
             raise InputError(f"column {j} out of bounds")
-        col = 0
-        for i in range(self.n_rows):
-            col |= ((self.rows[i] >> j) & 1) << i
-        return col
+        return self.columns()[j]
 
     def columns(self) -> tuple[int, ...]:
-        return tuple(self.column(j) for j in range(self.n_cols))
+        """Every column as a bit mask (bit i = entry (i, j)), transposed once."""
+        if self._columns is None:
+            self._columns = tuple(_transpose(self.rows, self.n_cols))
+        return self._columns
 
     def popcount(self) -> int:
         return sum(r.bit_count() for r in self.rows)
@@ -288,21 +311,33 @@ def poly_mul_mod(
 def build_reduction_matrix(p: BinaryPolynomial) -> Gf2Matrix:
     """n x (n-1) matrix whose column j holds x^(n+j) mod p as a bit column.
 
-    Column 0 is the low part of p itself; later columns follow by
-    multiplying the previous one by x and reducing.
+    Column 0 is the low part of p itself, and column j + 1 is x times
+    column j, reduced: Q[i][0] = p_i and Q[i][j+1] = Q[i-1][j] ^ (p_i &
+    Q[n-1][j]), with row -1 zero. The columns' top bits give the row
+    Q[n-1]; each row then follows from the previous one in one shift.
     """
     n = p.degree
     if n < 2:
         raise InputError("reduction matrix needs deg(p) >= 2")
     mask = (1 << n) - 1
-    col = p.bits & mask
-    cols = [col]
-    for _ in range(n - 2):
-        col <<= 1
-        if (col >> n) & 1:
-            col = (col ^ p.bits) & mask
+    low = p.bits & mask
+    cols = []
+    col, top = low, 0
+    for j in range(n - 1):
         cols.append(col)
-    return Gf2Matrix.from_columns(n, cols)
+        carry = col >> (n - 1)
+        top |= carry << j
+        col = ((col << 1) & mask) ^ (low if carry else 0)
+    row_mask = (1 << (n - 1)) - 1
+    rows = []
+    row = 0
+    for i in range(n):
+        p_i = (low >> i) & 1
+        row = (((row ^ top if p_i else row) << 1) | p_i) & row_mask
+        rows.append(row)
+    q = Gf2Matrix(n, n - 1, rows)
+    q._columns = tuple(cols)
+    return q
 
 
 def _vec_to_mask(v: Sequence[int]) -> int:
@@ -367,6 +402,6 @@ def transpose_apply(q: Gf2Matrix, c: Sequence[int]) -> tuple[int, ...]:
         raise InputError("vector size must equal rows(Q)")
     cm = _vec_to_mask(c)
     out = 0
-    for j in range(q.n_cols):
-        out |= ((q.column(j) & cm).bit_count() & 1) << j
+    for j, col in enumerate(q.columns()):
+        out |= ((col & cm).bit_count() & 1) << j
     return _mask_to_vec(out, q.n_cols)

@@ -12,8 +12,9 @@ parse_netlist(emit_netlist(c)) equals c structurally.
 from __future__ import annotations
 
 from itertools import islice
+from sys import intern
 
-from .circuit import Circuit, Gate, RegisterLayout, _ARITY
+from .circuit import Circuit, Gate, RegisterLayout, _ARITY, _check_gates
 from .errors import InputError, NetlistParseError
 
 
@@ -58,9 +59,16 @@ def _parse_range(token: str, name: str, line_no: int) -> range:
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit, validating every gate line.
 
-    Each distinct gate line is checked once; a repeated line appends the
-    same (immutable) Gate, so large netlists, which repeat most lines,
-    parse and store their gates once per distinct line.
+    Each distinct raw gate line is parsed and checked once, in order of
+    first occurrence, and every repeat of it appends the same (immutable)
+    Gate; large netlists repeat most of their lines. A line whose first
+    token is a known gate kind with the right operand count is read with
+    one `split()` and `int()` per operand, so every spelling `int()`
+    accepts (`+1`, `01`, `1_0`) names the same wire; any other line, and
+    any operand out of range or repeated, goes through `_parse_gate` and
+    the `Circuit` checks, which raise the error and line number of the
+    first bad line. Gates share one str object per kind and one int object
+    per wire, so a parsed netlist holds no per-line copies of either.
     """
     lines = text.splitlines()
     numbered = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
@@ -109,20 +117,40 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistParseError(f"phase wire {w} out of range", ln3)
 
     layout = RegisterLayout(n=n, ancillas=len(ranc), phase_wires=phase)
-    circuit = Circuit(layout)
-    seen: dict[str, Gate] = {}
-    for line_no, line in body:
-        gate = seen.get(line)
-        if gate is None:
-            gate = _parse_gate(line, line_no, total)
+    start = ln3  # index of the first line after the header
+    # Distinct raw lines in order of first occurrence; blank and comment-only
+    # lines keep the value None.
+    seen: dict[str, Gate | None] = dict.fromkeys(islice(lines, start, None))
+    wire = list(range(total)).__getitem__
+    arity = _ARITY
+    for raw in seen:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        kind = toks[0]
+        ops = None
+        if arity.get(kind) == len(toks) - 1:
             try:
-                circuit.append(gate)
-            except InputError as exc:
-                raise NetlistParseError(str(exc), line_no) from None
-            seen[line] = gate
+                ops = tuple(map(int, toks[1:]))
+            except ValueError:
+                pass
+        if ops and min(ops) >= 0 and max(ops) < total and len(set(ops)) == len(ops):
+            seen[raw] = Gate(intern(kind), tuple(map(wire, ops)))
         else:
-            circuit.gates.append(gate)
+            seen[raw] = _checked_gate(raw, lines.index(raw, start) + 1, total)
+    circuit = Circuit(layout)
+    circuit.gates = list(filter(None, map(seen.__getitem__, islice(lines, start, None))))
     return circuit
+
+
+def _checked_gate(raw: str, line_no: int, total: int) -> Gate:
+    """The slow path for one gate line: the error for a bad line, or its Gate."""
+    gate = _parse_gate(raw.split("#", 1)[0].strip(), line_no, total)
+    try:
+        _check_gates((gate,), total)
+    except InputError as exc:
+        raise NetlistParseError(str(exc), line_no) from None
+    return gate
 
 
 def _parse_gate(line: str, line_no: int, total: int) -> Gate:

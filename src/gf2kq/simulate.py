@@ -4,12 +4,15 @@ Two simulation paths:
 
 * classical circuits (CNOT/Toffoli/X) are run directly on basis states;
 * H-sandwich circuits are run with exact phase-kickback bookkeeping: the
-  sandwiched wires become symbols, every other wire carries an affine
-  form over those symbols, and each CCZ contributes its product into a
-  per-symbol flip accumulator. The output on a sandwiched wire is its
-  input XOR its accumulated flip. This is exact for circuits where every
-  CCZ has at most one symbol-carrying operand, which covers everything
-  the synthesizer emits.
+  sandwiched wires become symbols, and every wire carries an affine form
+  over those symbols, kept as one int with the symbol mask in its low
+  bits. A CCZ with one symbol-carrying operand adds the product of its
+  two plain operands into an accumulator keyed by that operand's symbol
+  mask; the kickback is deferred and expanded into per-symbol flips once,
+  after the last gate. The output on a sandwiched wire is its input XOR
+  its accumulated flip. This is exact for circuits where every CCZ has at
+  most one symbol-carrying operand, which covers everything the
+  synthesizer emits.
 
 Both paths are bit-sliced: a wire's value across T test inputs is one
 T-bit integer, so verification over thousands of inputs costs one gate
@@ -172,59 +175,89 @@ def _run_classical(gates, cols: list[int], full: int) -> None:
             raise SimulationError(f"non-classical gate {g.kind}")
 
 
+_TWO_SYMBOLS = "CCZ with two symbol-carrying operands is not basis-preserving"
+
+
 def _run_sandwich(circuit: Circuit, cols: list[int], tmask: int) -> list[int]:
-    """Bit-sliced phase-kickback run; returns output columns."""
+    """Bit-sliced phase-kickback run; returns output columns.
+
+    Wire w's state is one int, (value << m) | symbols: its classical value
+    across the trials above the mask of the m phase-wire symbols it
+    carries (symbol k is the k-th phase wire in ascending order). A CNOT is
+    then a single XOR. Each CCZ with one symbolic operand adds the product
+    of its two plain operands to `acc[symbols]`; the accumulated products
+    are expanded into per-phase-wire flips once, at the end.
+    """
     phase, core = _split_sandwich(circuit)
-    zmask = [0] * circuit.wire_count
-    vals = list(cols)
-    flips: dict[int, int] = {w: 0 for w in phase}
-    for w in phase:
-        zmask[w] = 1 << w
-        vals[w] = 0
+    order = sorted(phase)
+    m = len(order)
+    zfull = (1 << m) - 1
+    st = [col << m for col in cols]
+    for k, w in enumerate(order):
+        st[w] = 1 << k
+    xbits = tmask << m
+    acc: dict[int, int] = {}
+    # A Circuit checks every gate's arity against its kind: two operands
+    # mean a CNOT, three a CCZ or Toffoli, one an X or H.
     for g in core:
-        if g.kind == CNOT:
-            c, t = g.operands
-            zmask[t] ^= zmask[c]
-            vals[t] ^= vals[c]
-        elif g.kind == X:
-            w = g.operands[0]
-            if zmask[w]:
-                raise SimulationError("X on a symbol-carrying wire")
-            vals[w] ^= tmask
-        elif g.kind in (CCZ, TOFFOLI):
-            ops = g.operands
-            sym = [w for w in ops if zmask[w]]
+        ops = g.operands
+        arity = len(ops)
+        if arity == 2:
+            c, t = ops
+            st[t] ^= st[c]
+        elif arity == 3:
+            u, v, w = ops
+            su = st[u]
+            sv = st[v]
+            sw = st[w]
             if g.kind == TOFFOLI:
-                c1, c2, t = ops
-                if zmask[c1] or zmask[c2]:
+                if su & zfull or sv & zfull:
                     raise SimulationError("Toffoli control carries symbols")
-                vals[t] ^= vals[c1] & vals[c2]
+                st[w] = sw ^ (su & sv)
                 continue
-            if len(sym) > 1:
-                raise SimulationError(
-                    "CCZ with two symbol-carrying operands is not basis-preserving"
-                )
-            if not sym:
+            zu = su & zfull
+            zv = sv & zfull
+            zw = sw & zfull
+            if zu:
+                if zv or zw:
+                    raise SimulationError(_TWO_SYMBOLS)
+                z, prod = zu, sv & sw
+            elif zv:
+                if zw:
+                    raise SimulationError(_TWO_SYMBOLS)
+                z, prod = zv, su & sw
+            elif zw:
+                z, prod = zw, su & sv
+            else:
                 continue  # per-input global phase only
-            plain = [w for w in ops if w != sym[0]]
-            prod = vals[plain[0]] & vals[plain[1]]
             if prod:
-                for zbit in _bits(zmask[sym[0]]):
-                    flips[zbit] ^= prod
+                acc[z] = acc.get(z, 0) ^ prod
+        elif g.kind == X:
+            w = ops[0]
+            if st[w] & zfull:
+                raise SimulationError("X on a symbol-carrying wire")
+            st[w] ^= xbits
         else:
             raise SimulationError(f"unsupported core gate {g.kind}")
+    flips = [0] * m
+    for z, prod in acc.items():
+        prod >>= m
+        for k in _bits(z):
+            flips[k] ^= prod
+    rank = {w: k for k, w in enumerate(order)}
     out = [0] * circuit.wire_count
-    for w in range(circuit.wire_count):
-        if w in phase:
-            if zmask[w] != 1 << w:
+    for w, s in enumerate(st):
+        k = rank.get(w)
+        if k is not None:
+            if s & zfull != 1 << k:
                 raise SimulationError("sandwich core is not the identity on phase wires")
-            if vals[w]:
+            if s >> m:
                 raise SimulationError("classical offset left on a phase wire")
-            out[w] = cols[w] ^ flips[w]
+            out[w] = cols[w] ^ flips[k]
         else:
-            if zmask[w]:
+            if s & zfull:
                 raise SimulationError(f"wire {w} stays entangled with phase wires")
-            out[w] = vals[w]
+            out[w] = s >> m
     return out
 
 

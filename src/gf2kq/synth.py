@@ -345,7 +345,7 @@ def ccz_count(p: BinaryPolynomial) -> int:
             count += 1
 
     ones = [1 << i for i in range(n)]
-    _forms_recursion(ones, ones, ones, [q.column(j) for j in range(n - 1)] + [0], leaf)
+    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf)
     return count
 
 
@@ -689,7 +689,7 @@ def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> 
             )
     h_layer = [Gate.h(w) for w in c_wires]
     gates = h_layer + prep
-    cp_forms = [q.column(j) for j in range(n - 1)] + [0]
+    cp_forms = [*q.columns(), 0]
     own = len(scratch) + len(temps)
     cp_wires = scratch + [None] * (n - len(scratch))
     helpers = _core_gates(gates, variant, n, cp_forms, cp_wires, anc_base + own)

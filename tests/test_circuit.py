@@ -17,9 +17,11 @@ from gf2kq.circuit import (
     compute_depth,
     inverse,
 )
+from gf2kq.catalog import catalog_entries
 from gf2kq.errors import InputError, NetlistParseError
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.simulate import simulate
+from gf2kq.synth import SynthesisOptions, equally_spaced_split, synth, trinomial_split
 
 
 def _circ(n=2, ancillas=0, gates=()):
@@ -230,3 +232,91 @@ def test_empty_phasewires_round_trip():
     text = emit_netlist(c)
     assert "PHASEWIRES\n" in text
     assert parse_netlist(text) == c
+
+
+# n = 4 and 12 wires, so operands 10 and 11 exist.
+HEADER12 = "QUBITS 12\nREGISTERS a=0:4 b=4:8 c=8:12 anc=12:12\nPHASEWIRES 8,9,10,11\n"
+
+PARSE_ERRORS = [
+    ("CNOTT 0 1", "unknown gate token 'CNOTT'"),
+    ("cnot 0 1", "unknown gate token 'cnot'"),
+    ("CNOT 0", "CNOT takes 2 operands, got 1"),
+    ("CCZ 0 1 2 3", "CCZ takes 3 operands, got 4"),
+    ("H", "H takes 1 operands, got 0"),
+    ("CNOT 0 x", "non-integer operand in 'CNOT 0 x'"),
+    ("TOF 0 1 2.0  # trailing", "non-integer operand in 'TOF 0 1 2.0'"),
+    ("X 0x1", "non-integer operand in 'X 0x1'"),
+    ("CNOT 0 12", "operand 12 overflows 12 wires"),
+    ("X 99999999999999999999", "operand 99999999999999999999 overflows 12 wires"),
+    ("CCZ 0 -1 2", "operand -1 overflows 12 wires"),
+    ("CNOT 3 3", "duplicate operand in Gate(kind='CNOT', operands=(3, 3))"),
+    ("TOF 1 2 01", "duplicate operand in Gate(kind='TOF', operands=(1, 2, 1))"),
+]
+
+
+@pytest.mark.parametrize("line,message", PARSE_ERRORS)
+def test_parse_error_messages_and_line_numbers(line, message):
+    # the bad line is line 7, after a good gate, a blank line and a comment
+    text = HEADER12 + "CNOT 0 1\n\n# note\n" + line + "\nCNOT 0 1\n"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert err.value.line_no == 7
+    assert str(err.value) == f"line 7: {message}"
+
+
+def test_parse_reports_first_bad_line_when_it_repeats():
+    body = "CNOT 0 1\n\n# c\nX 12\n   \nCNOT 0 1\n# X 12\nX 12\nCNOT 5 5\nX 12\n"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(HEADER12 + body)
+    assert err.value.line_no == 7
+    assert str(err.value) == "line 7: operand 12 overflows 12 wires"
+    # a different bad line earlier than the repeats wins
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(HEADER12 + "CNOT 5 5\n" + body)
+    assert str(err.value) == "line 4: duplicate operand in Gate(kind='CNOT', operands=(5, 5))"
+
+
+def test_parse_operand_spellings_and_inline_comments():
+    plain = parse_netlist(HEADER12 + "CNOT 1 2\nCCZ 10 3 4\nX 11\nTOF 0 5 10\n")
+    assert plain.gates == [
+        Gate(CNOT, (1, 2)),
+        Gate(CCZ, (10, 3, 4)),
+        Gate(X, (11,)),
+        Gate(TOFFOLI, (0, 5, 10)),
+    ]
+    spelled = parse_netlist(
+        HEADER12
+        + "CNOT +1 02\n\tCCZ 1_0 +3 004  # inline comment\nX 1_1#tight\nTOF 00 +5 1_0 \n"
+    )
+    assert spelled == plain
+
+
+def test_parse_shares_gates_and_wire_ints():
+    lay = RegisterLayout(n=100, ancillas=200)
+    gates = [Gate.cnot(299, 450), Gate.ccz(250, 300, 450), Gate.cnot(299, 450), Gate.x(450)]
+    circ = parse_netlist(emit_netlist(Circuit(lay, gates)))
+    assert circ.gates == gates
+    g0, g1, g2, g3 = circ.gates
+    assert g0 is g2
+    assert g0.operands[1] is g1.operands[2] is g3.operands[0]
+    assert g0.kind is CNOT and g1.kind is CCZ and g3.kind is X
+
+
+def test_parse_round_trips_every_variant():
+    checked = set()
+    for n in (5, 16, 64):
+        for p in {e.polynomial for e in catalog_entries(n)}:
+            structured = trinomial_split(p) is not None or equally_spaced_split(p) is not None
+            styles = ("sequential", "prefix_ancilla") if structured else ("prefix_ancilla",)
+            cases = [("compact", "ccz_form", "prefix_ancilla"),
+                     ("compact", "toffoli_form", "prefix_ancilla"),
+                     ("linear_depth", "ccz_form", "prefix_ancilla")]
+            for style in styles:
+                cases += [("baseline", "ccz_form", style), ("baseline", "toffoli_form", style)]
+                if structured:
+                    cases.append(("log_depth", "ccz_form", style))
+            for variant, form, style in cases:
+                circ = synth(SynthesisOptions(variant, p, form, style))
+                assert parse_netlist(emit_netlist(circ)) == circ, (n, p, variant, form, style)
+                checked.add(variant)
+    assert checked == {"compact", "linear_depth", "baseline", "log_depth"}

@@ -1,13 +1,21 @@
-"""Oracle and structure tests for the GF(2) core."""
+"""Oracle and structure tests for the GF(2) core.
+
+`reference_is_irreducible` (generic multiply, then a division that
+recomputes the degree on every step) and `reference_from_columns` (the
+bit-by-bit transpose) are the first versions of `_is_irreducible` and
+`Gf2Matrix.from_columns`, kept as oracles for the faster ones.
+"""
 
 import random
 
 import pytest
 
+from gf2kq.catalog import catalog_entries, catalog_lookup
 from gf2kq.errors import InputError
 from gf2kq.gf2 import (
     BinaryPolynomial,
     Gf2Matrix,
+    _is_irreducible,
     build_reduction_matrix,
     is_irreducible,
     lower_product_matrix,
@@ -301,3 +309,105 @@ def test_gf2matrix_bounds_and_popcount():
         q[3, 0]
     with pytest.raises(InputError):
         q.column(2)
+
+
+def _ref_mul(a, b):
+    c = 0
+    while b:
+        if b & 1:
+            c ^= a
+        a <<= 1
+        b >>= 1
+    return c
+
+
+def _ref_mod(a, b):
+    db = b.bit_length() - 1
+    while a.bit_length() - 1 >= db:
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_mod(a, b)
+    return a
+
+
+def reference_is_irreducible(p):
+    n = p.bit_length() - 1
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    if not p & 1:
+        return False
+    r = 2
+    for i in range(1, n + 1):
+        r = _ref_mod(_ref_mul(r, r), p)
+        if i <= n // 2 and _ref_gcd(r ^ 2, p) != 1:
+            return False
+    return r == 2
+
+
+def test_is_irreducible_matches_reference():
+    for p in range(1 << 13):  # every polynomial of degree <= 12
+        assert _is_irreducible(p) == reference_is_irreducible(p), bin(p)
+    # Every catalog modulus up to n = 256 and at n = 511, 512. The reference
+    # takes about 20 s on the rest of the catalog, so it runs on a sample.
+    moduli = {e.polynomial.bits for e in catalog_entries() if e.n <= 256 or e.n >= 511}
+    # Products of two large irreducibles: the gcd finds the smaller factor
+    # only at step i = deg(factor), near the end of the test.
+    f127, f128, f255, f256 = (catalog_lookup(n).polynomial.bits for n in (127, 128, 255, 256))
+    products = {_ref_mul(a, b) for a, b in ((f127, f128), (f128, f128), (f255, f256), (f256, f256))}
+    for p in moduli | products:
+        assert _is_irreducible(p) == reference_is_irreducible(p) == (p in moduli), hex(p)
+
+
+def reference_columns(p):
+    """Column j of Q: x^(n+j) mod p, one multiply-by-x step at a time."""
+    n = p.degree
+    mask = (1 << n) - 1
+    col = p.bits & mask
+    cols = [col]
+    for _ in range(n - 2):
+        col <<= 1
+        if (col >> n) & 1:
+            col = (col ^ p.bits) & mask
+        cols.append(col)
+    return cols
+
+
+def reference_from_columns(n_rows, cols):
+    rows = [0] * n_rows
+    for j, col in enumerate(cols):
+        for i in range(n_rows):
+            if (col >> i) & 1:
+                rows[i] |= 1 << j
+    return Gf2Matrix(n_rows, len(cols), rows)
+
+
+def test_reduction_matrix_rows_match_from_columns_on_catalog():
+    for entry in catalog_entries():
+        p = entry.polynomial
+        cols = reference_columns(p)
+        q = build_reduction_matrix(p)
+        assert q == Gf2Matrix.from_columns(p.degree, cols), entry
+        assert list(q.columns()) == cols
+        assert [q.column(j) for j in range(p.degree - 1)] == cols
+    assert build_reduction_matrix(catalog_lookup(64).polynomial) == reference_from_columns(
+        64, reference_columns(catalog_lookup(64).polynomial)
+    )
+
+
+def test_from_columns_and_columns_match_bitwise_transpose():
+    rng = random.Random(12)
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(0, 40), rng.randint(0, 40)
+        # columns may carry bits at or above n_rows; from_columns ignores them
+        cols = [rng.getrandbits(n_rows + 3) for _ in range(n_cols)]
+        m = Gf2Matrix.from_columns(n_rows, cols)
+        assert m == reference_from_columns(n_rows, cols)
+        masked = [c & ((1 << n_rows) - 1) for c in cols]
+        assert list(m.columns()) == masked
+        assert list(Gf2Matrix(m.n_rows, m.n_cols, m.rows).columns()) == masked

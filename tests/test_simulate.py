@@ -1,11 +1,16 @@
-"""Simulator, form conversion, and verification-path tests."""
+"""Simulator, form conversion, and verification-path tests.
+
+`reference_run_sandwich` is the plain phase-kickback simulator (symbol
+masks and values in separate lists, flips applied per CCZ) kept as the
+oracle for `_run_sandwich`.
+"""
 
 import random
 
 import pytest
 
-from gf2kq.catalog import catalog_lookup
-from gf2kq.circuit import Circuit, Gate, RegisterLayout
+from gf2kq.catalog import catalog_entries, catalog_lookup
+from gf2kq.circuit import CCZ, CNOT, TOFFOLI, Circuit, Gate, RegisterLayout, X
 from gf2kq.errors import FormError, InputError, SimulationError
 from gf2kq.gf2 import (
     BinaryPolynomial,
@@ -14,8 +19,10 @@ from gf2kq.gf2 import (
     poly_mul_mod,
 )
 from gf2kq.netlist import emit_netlist, parse_netlist
-from gf2kq.phasepoly import extract_phase
+from gf2kq.phasepoly import _bits, extract_phase
 from gf2kq.simulate import (
+    _run_sandwich,
+    _split_sandwich,
     is_classical,
     product_columns,
     run_batch,
@@ -23,7 +30,7 @@ from gf2kq.simulate import (
     to_toffoli_form,
     verify_multiplier,
 )
-from gf2kq.synth import SynthesisOptions, synth
+from gf2kq.synth import SynthesisOptions, equally_spaced_split, synth, trinomial_split
 
 P4 = BinaryPolynomial.parse("4,1,0")
 
@@ -324,3 +331,170 @@ def test_phasewires_header_must_match_h_layers():
 def test_is_classical():
     assert is_classical(Circuit(_plain(1), [Gate.cnot(0, 1)]))
     assert not is_classical(Circuit(_plain(1), [Gate.h(0)]))
+
+
+def reference_run_sandwich(circuit, cols, tmask):
+    """The phase-kickback run as first written: one flip update per CCZ."""
+    phase, core = _split_sandwich(circuit)
+    zmask = [0] * circuit.wire_count
+    vals = list(cols)
+    flips = {w: 0 for w in phase}
+    for w in phase:
+        zmask[w] = 1 << w
+        vals[w] = 0
+    for g in core:
+        if g.kind == CNOT:
+            c, t = g.operands
+            zmask[t] ^= zmask[c]
+            vals[t] ^= vals[c]
+        elif g.kind == X:
+            w = g.operands[0]
+            if zmask[w]:
+                raise SimulationError("X on a symbol-carrying wire")
+            vals[w] ^= tmask
+        elif g.kind in (CCZ, TOFFOLI):
+            ops = g.operands
+            sym = [w for w in ops if zmask[w]]
+            if g.kind == TOFFOLI:
+                c1, c2, t = ops
+                if zmask[c1] or zmask[c2]:
+                    raise SimulationError("Toffoli control carries symbols")
+                vals[t] ^= vals[c1] & vals[c2]
+                continue
+            if len(sym) > 1:
+                raise SimulationError(
+                    "CCZ with two symbol-carrying operands is not basis-preserving"
+                )
+            if not sym:
+                continue
+            plain = [w for w in ops if w != sym[0]]
+            prod = vals[plain[0]] & vals[plain[1]]
+            if prod:
+                for zbit in _bits(zmask[sym[0]]):
+                    flips[zbit] ^= prod
+        else:
+            raise SimulationError(f"unsupported core gate {g.kind}")
+    out = [0] * circuit.wire_count
+    for w in range(circuit.wire_count):
+        if w in phase:
+            if zmask[w] != 1 << w:
+                raise SimulationError("sandwich core is not the identity on phase wires")
+            if vals[w]:
+                raise SimulationError("classical offset left on a phase wire")
+            out[w] = cols[w] ^ flips[w]
+        else:
+            if zmask[w]:
+                raise SimulationError(f"wire {w} stays entangled with phase wires")
+            out[w] = vals[w]
+    return out
+
+
+def _outcome(kernel, circuit, cols, trials):
+    """The kernel's output columns, or the message of the SimulationError it raised."""
+    try:
+        return kernel(circuit, list(cols), (1 << trials) - 1)
+    except SimulationError as exc:
+        return str(exc)
+
+
+def test_sandwich_kernel_matches_reference_on_synthesized_circuits():
+    rng = random.Random(55)
+    seen = set()
+    for n in (*range(2, 17), 33, 64):
+        for p in {e.polynomial for e in catalog_entries(n)}:
+            structured = trinomial_split(p) is not None or equally_spaced_split(p) is not None
+            variants = ("compact", "linear_depth", "baseline", "log_depth")
+            for variant in variants if structured else variants[:3]:
+                circ = synth(SynthesisOptions(variant, p))
+                trials = rng.choice((1, 64, 200))
+                cols = [rng.getrandbits(trials) for _ in range(circ.wire_count)]
+                want = reference_run_sandwich(circ, list(cols), (1 << trials) - 1)
+                assert run_batch(circ, cols, trials) == want, (n, p, variant)
+                seen.add(variant)
+    assert len(seen) == 4
+
+
+def _random_sandwich(rng):
+    """An H-sandwich circuit: CNOTs that spread the symbols, a middle of CCZ,
+    CNOT, X and TOF gates that leaves every symbol mask as it is, then the
+    spreading CNOTs undone. Returns the circuit and the positions a symbolic
+    CCZ operand took."""
+    lay = RegisterLayout(n=rng.randint(1, 3), ancillas=rng.randint(0, 3))
+    wires = range(lay.total_wires)
+    zmask = [1 << w if w in lay.phase_wires else 0 for w in wires]
+    spread = [Gate.cnot(*rng.sample(wires, 2)) for _ in range(rng.randint(0, 6))]
+    for g in spread:
+        c, t = g.operands
+        zmask[t] ^= zmask[c]
+    sym = [w for w in wires if zmask[w]]
+    plain = [w for w in wires if not zmask[w]]
+    middle, positions = [], set()
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice((CCZ, CCZ, CCZ, CNOT, X, TOFFOLI))
+        if kind == CCZ and sym and len(plain) >= 2:
+            ops = rng.sample(plain, 2)
+            pos = rng.randrange(3)
+            ops.insert(pos, rng.choice(sym))
+            middle.append(Gate(CCZ, tuple(ops)))
+            positions.add(pos)
+        elif kind == CCZ and len(plain) >= 3:
+            middle.append(Gate(CCZ, tuple(rng.sample(plain, 3))))
+        elif kind == CNOT and len(plain) >= 2:
+            middle.append(Gate.cnot(*rng.sample(plain, 2)))
+        elif kind == X and plain and rng.random() < 0.3:
+            middle.append(Gate.x(rng.choice(plain)))
+        elif kind == TOFFOLI and len(plain) >= 2 and rng.random() < 0.3:
+            c1, c2 = rng.sample(plain, 2)
+            t = rng.choice([w for w in wires if w not in (c1, c2)])
+            middle.append(Gate.toffoli(c1, c2, t))
+    h = [Gate.h(w) for w in sorted(lay.phase_wires)]
+    return Circuit(lay, h + spread + middle + spread[::-1] + h), positions
+
+
+def test_sandwich_kernel_matches_reference_on_random_circuits():
+    rng = random.Random(91)
+    passed, positions = 0, set()
+    for _ in range(200):
+        circ, pos = _random_sandwich(rng)
+        trials = rng.randint(1, 80)
+        cols = [rng.getrandbits(trials) for _ in range(circ.wire_count)]
+        want = _outcome(reference_run_sandwich, circ, cols, trials)
+        assert _outcome(_run_sandwich, circ, cols, trials) == want, circ.gates
+        if not isinstance(want, str):
+            passed += 1
+            positions |= pos
+    assert passed >= 100
+    assert positions == {0, 1, 2}
+
+
+# One core for each SimulationError the sandwich kernel raises; phase wires
+# are {2, 3} (n = 1, one ancilla).
+KERNEL_ERRORS = [
+    ([Gate.x(2)], "X on a symbol-carrying wire"),
+    ([Gate.cnot(2, 0), Gate.x(0)], "X on a symbol-carrying wire"),
+    ([Gate.cnot(3, 1), Gate.toffoli(0, 1, 2)], "Toffoli control carries symbols"),
+    ([Gate.toffoli(2, 0, 1)], "Toffoli control carries symbols"),
+    ([Gate(CCZ, (2, 3, 0))], "CCZ with two symbol-carrying operands is not basis-preserving"),
+    ([Gate(CCZ, (2, 0, 3))], "CCZ with two symbol-carrying operands is not basis-preserving"),
+    ([Gate.cnot(2, 0), Gate(CCZ, (1, 0, 3))],
+     "CCZ with two symbol-carrying operands is not basis-preserving"),
+    ([Gate.cnot(2, 3)], "sandwich core is not the identity on phase wires"),
+    ([Gate.cnot(0, 3)], "classical offset left on a phase wire"),
+    ([Gate.toffoli(0, 1, 3)], "classical offset left on a phase wire"),
+    ([Gate.cnot(3, 1)], "wire 1 stays entangled with phase wires"),
+    ([Gate.cnot(0, 1), Gate.h(0), Gate.cnot(0, 1)], "unsupported core gate H"),
+]
+
+
+@pytest.mark.parametrize("core,message", KERNEL_ERRORS)
+def test_sandwich_kernel_error_paths(core, message):
+    lay = RegisterLayout(n=1, ancillas=1, phase_wires=frozenset({2, 3}))
+    h = [Gate.h(2), Gate.h(3)]
+    circ = Circuit(lay, h + core + h)
+    cols = [1, 1, 0, 1]
+    for kernel in (_run_sandwich, reference_run_sandwich):
+        with pytest.raises(SimulationError) as err:
+            kernel(circ, list(cols), 1)
+        assert str(err.value) == message
+    with pytest.raises(SimulationError, match=message):
+        run_batch(circ, cols, 1)
