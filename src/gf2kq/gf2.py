@@ -78,12 +78,14 @@ def _is_irreducible(p: int) -> bool:
         return True
     if not p & 1:
         return False  # divisible by x
-    # Butler/Rabin: p irreducible iff x^(2^n) == x (mod p) and
-    # gcd(x^(2^i) - x, p) == 1 for 1 <= i <= n/2.
+    # Rabin: p irreducible iff x^(2^n) == x (mod p) and
+    # gcd(x^(2^(n/q)) - x, p) == 1 for every prime q dividing n.
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+    gcd_at = {n // q for q in primes}
     r = 2  # the polynomial x
     for i in range(1, n + 1):
         r = _mod(_square(r), p)
-        if i <= n // 2 and _gcd(r ^ 2, p) != 1:
+        if i in gcd_at and _gcd(r ^ 2, p) != 1:
             return False
     return r == 2
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from itertools import islice
 from sys import intern
 
-from .circuit import Circuit, Gate, RegisterLayout, _ARITY, _check_gates
-from .errors import InputError, NetlistParseError
+from .circuit import Circuit, Gate, RegisterLayout, _ARITY
+from .errors import NetlistParseError
 
 
 def emit_netlist(circuit: Circuit) -> str:
@@ -61,14 +61,14 @@ def parse_netlist(text: str) -> Circuit:
 
     Each distinct raw gate line is parsed and checked once, in order of
     first occurrence, and every repeat of it appends the same (immutable)
-    Gate; large netlists repeat most of their lines. A line whose first
-    token is a known gate kind with the right operand count is read with
-    one `split()` and `int()` per operand, so every spelling `int()`
-    accepts (`+1`, `01`, `1_0`) names the same wire; any other line, and
-    any operand out of range or repeated, goes through `_parse_gate` and
-    the `Circuit` checks, which raise the error and line number of the
-    first bad line. Gates share one str object per kind and one int object
-    per wire, so a parsed netlist holds no per-line copies of either.
+    Gate; large netlists repeat most of their lines. A line is checked
+    for a known gate kind, its operand count, integer operands (any
+    spelling `int()` accepts, so `+1`, `01` and `1_0` name wires 1, 1 and
+    10), operands inside the wire range and distinct operands, in that
+    order; the first failed check raises NetlistParseError at the line
+    where the bad line first occurs. Gates share one str object per kind
+    and one int object per wire, so a parsed netlist holds no per-line
+    copies of either.
     """
     lines = text.splitlines()
     numbered = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
@@ -124,49 +124,32 @@ def parse_netlist(text: str) -> Circuit:
     wire = list(range(total)).__getitem__
     arity = _ARITY
     for raw in seen:
-        toks = raw.split("#", 1)[0].split()
+        line = raw.split("#", 1)[0]
+        toks = line.split()
         if not toks:
             continue
         kind = toks[0]
-        ops = None
-        if arity.get(kind) == len(toks) - 1:
+        want = arity.get(kind)
+        if want is None:
+            error = f"unknown gate token {kind!r}"
+        elif want != len(toks) - 1:
+            error = f"{kind} takes {want} operands, got {len(toks) - 1}"
+        else:
             try:
                 ops = tuple(map(int, toks[1:]))
             except ValueError:
-                pass
-        if ops and min(ops) >= 0 and max(ops) < total and len(set(ops)) == len(ops):
-            seen[raw] = Gate(intern(kind), tuple(map(wire, ops)))
-        else:
-            seen[raw] = _checked_gate(raw, lines.index(raw, start) + 1, total)
+                ops = None
+            if ops is None:
+                error = f"non-integer operand in {line.strip()!r}"
+            elif min(ops) < 0 or max(ops) >= total:
+                w = next(w for w in ops if not 0 <= w < total)
+                error = f"operand {w} overflows {total} wires"
+            elif len(set(ops)) < want:
+                error = f"duplicate operand in {Gate(kind, ops)}"
+            else:
+                seen[raw] = Gate(intern(kind), tuple(map(wire, ops)))
+                continue
+        raise NetlistParseError(error, lines.index(raw, start) + 1)
     circuit = Circuit(layout)
     circuit.gates = list(filter(None, map(seen.__getitem__, islice(lines, start, None))))
     return circuit
-
-
-def _checked_gate(raw: str, line_no: int, total: int) -> Gate:
-    """The slow path for one gate line: the error for a bad line, or its Gate."""
-    gate = _parse_gate(raw.split("#", 1)[0].strip(), line_no, total)
-    try:
-        _check_gates((gate,), total)
-    except InputError as exc:
-        raise NetlistParseError(str(exc), line_no) from None
-    return gate
-
-
-def _parse_gate(line: str, line_no: int, total: int) -> Gate:
-    toks = line.split()
-    kind = toks[0]
-    if kind not in _ARITY:
-        raise NetlistParseError(f"unknown gate token {kind!r}", line_no)
-    if len(toks) - 1 != _ARITY[kind]:
-        raise NetlistParseError(
-            f"{kind} takes {_ARITY[kind]} operands, got {len(toks) - 1}", line_no
-        )
-    try:
-        ops = tuple(int(t) for t in toks[1:])
-    except ValueError:
-        raise NetlistParseError(f"non-integer operand in {line!r}", line_no) from None
-    for w in ops:
-        if not 0 <= w < total:
-            raise NetlistParseError(f"operand {w} overflows {total} wires", line_no)
-    return Gate(kind, ops)

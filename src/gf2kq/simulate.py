@@ -1,4 +1,4 @@
-"""Simulation, form conversion, and end-to-end multiplier verification.
+"""Simulation, the Toffoli-form rewrite, and end-to-end multiplier verification.
 
 Two simulation paths:
 
@@ -49,7 +49,7 @@ def default_seed() -> int:
 
 
 # ---------------------------------------------------------------------------
-# CCZ form <-> Toffoli form
+# CCZ form -> Toffoli form
 
 
 def _split_sandwich(circuit: Circuit):
@@ -91,7 +91,11 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
     out: list[Gate] = []
     for g in core:
         if g.kind == CNOT:
-            out.append(_flip_cnot(g, phase))
+            u, v = g.operands
+            inside = (u in phase) + (v in phase)
+            if inside == 1:
+                raise FormError(f"CNOT {g.operands} mixes phase and plain wires")
+            out.append(Gate.cnot(v, u) if inside else g)
         elif g.kind == CCZ:
             marked = [w for w in g.operands if w in phase]
             if len(marked) != 1:
@@ -107,39 +111,6 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
         else:
             raise FormError(f"unsupported core gate {g.kind}")
     return Circuit(layout, out)
-
-
-def to_ccz_form(layout: RegisterLayout, gates: Sequence[Gate]) -> Circuit:
-    """Inverse of `to_toffoli_form` for a classical multiplier: H sandwich on c.
-
-    Every Toffoli must target the c register from outside it.
-    """
-    phase = frozenset(layout.c_range)
-    h_layer = [Gate.h(w) for w in sorted(phase)]
-    out = list(h_layer)
-    for g in gates:
-        if g.kind == TOFFOLI:
-            c1, c2, t = g.operands
-            if t not in phase or c1 in phase or c2 in phase:
-                raise FormError("Toffoli does not target the result register")
-            out.append(Gate.ccz(c1, c2, t))
-        elif g.kind == CNOT:
-            out.append(_flip_cnot(g, phase))
-        else:
-            raise FormError(f"cannot rewrite {g.kind} into sandwich form")
-    out += h_layer
-    return Circuit(RegisterLayout(layout.n, layout.ancillas, phase_wires=phase), out)
-
-
-def _flip_cnot(g: Gate, phase: frozenset) -> Gate:
-    """A CNOT moved across the H layers on `phase`: kept off them, reversed on them."""
-    u, v = g.operands
-    inside = (u in phase) + (v in phase)
-    if inside == 0:
-        return g
-    if inside == 2:
-        return Gate.cnot(v, u)
-    raise FormError(f"CNOT {g.operands} mixes phase and plain wires")
 
 
 # ---------------------------------------------------------------------------

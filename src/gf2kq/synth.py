@@ -3,8 +3,8 @@
 Builds circuits mapping |a>|b>|c>|0> to |a>|b>|c xor AB mod P>|0> in four
 variants:
 
-* ``baseline``  - three-stage quadratic construction, native Toffoli form,
-  exactly n^2 Toffolis, no ancillas.
+* ``baseline``  - three-stage quadratic construction, built directly in
+  either form, exactly n^2 Toffolis (or CCZs), no ancillas.
 * ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes,
   at most 3^ceil(log2 n) CCZ gates and zero ancillas.
 * ``linear_depth`` - same CCZ count; the two independent recursive calls run
@@ -31,10 +31,10 @@ from typing import Callable, Optional, Sequence
 from . import halving
 from .circuit import Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
-from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
+from .gf2 import BinaryPolynomial, Gf2Matrix, _transpose, build_reduction_matrix, is_irreducible
 from .halving import SUBCALLS, list_halves, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
-from .simulate import to_ccz_form, to_toffoli_form
+from .simulate import to_toffoli_form
 
 VARIANTS = ("compact", "linear_depth", "log_depth", "baseline")
 LADDER_STYLES = ("sequential", "prefix_ancilla")
@@ -257,10 +257,8 @@ def _reduction_stage_gates(
     es = equally_spaced_split(p)
     if es is not None:
         return reduction_cnot_equally_spaced(es[0], es[1], wires, style)
-    n = q.n_rows
-    cols = list(q.columns()) + [1 << _completion_column(q)]
-    rows = [sum(((cols[j] >> r) & 1) << j for j in range(n)) for r in range(n)]
-    return _linear_gates_from_matrix(rows, wires)
+    cols = [*q.columns(), 1 << _completion_column(q)]
+    return _linear_gates_from_matrix(_transpose(cols, q.n_rows), wires)
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +284,34 @@ def synth_baseline(
     initial value of the result register.
     """
     _check_modulus(p)
-    return Circuit(*_baseline_gates(p, ladder_style))
+    return _baseline(p, ladder_style, "toffoli_form")
 
 
-def _baseline_gates(p: BinaryPolynomial, ladder_style: str) -> tuple[RegisterLayout, list[Gate]]:
-    """Layout and gate list of `synth_baseline` for an already checked modulus."""
+def _baseline(p: BinaryPolynomial, ladder_style: str, output_form: str) -> Circuit:
+    """`synth_baseline`'s construction in either form, for an already checked modulus.
+
+    The ccz form puts the whole construction between H layers on c: each
+    Toffoli (all target c) becomes a CCZ, and each stage-2 CNOT, which acts
+    within c, reverses direction.
+    """
     n = p.degree
-    q = build_reduction_matrix(p)
-    layout = RegisterLayout(n=n, ancillas=0, phase_wires=frozenset())
-    a, b, c = layout.a_range, layout.b_range, layout.c_range
-    stage2 = _reduction_stage_gates(p, q, c, ladder_style)
-    gates = stage2[::-1]
-    gates += [
-        Gate.toffoli(a[j], b[n + i - j], c[i]) for i in range(n - 1) for j in range(i + 1, n)
-    ]
+    a, b, c = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    stage2 = _reduction_stage_gates(p, build_reduction_matrix(p), c, ladder_style)
+    if output_form == "ccz_form":
+        layout = RegisterLayout(n=n)
+        h_layer = [Gate.h(w) for w in c]
+        stage2 = [Gate.cnot(t, u) for u, t in (g.operands for g in stage2)]
+        product = Gate.ccz
+    else:
+        layout = RegisterLayout(n=n, phase_wires=frozenset())
+        h_layer = []
+        product = Gate.toffoli
+    gates = h_layer + stage2[::-1]
+    gates += [product(a[j], b[n + i - j], c[i]) for i in range(n - 1) for j in range(i + 1, n)]
     gates += stage2
-    gates += [Gate.toffoli(a[j], b[i - j], c[i]) for i in range(n) for j in range(i + 1)]
-    return layout, gates
+    gates += [product(a[j], b[i - j], c[i]) for i in range(n) for j in range(i + 1)]
+    gates += h_layer
+    return Circuit(layout, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +719,7 @@ def synth(options: SynthesisOptions) -> Circuit:
     _check_modulus(p)
 
     if options.variant == "baseline":
-        layout, gates = _baseline_gates(p, options.ladder_style)
-        if options.output_form == "ccz_form":
-            return to_ccz_form(layout, gates)
-        return Circuit(layout, gates)
+        return _baseline(p, options.ladder_style, options.output_form)
 
     circ = _karatsuba_circuit(p, options.variant, options.ladder_style)
     if options.output_form == "toffoli_form":

@@ -1,7 +1,11 @@
 """Catalog table and lookup tests."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from gf2kq import _catalog_data as _data
 from gf2kq.catalog import (
     EQUALLY_SPACED,
     GENERIC,
@@ -83,3 +87,15 @@ def test_equally_spaced_known_degrees():
 
 def test_family_degrees_generic_is_complete():
     assert family_degrees(GENERIC) == list(range(2, 513))
+
+
+def test_generator_tool_reproduces_family_tables():
+    # tools/gen_catalog.py writes _catalog_data; rerun its family searches
+    # for n <= 64 so the generator cannot drift from the shipped tables.
+    path = Path(__file__).resolve().parent.parent / "tools" / "gen_catalog.py"
+    spec = importlib.util.spec_from_file_location("gen_catalog", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    degrees = range(2, 65)
+    assert [tool.least_trinomial_k(n) for n in degrees] == [_data.TRINOMIAL_K.get(n) for n in degrees]
+    assert [tool.equally_spaced(n) for n in degrees] == [_data.EQUALLY_SPACED.get(n) for n in degrees]

@@ -251,6 +251,8 @@ PARSE_ERRORS = [
     ("CCZ 0 -1 2", "operand -1 overflows 12 wires"),
     ("CNOT 3 3", "duplicate operand in Gate(kind='CNOT', operands=(3, 3))"),
     ("TOF 1 2 01", "duplicate operand in Gate(kind='TOF', operands=(1, 2, 1))"),
+    ("CNOT 12 12", "operand 12 overflows 12 wires"),
+    ("CNOT 0 x 1", "CNOT takes 2 operands, got 3"),
 ]
 
 

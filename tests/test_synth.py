@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gf2kq.catalog import catalog_lookup, family_degrees
+from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
 from gf2kq.circuit import Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
@@ -417,6 +417,21 @@ def test_baseline_sandwich_round_trip():
     back = to_toffoli_form(ccz_form)
     native = synth_baseline(P4)
     assert back.gates == native.gates
+
+
+@pytest.mark.parametrize("ladder", ["sequential", "prefix_ancilla"])
+def test_baseline_forms_agree_on_catalog(ladder):
+    # Each baseline form is built directly; the ccz form must still be the
+    # toffoli form with the H sandwich added and the CNOTs on c reversed.
+    for entry in catalog_entries():
+        if entry.n > 32:
+            break
+        p = entry.polynomial
+        toffoli = synth(_opts("baseline", p, output_form="toffoli_form", ladder_style=ladder))
+        ccz = synth(_opts("baseline", p, output_form="ccz_form", ladder_style=ladder))
+        assert to_toffoli_form(ccz) == toffoli, entry.describe()
+        if ladder == "sequential":
+            assert synth_baseline(p) == toffoli, entry.describe()
 
 
 def test_compact_toffoli_form_has_no_phase_gates():

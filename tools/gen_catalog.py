@@ -16,21 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gf2kq.catalog import search_least_irreducible
 from gf2kq.gf2 import _is_irreducible
 
 MAX_N = 512
-
-
-def least_generic(n: int) -> int:
-    # Irreducibility needs the constant term and an odd number of terms.
-    top = 1 << n
-    for low in range(1, top, 2):
-        p = top | low
-        if p.bit_count() % 2 == 0:
-            continue
-        if _is_irreducible(p):
-            return p
-    raise AssertionError(f"no irreducible polynomial of degree {n}?")
 
 
 def least_trinomial_k(n: int):
@@ -61,7 +50,7 @@ def main() -> None:
     trinomial = {}
     spaced = {}
     for n in range(2, MAX_N + 1):
-        generic[n] = least_generic(n)
+        generic[n] = search_least_irreducible(n).bits
         k = least_trinomial_k(n)
         if k is not None:
             trinomial[n] = k
