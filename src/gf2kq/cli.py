@@ -21,6 +21,7 @@ from .errors import (
     FormError,
     InputError,
     NetlistParseError,
+    SimulationError,
     UnsupportedFamilyError,
 )
 from .gf2 import BinaryPolynomial
@@ -108,7 +109,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.circuit, "r", encoding="utf-8") as fh:
             circuit = parse_netlist(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_PARSE_IO
     report = verify_multiplier(
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
     except NetlistParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_IO
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except (UnsupportedFamilyError, FormError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import reduce
+from itertools import compress, count
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .circuit import CCZ, CNOT, Circuit
@@ -86,10 +87,11 @@ class CubicPhasePolynomial:
 
 
 def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of a nonnegative mask, lowest first."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class LinearWireState:
@@ -97,32 +99,52 @@ class LinearWireState:
 
     Row w is a bit mask: wire w currently holds the XOR of the initial
     values selected by the mask. CNOT(c, t) adds row c to row t. When
-    `track_solver` is set, every CNOT also updates two structures: the
-    inverse transpose, so `solve` can express an arbitrary form as an XOR
-    of current wire rows, and a dict from row to wire, so `find_wire` is
-    one lookup. The rows are distinct because the state is invertible.
+    `track_solver` is set, the state also keeps a dict from row to wire,
+    so `find_wire` is one lookup (the rows are distinct because the state
+    is invertible), and the inverse matrix N in two forms:
+
+    - row form: `_inv[k]` is the set of wires whose rows XOR to the unit
+      form 1 << k, so `solve(form)` XORs one of them per set bit of `form`.
+    - column form: bit k of `_nt[j]` is set when `_inv[k]` holds wire j.
+
+    `fan_in(controls, t)` applies CNOT(j, t) for every j in `controls`;
+    `cnot` is a run of one. The run leaves `_nt[t]` fixed, so it costs one
+    XOR into `rows[t]` and one into `_nt[j]` per control, then one XOR of
+    the whole control mask into `_inv[k]` per set bit k of `_nt[t]`.
     """
 
-    __slots__ = ("n", "rows", "_nt", "_where")
+    __slots__ = ("n", "rows", "_nt", "_inv", "_where")
 
     def __init__(self, n: int, track_solver: bool = False):
         self.n = n
         self.rows = [1 << i for i in range(n)]
         self._nt = [1 << i for i in range(n)] if track_solver else None
+        self._inv = [1 << i for i in range(n)] if track_solver else None
         self._where = {r: w for w, r in enumerate(self.rows)} if track_solver else None
 
     def cnot(self, control: int, target: int) -> None:
         if control == target:
             raise InputError("CNOT control equals target")
-        rows = self.rows
-        where = self._where
-        if where is None:
-            rows[target] ^= rows[control]
-            return
-        del where[rows[target]]
-        rows[target] ^= rows[control]
-        where[rows[target]] = target
-        self._nt[control] ^= self._nt[target]
+        if self._where is None:
+            self.rows[target] ^= self.rows[control]
+        else:
+            self.fan_in(1 << control, target)
+
+    def fan_in(self, controls: int, target: int) -> None:
+        """CNOT(j, target) for each wire j in the mask `controls` (they commute)."""
+        if controls >> target & 1:
+            raise InputError("CNOT control equals target")
+        rows, nt, inv, where = self.rows, self._nt, self._inv, self._where
+        row = rows[target]
+        del where[row]
+        col = nt[target]
+        for j in _bits(controls):
+            row ^= rows[j]
+            nt[j] ^= col
+        rows[target] = row
+        where[row] = target
+        for k in _bits(col):
+            inv[k] ^= controls
 
     def row(self, wire: int) -> int:
         return self.rows[wire]
@@ -132,12 +154,9 @@ class LinearWireState:
 
     def solve(self, form: int) -> int:
         """Wire-selection mask s with XOR of rows[j] over j in s == form."""
-        if self._nt is None:
+        if self._inv is None:
             raise InputError("state was built without solver tracking")
-        # Bit i of s is the parity of nt[i] & form: one byte per bit, then
-        # the bytes, most significant first, read as a base-2 numeral.
-        bits = bytes([(x & form).bit_count() & 1 for x in self._nt])
-        return int(bits.translate(_DIGITS)[::-1], 2) if bits else 0
+        return reduce(operator.xor, map(self._inv.__getitem__, _bits(form)), 0)
 
     def find_wire(self, form: int) -> Optional[int]:
         """Lowest wire currently holding exactly `form`, if any."""
@@ -147,9 +166,6 @@ class LinearWireState:
             if r == form:
                 return w
         return None
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def extract_phase(

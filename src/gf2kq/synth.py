@@ -383,13 +383,13 @@ class _InPlaceGroup:
     """Wires of one register whose contents are re-expressed by CNOTs.
 
     The wire state stays invertible; `materialize` makes some wire hold a
-    requested nonzero form, emitting CNOTs within the group.
+    requested nonzero form, appending CNOTs within the group to `gates`.
     """
 
-    def __init__(self, wires: Sequence[int], emit: Callable[[Gate], None]):
+    def __init__(self, wires: Sequence[int], gates: list[Gate]):
         self.wires = list(wires)
         self.state = LinearWireState(len(wires), track_solver=True)
-        self.emit = emit
+        self.gates = gates
         self.cnots = _CnotCache()
 
     def materialize(self, form: int) -> int:
@@ -401,18 +401,19 @@ class _InPlaceGroup:
             return self.wires[w]
         sel = state.solve(form)
         tgt = (sel & -sel).bit_length() - 1
-        # XOR every other selected wire onto the lowest one, in wire order.
-        wires, cnots, emit, cnot = self.wires, self.cnots, self.emit, state.cnot
+        # XOR every other selected wire onto the lowest one, in wire order:
+        # one CNOT each, one state update for the whole run.
+        wires, cnots = self.wires, self.cnots
         wt = wires[tgt]
-        for j in _bits(sel & (sel - 1)):
-            emit(cnots[wires[j], wt])
-            cnot(j, tgt)
+        others = sel & (sel - 1)
+        self.gates.extend([cnots[wires[j], wt] for j in _bits(others)])
+        state.fan_in(others, tgt)
         return wt
 
     def restore(self) -> None:
         """Return every wire to its initial value (emits CNOTs)."""
         for src, tgt in _gauss_jordan(self.state.rows):
-            self.emit(self.cnots[self.wires[src], self.wires[tgt]])
+            self.gates.append(self.cnots[self.wires[src], self.wires[tgt]])
             self.state.cnot(src, tgt)
 
 
@@ -651,7 +652,7 @@ def _core_gates(
     ones = [1 << i for i in range(n)]
     if mode == "compact":
         c_group = [*c_wires, *(w for w in cp_wires if w is not None)]
-        ga, gb, gc = (_InPlaceGroup(ws, gates.append) for ws in (a_wires, b_wires, c_group))
+        ga, gb, gc = (_InPlaceGroup(ws, gates) for ws in (a_wires, b_wires, c_group))
 
         def leaf(fa: int, fb: int, fc: int) -> None:
             if not (fa and fb and fc):

@@ -175,3 +175,20 @@ def test_cli_bench_rejects_bad_sizes_and_variant(capsys):
     assert main(["bench", "--sizes", "4", "--variant", "compact,fast"]) == 2
     captured = capsys.readouterr()
     assert "fast" in captured.err and not captured.out
+
+
+def test_cli_verify_refused_core_and_undecodable_file(tmp_path, capsys):
+    # a CCZ between two sandwiched wires: the simulator refuses the core -> 1
+    refused = tmp_path / "refused.qc"
+    refused.write_text(
+        "QUBITS 6\nREGISTERS a=0:2 b=2:4 c=4:6 anc=6:6\nPHASEWIRES 4,5\n"
+        "H 4\nH 5\nCCZ 0 4 5\nH 4\nH 5\n"
+    )
+    assert main(["verify", "--circuit", str(refused), "--poly", "2,1,0"]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err.startswith("error: ")
+    # a netlist that is not UTF-8 -> 4, like a missing file
+    undecodable = tmp_path / "undecodable.qc"
+    undecodable.write_bytes(b"QUBITS 6\n\xff\xfe\n")
+    assert main(["verify", "--circuit", str(undecodable), "--poly", "2,1,0"]) == 4
+    assert capsys.readouterr().err.startswith("error: cannot read")

@@ -29,6 +29,7 @@ from gf2kq.circuit import (
     compute_depth,
 )
 from gf2kq.netlist import emit_netlist
+from gf2kq.simulate import to_toffoli_form
 from gf2kq.synth import SynthesisOptions, equally_spaced_split, synth, trinomial_split
 
 SIZES = (*range(2, 17), 33, 64, 127, 128)
@@ -579,3 +580,20 @@ GOLDEN = {
     (128, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6d656c4499490fc5ba76f44aa9dd0ef4872d9f653d0d8637a1c8f49d9fd8f7e5",
 }
+
+
+# Compact at the benchmark's size: the catalog's generic modulus of degree
+# 256, in ccz form and as its `to_toffoli_form` rewrite.
+GOLDEN_COMPACT_256 = {
+    "ccz_form": "019c4b8902247a10591f76825bed8c21240b80132e81b714627a37af49c637cc",
+    "toffoli_form": "c0661be2cc2118f07557f1ce911177fddff1e242a384e58fd5d50ed1a13ef292",
+}
+
+
+def test_golden_compact_n256():
+    (p,) = (e.polynomial for e in catalog_entries(256) if e.family == "generic")
+    circ = synth(SynthesisOptions("compact", p, "ccz_form"))
+    got = {}
+    for form, c in (("ccz_form", circ), ("toffoli_form", to_toffoli_form(circ))):
+        got[form] = hashlib.sha256(emit_netlist(c).encode()).hexdigest()
+    assert got == GOLDEN_COMPACT_256

@@ -10,6 +10,7 @@ from gf2kq.gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix
 from gf2kq.phasepoly import (
     CubicPhasePolynomial,
     LinearWireState,
+    _bits,
     check_split_identities,
     check_halving_identity,
     check_padding_identity,
@@ -247,3 +248,91 @@ def test_split_identities_random_and_mutations():
         assert not check_split_identities(6, trials=400, symbolic=True, drop_term=drop)
     with pytest.raises(InputError):
         check_split_identities(3)
+
+
+# ---------------------------------------------------------------------------
+# the solver's inverse forms against a plain state and a reference solve
+
+
+def reference_solve(state, form):
+    """Column-form solve: bit j of s is the parity of column j of the inverse & form."""
+    bits = bytes([(x & form).bit_count() & 1 for x in state._nt])
+    return int(bits.translate(bytes.maketrans(b"\x00\x01", b"01"))[::-1], 2) if bits else 0
+
+
+def _xor_of_rows(state, sel):
+    acc = 0
+    for j in range(state.n):
+        if (sel >> j) & 1:
+            acc ^= state.row(j)
+    return acc
+
+
+def _check_against_plain(tracked, plain, rng):
+    n = tracked.n
+    assert tracked.rows == plain.rows
+    for w, r in enumerate(plain.rows):
+        assert tracked.find_wire(r) == w
+    forms = [rng.getrandbits(n) for _ in range(20)] + [1 << rng.randrange(n), 0]
+    for form in forms:
+        assert tracked.find_wire(form) == plain.find_wire(form)
+        sel = tracked.solve(form)
+        assert sel == reference_solve(tracked, form)
+        assert _xor_of_rows(tracked, sel) == form
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 64, 300])
+def test_solver_tracks_cnot_walks_and_batched_updates(n):
+    rng = random.Random(700 + n)
+    tracked = LinearWireState(n, track_solver=True)
+    plain = LinearWireState(n)
+    for step in range(120):
+        target = rng.randrange(n)
+        if n > 1 and step < 40:
+            # single CNOTs only, so `cnot` alone must keep the solver current
+            control = rng.choice([w for w in range(n) if w != target])
+            tracked.cnot(control, target)
+            plain.cnot(control, target)
+        else:
+            controls = rng.getrandbits(n) & ~(1 << target)
+            if rng.random() < 0.3:
+                controls &= rng.getrandbits(n) & rng.getrandbits(n)
+            tracked.fan_in(controls, target)
+            for j in range(n):
+                if (controls >> j) & 1:
+                    plain.cnot(j, target)
+        if step % 10 == 9:
+            _check_against_plain(tracked, plain, rng)
+    assert n < 10 or not tracked.is_identity()
+    with pytest.raises(InputError):
+        tracked.fan_in(1 << (n - 1), n - 1)
+
+
+def test_solver_batched_update_replaces_target_row():
+    st = LinearWireState(4, track_solver=True)
+    st.fan_in(0b1010, 0)
+    assert st.rows == [0b1011, 0b0010, 0b0100, 0b1000]
+    assert st.find_wire(0b0001) is None
+    assert st.find_wire(0b1011) == 0
+    assert st.solve(0b0001) == 0b1011
+    st.fan_in(0b0001, 2)
+    assert st.rows == [0b1011, 0b0010, 0b1111, 0b1000]
+    assert st.find_wire(0b0100) is None and st.find_wire(0b1111) == 2
+    for form in range(16):
+        assert _xor_of_rows(st, st.solve(form)) == form
+
+
+def _reference_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_matches_generator_reference():
+    rng = random.Random(5000)
+    masks = [0, *(1 << i for i in range(0, 5000, 37)), (1 << 5000) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(200)]
+    masks += [rng.getrandbits(5000) & rng.getrandbits(5000) & rng.getrandbits(5000) for _ in range(20)]
+    for mask in masks:
+        assert list(_bits(mask)) == list(_reference_bits(mask))
