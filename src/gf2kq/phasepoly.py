@@ -98,10 +98,8 @@ class LinearWireState:
     """Invertible GF(2) matrix giving each wire's value over initial values.
 
     Row w is a bit mask: wire w currently holds the XOR of the initial
-    values selected by the mask. CNOT(c, t) adds row c to row t. When
-    `track_solver` is set, the state also keeps a dict from row to wire,
-    so `find_wire` is one lookup (the rows are distinct because the state
-    is invertible), and the inverse matrix N in two forms:
+    values selected by the mask. CNOT(c, t) adds row c to row t. The state
+    also keeps the inverse matrix N in two forms:
 
     - row form: `_inv[k]` is the set of wires whose rows XOR to the unit
       form 1 << k, so `solve(form)` XORs one of them per set bit of `form`.
@@ -111,38 +109,33 @@ class LinearWireState:
     `cnot` is a run of one. The run leaves `_nt[t]` fixed, so it costs one
     XOR into `rows[t]` and one into `_nt[j]` per control, then one XOR of
     the whole control mask into `_inv[k]` per set bit k of `_nt[t]`.
+    Nothing maps a row back to its wire: `find_wire` scans the rows.
     """
 
-    __slots__ = ("n", "rows", "_nt", "_inv", "_where")
+    __slots__ = ("n", "rows", "_nt", "_inv")
 
-    def __init__(self, n: int, track_solver: bool = False):
+    def __init__(self, n: int):
         self.n = n
         self.rows = [1 << i for i in range(n)]
-        self._nt = [1 << i for i in range(n)] if track_solver else None
-        self._inv = [1 << i for i in range(n)] if track_solver else None
-        self._where = {r: w for w, r in enumerate(self.rows)} if track_solver else None
+        self._nt = self.rows.copy()
+        self._inv = self.rows.copy()
 
     def cnot(self, control: int, target: int) -> None:
-        if control == target:
-            raise InputError("CNOT control equals target")
-        if self._where is None:
-            self.rows[target] ^= self.rows[control]
-        else:
-            self.fan_in(1 << control, target)
+        self.fan_in(1 << control, target)
 
     def fan_in(self, controls: int, target: int) -> None:
         """CNOT(j, target) for each wire j in the mask `controls` (they commute)."""
+        if not controls:
+            return
         if controls >> target & 1:
             raise InputError("CNOT control equals target")
-        rows, nt, inv, where = self.rows, self._nt, self._inv, self._where
+        rows, nt, inv = self.rows, self._nt, self._inv
         row = rows[target]
-        del where[row]
         col = nt[target]
         for j in _bits(controls):
             row ^= rows[j]
             nt[j] ^= col
         rows[target] = row
-        where[row] = target
         for k in _bits(col):
             inv[k] ^= controls
 
@@ -154,18 +147,11 @@ class LinearWireState:
 
     def solve(self, form: int) -> int:
         """Wire-selection mask s with XOR of rows[j] over j in s == form."""
-        if self._inv is None:
-            raise InputError("state was built without solver tracking")
         return reduce(operator.xor, map(self._inv.__getitem__, _bits(form)), 0)
 
     def find_wire(self, form: int) -> Optional[int]:
         """Lowest wire currently holding exactly `form`, if any."""
-        if self._where is not None:
-            return self._where.get(form)
-        for w, r in enumerate(self.rows):
-            if r == form:
-                return w
-        return None
+        return next((w for w, r in enumerate(self.rows) if r == form), None)
 
 
 def extract_phase(
@@ -175,17 +161,26 @@ def extract_phase(
 
     CCZ operands whose current rows share a variable would break the
     homogeneous-cubic invariant, so they raise instead of being folded.
+    Consecutive CNOTs onto one target commute, so each such run is applied
+    as one `fan_in`, which updates the inverse once per run, not per CNOT.
     """
     state = initial if initial is not None else LinearWireState(circuit.wire_count)
     poly = CubicPhasePolynomial()
+    controls = target = 0
     for g in circuit.gates:
+        if g.kind == CNOT and g.operands[1] == target:
+            controls ^= 1 << g.operands[0]
+            continue
+        state.fan_in(controls, target)
+        controls = 0
         if g.kind == CNOT:
-            state.cnot(*g.operands)
+            controls, target = 1 << g.operands[0], g.operands[1]
         elif g.kind == CCZ:
             p, q, r = g.operands
             poly.xor_product(state.row(p), state.row(q), state.row(r))
         else:
             raise InputError(f"extract_phase supports CNOT and CCZ only, got {g.kind}")
+    state.fan_in(controls, target)
     return poly, state
 
 

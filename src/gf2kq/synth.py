@@ -371,7 +371,10 @@ class _CnotCache(dict):
     """Maps a (control, target) wire pair to its CNOT Gate, built on first use.
 
     Gates are immutable and the recursion repeats most CNOTs: compact at
-    n = 256 emits 241,905 CNOTs over 31,602 wire pairs.
+    n = 256 emits 241,905 CNOTs over 31,602 wire pairs. In the scheduled
+    builders every unprep look-up hits (log-depth, n = 255: 113,963 objects
+    for 227,926 CNOTs); replaying the journaled gates there instead compiled
+    sweep-mid about 10% faster but raised its peak RSS about 4%.
     """
 
     def __missing__(self, pair: tuple[int, int]) -> Gate:
@@ -388,33 +391,31 @@ class _InPlaceGroup:
 
     def __init__(self, wires: Sequence[int], gates: list[Gate]):
         self.wires = list(wires)
-        self.state = LinearWireState(len(wires), track_solver=True)
+        self.state = LinearWireState(len(wires))
         self.gates = gates
         self.cnots = _CnotCache()
 
     def materialize(self, form: int) -> int:
         if form == 0:
             raise SynthesisError("cannot materialize the zero form")
-        state = self.state
-        w = state.find_wire(form)
-        if w is not None:
-            return self.wires[w]
-        sel = state.solve(form)
+        sel = self.state.solve(form)
         tgt = (sel & -sel).bit_length() - 1
         # XOR every other selected wire onto the lowest one, in wire order:
-        # one CNOT each, one state update for the whole run.
+        # one CNOT each, one state update for the whole run. A form already
+        # on a wire selects only that wire and emits nothing.
         wires, cnots = self.wires, self.cnots
         wt = wires[tgt]
         others = sel & (sel - 1)
         self.gates.extend([cnots[wires[j], wt] for j in _bits(others)])
-        state.fan_in(others, tgt)
+        self.state.fan_in(others, tgt)
         return wt
 
     def restore(self) -> None:
-        """Return every wire to its initial value (emits CNOTs)."""
-        for src, tgt in _gauss_jordan(self.state.rows):
-            self.gates.append(self.cnots[self.wires[src], self.wires[tgt]])
-            self.state.cnot(src, tgt)
+        """Emit the CNOTs that return every wire to its initial value. The
+        state is not updated, so it is stale and the group's use ends here.
+        """
+        wires, cnots = self.wires, self.cnots
+        self.gates.extend([cnots[wires[s], wires[t]] for s, t in _gauss_jordan(self.state.rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""Summary arithmetic of tools/bench_pairs.py on synthetic run records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "compile_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.03},
+    {"name": "rate", "better": "higher", "bound": 0.1},
+]
+
+
+def _runs(workload, values_by_metric, seeds=(1, 2, 3, 4), failed=0):
+    return [
+        {"workload": workload, "seed": seed, "ran_first_in_pair": i % 2 == 0,
+         "result": {"failed": failed, "metrics": {name: {"value": vals[i], "unit": "x"}
+                                             for name, vals in values_by_metric.items()}}}
+        for i, seed in enumerate(seeds)
+    ]
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summarize_medians_pairs_won_and_bounds():
+    first = _runs("w", {"compile_s": [1.0, 2.0, 3.0, 4.0], "peak_rss_mb": [30.0] * 4,
+                        "rate": [10.0] * 4})
+    second = _runs("w", {"compile_s": [0.9, 2.5, 2.0, 3.0], "peak_rss_mb": [31.0] * 4,
+                         "rate": [8.0, 8.0, 10.0, 12.0]})
+    # a run without a partner on the other side is left out
+    first += _runs("w", {"compile_s": [100.0], "peak_rss_mb": [1.0], "rate": [1.0]}, seeds=(9,))
+    rows = {r["metric"]: r for r in bench_pairs.summarize(first, second, METRICS)}
+    c = rows["compile_s"]
+    assert c["first"] == (1.75, 2.5, 3.25)
+    assert c["second"] == pytest.approx((1.725, 2.25, 2.625))
+    assert (c["won"], c["tied"], c["pairs"]) == (3, 0, 4)
+    assert c["rel"] == pytest.approx(-0.1) and not c["worse"]
+    # parent quartile distance 1.5 is 60% of its median, past the 25% bound
+    assert c["unresolved"]
+    m = rows["peak_rss_mb"]
+    assert (m["won"], m["tied"]) == (0, 0)
+    assert m["rel"] == pytest.approx(1 / 30) and m["worse"] and not m["unresolved"]
+    r = rows["rate"]
+    assert (r["won"], r["tied"]) == (1, 1)
+    assert r["rel"] == pytest.approx(-0.1) and not r["worse"] and not r["unresolved"]
+    second[2]["result"]["metrics"]["rate"]["value"] = 8.0
+    rows = {r["metric"]: r for r in bench_pairs.summarize(first, second, METRICS)}
+    assert rows["rate"]["rel"] == pytest.approx(-0.2) and rows["rate"]["worse"]
+
+
+def test_summarize_keeps_workload_order_and_skips_absent_metrics():
+    first = _runs("b", {"compile_s": [1.0] * 4}) + _runs("a", {"compile_s": [2.0] * 4})
+    second = _runs("a", {"compile_s": [2.0] * 4}) + _runs("b", {"compile_s": [1.0] * 4})
+    rows = bench_pairs.summarize(first, second, METRICS)
+    assert [(r["workload"], r["metric"]) for r in rows] == [("b", "compile_s"), ("a", "compile_s")]
+    assert all(r["tied"] == 4 and r["rel"] == 0 and not r["worse"] for r in rows)
+
+
+@pytest.mark.parametrize("name, first, second, unresolved", [
+    # parent spread (q3 - q1) / median = 0.625 / 1.25 = 50%, past the 25% bound
+    ("compile_s", [1.0, 1.0, 1.5, 2.0], [1.1] * 4, True),
+    ("compile_s", [1.0, 1.0, 1.5, 2.0], [0.9] * 4, False),  # every run better
+    ("compile_s", [1.0, 1.0, 1.5, 2.0], [1.0] * 4, True),  # a tie is not better
+    ("compile_s", [1.0, 1.0, 1.1, 1.2], [1.1] * 4, False),  # spread 12% of the median
+    # higher is better: spread 6.25 / 12.5 = 50%, past the 10% bound
+    ("rate", [10.0, 10.0, 15.0, 20.0], [21.0] * 4, False),
+    ("rate", [10.0, 10.0, 15.0, 20.0], [19.0] * 4, True),
+])
+def test_summarize_marks_parent_spread_wider_than_bound_unresolved(name, first, second, unresolved):
+    rows = bench_pairs.summarize(_runs("w", {name: first}), _runs("w", {name: second}), METRICS)
+    assert [r["unresolved"] for r in rows] == [unresolved]
+
+
+def _write(tmp_path, label, runs):
+    (tmp_path / f"BENCH_{label}.json").write_text(json.dumps({"label": label, "runs": runs}))
+
+
+def _report(tmp_path):
+    return bench_pairs.main(["unused", "unused", "--labels", "old", "new", "--report",
+                             "--out", str(tmp_path)])
+
+
+def test_report_reads_bench_files_and_flags_a_bound(tmp_path, capsys):
+    _write(tmp_path, "old", _runs("w", {"compile_s": [1.0, 1.0, 1.0, 1.0], "peak_rss_mb": [30.0] * 4}))
+    _write(tmp_path, "new", _runs("w", {"compile_s": [0.9] * 4, "peak_rss_mb": [31.5] * 4}))
+    assert _report(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "old: 4 runs, failed 0" in out
+    assert "compile_s" in out and "won 4/4" in out and "-10.00%" in out
+    assert "peak_rss_mb" in out and "+5.00% (bound 3.0%)  WORSE THAN BOUND" in out
+
+
+def test_report_exit_status_counts_failures_and_unresolved_metrics(tmp_path, capsys):
+    _write(tmp_path, "old", _runs("w", {"compile_s": [1.0] * 4}))
+    _write(tmp_path, "new", _runs("w", {"compile_s": [1.0] * 4}))
+    assert _report(tmp_path) == 0
+    _write(tmp_path, "new", _runs("w", {"compile_s": [1.0] * 4}, failed=1))
+    assert _report(tmp_path) == 1
+    assert "new has more failed operations than old" in capsys.readouterr().out
+    _write(tmp_path, "old", _runs("w", {"compile_s": [1.0] * 4}, failed=2))
+    assert _report(tmp_path) == 0
+    _write(tmp_path, "old", _runs("w", {"compile_s": [1.0, 1.0, 1.5, 2.0]}))
+    _write(tmp_path, "new", _runs("w", {"compile_s": [1.1] * 4}))
+    assert _report(tmp_path) == 1
+    assert "UNRESOLVED" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Phase-polynomial semantics and recursion-identity tests."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -130,8 +132,40 @@ def test_extract_phase_is_homomorphism():
     assert whole_state.rows == s2.rows
 
 
+def test_extract_phase_runs_match_gate_by_gate_walk():
+    # Few CNOT targets make runs onto one target, repeated controls that
+    # cancel, and runs broken by a CCZ that reads the target.
+    rng = random.Random(41)
+    lay = _plain(3)  # 9 wires
+    for _ in range(60):
+        gates = []
+        for _ in range(rng.randrange(1, 30)):
+            if rng.random() < 0.8:
+                target = rng.randrange(3)
+                gates.append(Gate.cnot(rng.choice([w for w in range(6) if w != target]), target))
+            else:
+                gates.append(Gate.ccz(*rng.sample(range(8), 3)))
+        rows = [1 << i for i in range(lay.total_wires)]
+        want = CubicPhasePolynomial()
+        try:
+            for g in gates:
+                if g.kind == "CNOT":
+                    rows[g.operands[1]] ^= rows[g.operands[0]]
+                else:
+                    want.xor_product(*(rows[w] for w in g.operands))
+        except InputError:
+            with pytest.raises(InputError):
+                extract_phase(Circuit(lay, gates))
+            continue
+        poly, state = extract_phase(Circuit(lay, gates))
+        assert poly == want and state.rows == rows
+        for k in range(lay.total_wires):
+            sel = state.solve(1 << k)
+            assert reduce(operator.xor, (rows[j] for j in _bits(sel)), 0) == 1 << k
+
+
 def test_linear_wire_state_solver():
-    st = LinearWireState(3, track_solver=True)
+    st = LinearWireState(3)
     st.cnot(0, 1)
     st.cnot(1, 2)
     for form in range(1, 8):
@@ -146,7 +180,7 @@ def test_linear_wire_state_solver():
 def test_linear_wire_state_row_dict_matches_scan():
     rng = random.Random(31)
     n = 10
-    tracked = LinearWireState(n, track_solver=True)
+    tracked = LinearWireState(n)
     plain = LinearWireState(n)
     for _ in range(400):
         control, target = rng.sample(range(n), 2)
@@ -170,10 +204,8 @@ def test_linear_wire_state_row_dict_matches_scan():
                 acc ^= tracked.row(j)
         assert acc == form
     with pytest.raises(InputError):
-        plain.solve(1)
-    with pytest.raises(InputError):
         tracked.cnot(3, 3)
-    assert LinearWireState(0, track_solver=True).solve(0) == 0
+    assert LinearWireState(0).solve(0) == 0
 
 
 def test_g_h_values_match_monomial_evaluation():
@@ -284,7 +316,7 @@ def _check_against_plain(tracked, plain, rng):
 @pytest.mark.parametrize("n", [1, 2, 10, 64, 300])
 def test_solver_tracks_cnot_walks_and_batched_updates(n):
     rng = random.Random(700 + n)
-    tracked = LinearWireState(n, track_solver=True)
+    tracked = LinearWireState(n)
     plain = LinearWireState(n)
     for step in range(120):
         target = rng.randrange(n)
@@ -309,7 +341,7 @@ def test_solver_tracks_cnot_walks_and_batched_updates(n):
 
 
 def test_solver_batched_update_replaces_target_row():
-    st = LinearWireState(4, track_solver=True)
+    st = LinearWireState(4)
     st.fan_in(0b1010, 0)
     assert st.rows == [0b1011, 0b0010, 0b0100, 0b1000]
     assert st.find_wire(0b0001) is None

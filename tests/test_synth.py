@@ -8,13 +8,14 @@ import pytest
 
 from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
 from gf2kq.circuit import Circuit, Gate, RegisterLayout, compute_depth
-from gf2kq.errors import FormError, InputError, UnsupportedFamilyError
+from gf2kq.errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
-from gf2kq.phasepoly import extract_phase, target_polynomial
+from gf2kq.phasepoly import LinearWireState, extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
     Slot,
     SynthesisOptions,
+    _InPlaceGroup,
     ccz_count,
     ccz_count_bound,
     cnot_ladder,
@@ -468,3 +469,45 @@ def test_random_nonzero_initial_c_all_variants():
         circ = synth(_opts(variant, p))
         rep = verify_multiplier(circ, p, exhaustive=True)
         assert rep.passed and rep.ancillas_clean
+
+
+# ---------------------------------------------------------------------------
+# CNOT gate sharing and the compact builder's in-place group
+
+
+def _cnot_objects_and_pairs(gates):
+    cnots = [g for g in gates if g.kind == "CNOT"]
+    return len({id(g) for g in cnots}), len({g.operands for g in cnots})
+
+
+@pytest.mark.parametrize("k", [5, 16, 33, 64])
+@pytest.mark.parametrize("mode", ["compact", "linear_depth", "log_depth"])
+def test_karatsuba_core_uses_one_cnot_gate_per_wire_pair(mode, k):
+    objects, pairs = _cnot_objects_and_pairs(karatsuba_core(k, mode).gates)
+    assert objects == pairs
+
+
+def test_compact_synth_uses_one_cnot_gate_per_wire_pair():
+    circ = synth(_opts("compact", catalog_lookup(128).polynomial))
+    objects, pairs = _cnot_objects_and_pairs(circ.gates)
+    assert objects == pairs < circ.counts()["CNOT"]
+
+
+def test_in_place_group_materialize_and_restore():
+    gates = []
+    group = _InPlaceGroup([10, 11, 12, 13], gates)
+    assert group.materialize(0b0011) == 10
+    assert gates == [Gate.cnot(11, 10)]
+    assert group.materialize(0b0011) == 10
+    assert group.materialize(0b0010) == 11
+    assert gates == [Gate.cnot(11, 10)]
+    assert group.materialize(0b1110) == 11
+    assert gates == [Gate.cnot(11, 10), Gate.cnot(12, 11), Gate.cnot(13, 11)]
+    with pytest.raises(SynthesisError):
+        group.materialize(0)
+    group.restore()
+    assert len(gates) > 3
+    state = LinearWireState(14)
+    for g in gates:
+        state.cnot(*g.operands)
+    assert state.is_identity()

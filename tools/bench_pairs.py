@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs on two checkouts and compare them.
+
+Each pair runs `perfbench/run.py --trace 0` once in each checkout, on the
+same workload and seed; which checkout runs first alternates from pair to
+pair. The tool writes one BENCH_<label>.json per side (rewritten after every
+pair) and prints, for each workload and end-to-end metric of BENCHMARK.json,
+each side's median and quartiles, the pairs the second side won and the
+relative change of the median next to the metric's bound. The workloads and
+the run length are those of BENCHMARK.json; each workload gets ten pairs.
+Run from the repository root:
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --labels parent change \\
+        --seed-base 9300
+
+Pair i (from 1) of the w-th workload of BENCHMARK.json (from 0) uses seed
+seed_base + 100 w + i. `--report` prints the summary of the BENCH files
+already in `--out` and runs nothing.
+
+The exit status is 1 when a metric's median is worse than its bound, when a
+metric is unresolved (the first side's quartile distance, relative to its
+median, exceeds the bound and not every run of the second side is better
+than every run of the first), or when the second side has more failed
+operations than the first; otherwise 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+PAIRS = 10
+COMMAND = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+           f"--seconds {BENCHMARK['run_seconds']} --trace 0")
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, str]:
+    """The runner's result object and netlist digest for one run in `checkout`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    if out.returncode or not lines:
+        sys.exit(f"{checkout}: {workload} seed {seed} exited {out.returncode}\n{out.stderr[-2000:]}")
+    digest = next((ln.rsplit("=", 1)[1] for ln in lines if ln.startswith("netlist_digest ")), "")
+    return json.loads(lines[-1]), digest
+
+
+def describe_commit(checkout: Path) -> str | None:
+    out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                         capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), interpolating between order statistics."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(first: list[dict], second: list[dict], metrics: list[dict]) -> list[dict]:
+    """One row per workload and metric comparing the two sides' run records.
+
+    Runs pair up by workload and seed. `won` counts the pairs where the
+    second side is strictly better and `tied` those with equal values;
+    `worse` is set when the second side's median is worse than the first
+    side's by more than the metric's relative bound. `unresolved` is set
+    when the first side's quartile distance relative to its median exceeds
+    the bound, unless every run of the second side is better than every run
+    of the first.
+    """
+    rows = []
+    by_key = {(r["workload"], r["seed"]): r for r in second}
+    for workload in dict.fromkeys(r["workload"] for r in first):
+        pairs = [(r, by_key[workload, r["seed"]]) for r in first
+                 if r["workload"] == workload and (workload, r["seed"]) in by_key]
+        for m in metrics:
+            name, lower = m["name"], m["better"] == "lower"
+            try:
+                vals = [(a["result"]["metrics"][name]["value"], b["result"]["metrics"][name]["value"])
+                        for a, b in pairs]
+            except KeyError:
+                continue
+            if not vals:
+                continue
+            first_vals, second_vals = [a for a, _ in vals], [b for _, b in vals]
+            q_a, q_b = quartiles(first_vals), quartiles(second_vals)
+            rel = q_b[1] / q_a[1] - 1 if q_a[1] else float(q_b[1] != 0)
+            spread = (q_a[2] - q_a[0]) / abs(q_a[1]) if q_a[1] else float(q_a[2] != q_a[0])
+            separated = (max(second_vals) < min(first_vals) if lower
+                         else min(second_vals) > max(first_vals))
+            rows.append({
+                "workload": workload, "metric": name, "first": q_a, "second": q_b,
+                "won": sum(b < a if lower else b > a for a, b in vals),
+                "tied": sum(a == b for a, b in vals), "pairs": len(vals),
+                "rel": rel, "bound": m["bound"], "worse": (rel if lower else -rel) > m["bound"],
+                "unresolved": spread > m["bound"] and not separated,
+            })
+    return rows
+
+
+def format_row(row: dict) -> str:
+    (a1, am, a3), (b1, bm, b3) = row["first"], row["second"]
+    flag = "  WORSE THAN BOUND" * row["worse"] + "  UNRESOLVED: SPREAD WIDER THAN BOUND" * row["unresolved"]
+    return (f"{row['workload']:18} {row['metric']:22} {am:.4g} [{a1:.4g}-{a3:.4g}] -> "
+            f"{bm:.4g} [{b1:.4g}-{b3:.4g}]  won {row['won']}/{row['pairs']} tied {row['tied']}  "
+            f"{row['rel']:+.2%} (bound {row['bound']:.1%}){flag}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("first", type=Path, help="checkout of the parent")
+    parser.add_argument("second", type=Path, help="checkout of the change")
+    parser.add_argument("--labels", nargs=2, required=True, metavar=("FIRST", "SECOND"))
+    parser.add_argument("--seed-base", type=int, default=0)
+    parser.add_argument("--out", type=Path, default=Path("."))
+    parser.add_argument("--report", action="store_true", help="summarize existing BENCH files")
+    args = parser.parse_args(argv)
+
+    paths = [args.out / f"BENCH_{label}.json" for label in args.labels]
+    if args.report:
+        runs = [json.loads(p.read_text())["runs"] for p in paths]
+    else:
+        sides = [(args.first, args.labels[0]), (args.second, args.labels[1])]
+        records = [{"label": label, "commit": describe_commit(checkout),
+                    "command": COMMAND,
+                    "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs; "
+                            f"{PAIRS} pairs per workload, first side alternating",
+                    "runs": []} for checkout, label in sides]
+        runs = [rec["runs"] for rec in records]
+        turn, digests_equal = 0, 0
+        for w, workload in enumerate(wl["name"] for wl in BENCHMARK["workloads"]):
+            for i in range(1, PAIRS + 1):
+                seed = args.seed_base + 100 * w + i
+                order = (0, 1) if turn % 2 == 0 else (1, 0)
+                turn += 1
+                digests = {}
+                for pos, side in enumerate(order):
+                    result, digests[side] = run_once(sides[side][0], workload, seed)
+                    runs[side].append({"workload": workload, "seed": seed,
+                                       "ran_first_in_pair": pos == 0, "result": result})
+                digests_equal += digests[0] == digests[1]
+                for rec, path in zip(records, paths):
+                    path.write_text(json.dumps(rec, indent=1) + "\n")
+                print(f"{workload} seed {seed} done", file=sys.stderr)
+        print(f"netlist_digest equal in {digests_equal} of {turn} pairs")
+
+    failed = [sum(r["result"]["failed"] for r in side) for side in runs]
+    for label, side, f in zip(args.labels, runs, failed):
+        print(f"{label}: {len(side)} runs, failed {f}")
+    rows = summarize(runs[0], runs[1], BENCHMARK["end_to_end"])
+    for row in rows:
+        print(format_row(row))
+    if failed[1] > failed[0]:
+        print(f"{args.labels[1]} has more failed operations than {args.labels[0]}")
+    return int(failed[1] > failed[0] or any(row["worse"] or row["unresolved"] for row in rows))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
