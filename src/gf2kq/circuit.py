@@ -1,16 +1,16 @@
 """Gate-level circuit IR: registers, gates, and scheduling-based metrics.
 
-A Circuit is an ordered gate list over a RegisterLayout. Depth is the
-as-soon-as-possible layering: a gate lands in the earliest layer after the
-last layer touching any of its wires. `toffoli_depth` counts only layers
-weighted by CCZ/Toffoli gates, since those dominate fault-tolerant cost.
+A Circuit is an ordered gate list over a RegisterLayout, stored as records.
+Depth is the as-soon-as-possible layering: a gate lands in the earliest layer
+after the last layer touching any of its wires. `toffoli_depth` counts only
+layers weighted by CCZ/Toffoli gates, since those dominate fault-tolerant cost.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import starmap
 
 from .errors import InputError
 
@@ -21,8 +21,9 @@ H = "H"
 X = "X"
 
 _ARITY = {CNOT: 2, CCZ: 3, TOFFOLI: 3, H: 1, X: 1}
-_KIND = attrgetter("kind")
-_OPERANDS = attrgetter("operands")
+KINDS = tuple(_ARITY)
+K_CNOT, K_CCZ, K_TOF, K_H, K_X = range(len(KINDS))
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,16 +119,43 @@ class RegisterLayout:
 
 
 class Circuit:
-    """Ordered gate list over a layout. Built once, then treated as immutable."""
+    """Ordered gates over a layout. Built once, then treated as immutable.
+
+    Gate i is a record, not an object: kind code `kinds[i]` (its index in
+    KINDS) and operands `ops[3 * i : 3 * i + 3]`, -1 past the kind's arity.
+    `gates` builds a fresh list on every call, one Gate per distinct record;
+    iteration builds a Gate per record.
+    """
 
     def __init__(self, layout: RegisterLayout, gates=()):
         self.layout = layout
-        self.gates: list[Gate] = []
+        self.kinds, self.ops = bytearray(), array("i")
         self.extend(gates)
+
+    @classmethod
+    def from_records(cls, layout: RegisterLayout, kinds, ops) -> "Circuit":
+        """The circuit that keeps the records `kinds` and `ops`, checked as `extend` checks."""
+        _check_records(kinds, ops, layout.total_wires)
+        circuit = cls(layout)
+        circuit.kinds, circuit.ops = kinds, ops
+        return circuit
 
     @property
     def wire_count(self) -> int:
         return self.layout.total_wires
+
+    @property
+    def gates(self) -> list[Gate]:
+        made: dict = {}
+        return [made.get(r) or made.setdefault(r, _gate(*r)) for r in self.records()]
+
+    def __iter__(self):
+        return starmap(_gate, self.records())
+
+    def records(self):
+        """(kind code, three operand slots) per gate, in order, as ints."""
+        it = iter(self.ops)
+        return zip(self.kinds, it, it, it)
 
     def append(self, gate: Gate) -> "Circuit":
         return self.extend((gate,))
@@ -137,67 +165,72 @@ class Circuit:
 
         Every gate is checked first, in one pass: a known kind, its arity,
         distinct operands, each inside the layout's wires. The first bad
-        gate raises InputError and leaves `self.gates` unchanged.
+        gate raises InputError and leaves the circuit unchanged.
         """
-        if not isinstance(gates, (list, tuple)):
-            gates = list(gates)
-        _check_gates(gates, self.layout.total_wires)
-        self.gates += gates
+        total = self.layout.total_wires
+        kinds, ops = bytearray(), array("i")
+        for g in gates:
+            if _ARITY.get(g.kind) != len(g.operands) or not all(0 <= w < total for w in g.operands):
+                _check_records(kinds, ops, total)  # so the first bad gate is the one reported
+                raise _gate_error(g, total)
+            ops.fromlist([*g.operands, -1, -1][:3])
+            kinds.append(_CODE[g.kind])
+        _check_records(kinds, ops, total)
+        self.kinds += kinds
+        self.ops += ops
         return self
 
     def counts(self) -> dict[str, int]:
-        tally = Counter(map(_KIND, self.gates))
-        return {k: tally[k] for k in _ARITY}
+        return {kind: self.kinds.count(code) for code, kind in enumerate(KINDS)}
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.kinds)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Circuit)
             and self.layout == other.layout
-            and self.gates == other.gates
+            and self.kinds == other.kinds
+            and self.ops == other.ops
         )
 
     def __repr__(self) -> str:
-        return f"Circuit(n={self.layout.n}, ancillas={self.layout.ancillas}, gates={len(self.gates)})"
+        return f"Circuit(n={self.layout.n}, ancillas={self.layout.ancillas}, gates={len(self)})"
 
 
-def _check_gates(gates, total: int) -> None:
-    """Raise InputError for the first gate `Circuit.extend` must refuse."""
-    arity = _ARITY
-    for g in gates:
-        ops = g.operands
-        k = len(ops)
-        if arity.get(g.kind) != k:
-            raise _gate_error(g, total)
-        if k == 2:
-            u, v = ops
-            if u == v or not (0 <= u < total and 0 <= v < total):
-                raise _gate_error(g, total)
-        elif k == 3:
-            u, v, w = ops
-            if (
-                u == v
-                or u == w
-                or v == w
-                or not (0 <= u < total and 0 <= v < total and 0 <= w < total)
-            ):
-                raise _gate_error(g, total)
-        elif not 0 <= ops[0] < total:
-            raise _gate_error(g, total)
+def _gate(k: int, u: int, v: int, w: int) -> Gate:
+    kind = KINDS[k]
+    return Gate(kind, (u, v, w)[: _ARITY[kind]])
+
+
+def _check_records(kinds, ops, total: int) -> None:
+    """Raise InputError for the first record `Circuit.extend` must refuse."""
+    if len(ops) != 3 * len(kinds):
+        raise InputError("gate records need three operand slots per kind code")
+    it = iter(ops)
+    for k, u, v, w in zip(kinds, it, it, it):
+        if k == K_CNOT:
+            ok = w == -1 and u != v and 0 <= u < total and 0 <= v < total
+        elif k == K_CCZ or k == K_TOF:
+            ok = u != v != w != u and 0 <= u < total and 0 <= v < total and 0 <= w < total
+        else:
+            ok = k < len(KINDS) and v == w == -1 and 0 <= u < total
+        if not ok:
+            raise _gate_error(_gate(k, u, v, w) if k < len(KINDS) else Gate(k, ()), total)
 
 
 def _gate_error(gate: Gate, total: int) -> InputError:
-    """The error for a gate `_check_gates` refused, checks taken in order."""
+    """The error for a gate `Circuit.extend` refused, checks taken in order."""
     if gate.kind not in _ARITY:
         return InputError(f"unknown gate kind {gate.kind!r}")
     if len(gate.operands) != _ARITY[gate.kind]:
         return InputError(f"{gate.kind} takes {_ARITY[gate.kind]} operands")
     if len(set(gate.operands)) != len(gate.operands):
         return InputError(f"duplicate operand in {gate}")
-    w = next(w for w in gate.operands if not 0 <= w < total)
-    return InputError(f"operand {w} outside {total}-wire circuit")
+    for w in gate.operands:
+        if not 0 <= w < total:
+            return InputError(f"operand {w} outside {total}-wire circuit")
+    return InputError(f"{gate} has operand slots past its arity")
 
 
 @dataclass(frozen=True)
@@ -228,10 +261,8 @@ def compute_depth(circuit: Circuit) -> ResourceReport:
     qubits = circuit.wire_count
     level = [0] * qubits
     tlevel = [0] * qubits
-    for ops in map(_OPERANDS, circuit.gates):
-        k = len(ops)
-        if k == 2:
-            u, v = ops
+    for k, u, v, w in circuit.records():
+        if k == K_CNOT:
             t = level[u]
             x = level[v]
             if x > t:
@@ -242,8 +273,7 @@ def compute_depth(circuit: Circuit) -> ResourceReport:
             if x > t:
                 t = x
             tlevel[u] = tlevel[v] = t
-        elif k == 3:
-            u, v, w = ops
+        elif w >= 0:
             t = level[u]
             x = level[v]
             if x > t:
@@ -261,11 +291,11 @@ def compute_depth(circuit: Circuit) -> ResourceReport:
                 t = x
             tlevel[u] = tlevel[v] = tlevel[w] = t + 1
         else:
-            level[ops[0]] += 1
+            level[u] += 1
     depth = max(level, default=0)
     return ResourceReport(
         counts=circuit.counts(),
-        total_gates=len(circuit.gates),
+        total_gates=len(circuit),
         depth=depth,
         toffoli_depth=max(tlevel, default=0),
         qubit_count=qubits,
@@ -278,7 +308,7 @@ def asap_layers(circuit: Circuit) -> list[list[Gate]]:
     """The explicit ASAP layers; gates within a layer touch disjoint wires."""
     level = [0] * circuit.wire_count
     layers: list[list[Gate]] = []
-    for g in circuit.gates:
+    for g in circuit:
         t = 1 + max(level[w] for w in g.operands)
         for w in g.operands:
             level[w] = t
@@ -290,4 +320,7 @@ def asap_layers(circuit: Circuit) -> list[list[Gate]]:
 
 def inverse(circuit: Circuit) -> Circuit:
     """Reverse the gate list; every supported gate kind is self-inverse."""
-    return Circuit(circuit.layout, reversed(circuit.gates))
+    flipped = circuit.ops[::-1]  # the gates reversed, each operand triple too
+    ops = array("i", flipped)
+    ops[0::3], ops[2::3] = flipped[2::3], flipped[0::3]
+    return Circuit.from_records(circuit.layout, circuit.kinds[::-1], ops)

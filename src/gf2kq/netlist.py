@@ -11,10 +11,10 @@ parse_netlist(emit_netlist(c)) equals c structurally.
 
 from __future__ import annotations
 
-from itertools import islice
-from sys import intern
+from itertools import chain, islice
+from struct import Struct
 
-from .circuit import Circuit, Gate, RegisterLayout, _ARITY
+from .circuit import _ARITY, _CODE, KINDS, Circuit, Gate, RegisterLayout
 from .errors import NetlistParseError
 
 
@@ -30,18 +30,12 @@ def emit_netlist(circuit: Circuit) -> str:
     )
     phase = ",".join(str(w) for w in sorted(lay.phase_wires))
     lines.append(f"PHASEWIRES {phase}".rstrip())
-    # One " <w>" string per wire, so each gate line is a single concatenation.
+    # One " <w>" string per wire and "" for the -1 padding slot, so each gate
+    # line joins its kind and its three operand slots.
     op = [f" {w}" for w in range(lay.total_wires)]
-    add = lines.append
-    for g in circuit.gates:
-        ops = g.operands
-        k = len(ops)
-        if k == 2:
-            add(g.kind + op[ops[0]] + op[ops[1]])
-        elif k == 3:
-            add(g.kind + op[ops[0]] + op[ops[1]] + op[ops[2]])
-        else:
-            add(g.kind + op[ops[0]])
+    op.append("")
+    words = map(op.__getitem__, circuit.ops)
+    lines += map("".join, zip(map(KINDS.__getitem__, circuit.kinds), words, words, words))
     return "\n".join(lines) + "\n"
 
 
@@ -60,15 +54,14 @@ def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit, validating every gate line.
 
     Each distinct raw gate line is parsed and checked once, in order of
-    first occurrence, and every repeat of it appends the same (immutable)
-    Gate; large netlists repeat most of their lines. A line is checked
-    for a known gate kind, its operand count, integer operands (any
-    spelling `int()` accepts, so `+1`, `01` and `1_0` name wires 1, 1 and
-    10), operands inside the wire range and distinct operands, in that
-    order; the first failed check raises NetlistParseError at the line
-    where the bad line first occurs. Gates share one str object per kind
-    and one int object per wire, so a parsed netlist holds no per-line
-    copies of either.
+    first occurrence, into its record; large netlists repeat most of their
+    lines. A line is checked for a known gate kind, its operand count,
+    integer operands (any spelling `int()` accepts, so `+1`, `01` and `1_0`
+    name wires 1, 1 and 10), operands inside the wire range and distinct
+    operands, in that order; the first failed check raises NetlistParseError
+    at the line where the bad line first occurs. A good line becomes its
+    record in bytes, and the circuit's records are cut from the bytes of
+    every line, with no loop per gate.
     """
     lines = text.splitlines()
     numbered = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
@@ -118,10 +111,9 @@ def parse_netlist(text: str) -> Circuit:
 
     layout = RegisterLayout(n=n, ancillas=len(ranc), phase_wires=phase)
     start = ln3  # index of the first line after the header
-    # Distinct raw lines in order of first occurrence; blank and comment-only
-    # lines keep the value None.
-    seen: dict[str, Gate | None] = dict.fromkeys(islice(lines, start, None))
-    wire = list(range(total)).__getitem__
+    # Distinct raw lines in order of first occurrence, each mapped to its
+    # record's bytes; blank and comment-only lines keep b"".
+    seen: dict[str, bytes] = dict.fromkeys(islice(lines, start, None), b"")
     arity = _ARITY
     for raw in seen:
         line = raw.split("#", 1)[0]
@@ -147,9 +139,18 @@ def parse_netlist(text: str) -> Circuit:
             elif len(set(ops)) < want:
                 error = f"duplicate operand in {Gate(kind, ops)}"
             else:
-                seen[raw] = Gate(intern(kind), tuple(map(wire, ops)))
+                seen[raw] = _RECORD.pack(_CODE[kind], *(ops + (-1, -1))[:3])
                 continue
         raise NetlistParseError(error, lines.index(raw, start) + 1)
+    # Not b"".join: it holds an 80-byte buffer view per line while it runs.
+    records = bytearray(chain.from_iterable(map(seen.__getitem__, islice(lines, start, None))))
+    del lines, seen  # the per-line tables are the parse's peak; free them first
     circuit = Circuit(layout)
-    circuit.gates = list(filter(None, map(seen.__getitem__, islice(lines, start, None))))
+    circuit.kinds = records[:: _RECORD.size]
+    del records[:: _RECORD.size]
+    circuit.ops.frombytes(records)
     return circuit
+
+
+# A gate as bytes: kind code, then its three operand slots as Circuit.ops ints.
+_RECORD = Struct("=B3i")

@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import compress, count
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .circuit import CCZ, CNOT, Circuit
+from .circuit import K_CCZ, K_CNOT, KINDS, Circuit
 from .errors import InputError
 from .gf2 import Gf2Matrix, _mul
 from .halving import C, CP, SUBCALLS, list_halves, pad_odd, split_even, xor_lists
@@ -167,19 +167,18 @@ def extract_phase(
     state = initial if initial is not None else LinearWireState(circuit.wire_count)
     poly = CubicPhasePolynomial()
     controls = target = 0
-    for g in circuit.gates:
-        if g.kind == CNOT and g.operands[1] == target:
-            controls ^= 1 << g.operands[0]
+    for k, u, v, w in circuit.records():
+        if k == K_CNOT and v == target:
+            controls ^= 1 << u
             continue
         state.fan_in(controls, target)
         controls = 0
-        if g.kind == CNOT:
-            controls, target = 1 << g.operands[0], g.operands[1]
-        elif g.kind == CCZ:
-            p, q, r = g.operands
-            poly.xor_product(state.row(p), state.row(q), state.row(r))
+        if k == K_CNOT:
+            controls, target = 1 << u, v
+        elif k == K_CCZ:
+            poly.xor_product(state.row(u), state.row(v), state.row(w))
         else:
-            raise InputError(f"extract_phase supports CNOT and CCZ only, got {g.kind}")
+            raise InputError(f"extract_phase supports CNOT and CCZ only, got {KINDS[k]}")
     state.fan_in(controls, target)
     return poly, state
 

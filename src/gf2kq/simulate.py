@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .circuit import CCZ, CNOT, Circuit, Gate, H, RegisterLayout, TOFFOLI, X
+from .circuit import K_CCZ, K_CNOT, K_H, K_TOF, K_X, KINDS, Circuit, RegisterLayout
 from .errors import FormError, InputError, SimulationError
 from .gf2 import BinaryPolynomial, _mod, _mul, build_reduction_matrix
 from .phasepoly import _bits
@@ -52,29 +54,28 @@ def default_seed() -> int:
 # CCZ form -> Toffoli form
 
 
-def _split_sandwich(circuit: Circuit):
-    gates = circuit.gates
-    lo = 0
-    while lo < len(gates) and gates[lo].kind == H:
-        lo += 1
-    if lo == len(gates):
+def _split_sandwich(circuit: Circuit) -> tuple[frozenset, Circuit]:
+    kinds, ops = circuit.kinds, circuit.ops
+    h = bytes([K_H])
+    lo = len(kinds) - len(kinds.lstrip(h))
+    if lo == len(kinds):
         # no core at all: the two layers make up the whole gate list
         if lo % 2:
             raise FormError("odd all-H gate list is not an H sandwich")
         lo = hi = lo // 2
     else:
-        hi = len(gates)
-        while hi > lo and gates[hi - 1].kind == H:
-            hi -= 1
-    front = {g.operands[0] for g in gates[:lo]}
-    back = {g.operands[0] for g in gates[hi:]}
+        hi = len(kinds.rstrip(h))
+    front = set(ops[0 : 3 * lo : 3])
+    back = set(ops[3 * hi :: 3])
     if not front or front != back:
         raise FormError("circuit is not an H sandwich (layers missing or unequal)")
-    if len(front) != lo or len(back) != len(gates) - hi:
+    if len(front) != lo or len(back) != len(kinds) - hi:
         raise FormError("duplicate H on one wire in a sandwich layer")
     if front != circuit.layout.phase_wires:
         raise FormError("H layers do not match the layout's phase wires")
-    return frozenset(front), gates[lo:hi]
+    core = Circuit(circuit.layout)
+    core.kinds, core.ops = kinds[lo:hi], ops[3 * lo : 3 * hi]
+    return frozenset(front), core
 
 
 def to_toffoli_form(circuit: Circuit) -> Circuit:
@@ -88,29 +89,29 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
     layout = RegisterLayout(
         circuit.layout.n, circuit.layout.ancillas, phase_wires=frozenset()
     )
-    out: list[Gate] = []
-    for g in core:
-        if g.kind == CNOT:
-            u, v = g.operands
+    ops = array("i")
+    for k, u, v, w in core.records():
+        if k == K_CNOT:
             inside = (u in phase) + (v in phase)
             if inside == 1:
-                raise FormError(f"CNOT {g.operands} mixes phase and plain wires")
-            out.append(Gate.cnot(v, u) if inside else g)
-        elif g.kind == CCZ:
-            marked = [w for w in g.operands if w in phase]
+                raise FormError(f"CNOT {(u, v)} mixes phase and plain wires")
+            u, v = (v, u) if inside else (u, v)
+        elif k == K_CCZ:
+            marked = [x for x in (u, v, w) if x in phase]
             if len(marked) != 1:
-                raise FormError(f"CCZ {g.operands} touches {len(marked)} phase wires")
-            others = [w for w in g.operands if w not in phase]
-            out.append(Gate.toffoli(others[0], others[1], marked[0]))
-        elif g.kind == H:
+                raise FormError(f"CCZ {(u, v, w)} touches {len(marked)} phase wires")
+            u, v = sorted(x for x in (u, v, w) if x not in phase)
+            w = marked[0]
+        elif k == K_H:
             raise FormError("H gate inside the sandwich core")
-        elif g.kind == X:
-            if g.operands[0] in phase:
+        elif k == K_X:
+            if u in phase:
                 raise FormError("X on a phase wire has no classical rewrite")
-            out.append(g)
         else:
-            raise FormError(f"unsupported core gate {g.kind}")
-    return Circuit(layout, out)
+            raise FormError(f"unsupported core gate {KINDS[k]}")
+        ops.extend((u, v, w))
+    kinds = core.kinds.replace(bytes([K_CCZ]), bytes([K_TOF]))
+    return Circuit.from_records(layout, kinds, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
 
 
 def is_classical(circuit: Circuit) -> bool:
-    return all(g.kind in (CNOT, TOFFOLI, X) for g in circuit.gates)
+    return K_CCZ not in circuit.kinds and K_H not in circuit.kinds
 
 
 def simulate(circuit: Circuit, state: Sequence[int]) -> tuple[int, ...]:
@@ -128,22 +129,18 @@ def simulate(circuit: Circuit, state: Sequence[int]) -> tuple[int, ...]:
     if not is_classical(circuit):
         raise InputError("simulate handles CNOT/TOF/X circuits only")
     cols = [bit & 1 for bit in state]
-    _run_classical(circuit.gates, cols, 1)
+    _run_classical(circuit, cols, 1)
     return tuple(cols)
 
 
-def _run_classical(gates, cols: list[int], full: int) -> None:
-    for g in gates:
-        if g.kind == CNOT:
-            c, t = g.operands
-            cols[t] ^= cols[c]
-        elif g.kind == TOFFOLI:
-            c1, c2, t = g.operands
-            cols[t] ^= cols[c1] & cols[c2]
-        elif g.kind == X:
-            cols[g.operands[0]] ^= full
-        else:
-            raise SimulationError(f"non-classical gate {g.kind}")
+def _run_classical(circuit: Circuit, cols: list[int], full: int) -> None:
+    for k, u, v, w in circuit.records():
+        if k == K_CNOT:
+            cols[v] ^= cols[u]
+        elif k == K_TOF:
+            cols[w] ^= cols[u] & cols[v]
+        else:  # X: callers check `is_classical` first
+            cols[u] ^= full
 
 
 _TWO_SYMBOLS = "CCZ with two symbol-carrying operands is not basis-preserving"
@@ -168,24 +165,13 @@ def _run_sandwich(circuit: Circuit, cols: list[int], tmask: int) -> list[int]:
         st[w] = 1 << k
     xbits = tmask << m
     acc: dict[int, int] = {}
-    # A Circuit checks every gate's arity against its kind: two operands
-    # mean a CNOT, three a CCZ or Toffoli, one an X or H.
-    for g in core:
-        ops = g.operands
-        arity = len(ops)
-        if arity == 2:
-            c, t = ops
-            st[t] ^= st[c]
-        elif arity == 3:
-            u, v, w = ops
+    for k, u, v, w in core.records():
+        if k == K_CNOT:
+            st[v] ^= st[u]
+        elif k == K_CCZ:
             su = st[u]
             sv = st[v]
             sw = st[w]
-            if g.kind == TOFFOLI:
-                if su & zfull or sv & zfull:
-                    raise SimulationError("Toffoli control carries symbols")
-                st[w] = sw ^ (su & sv)
-                continue
             zu = su & zfull
             zv = sv & zfull
             zw = sw & zfull
@@ -203,18 +189,19 @@ def _run_sandwich(circuit: Circuit, cols: list[int], tmask: int) -> list[int]:
                 continue  # per-input global phase only
             if prod:
                 acc[z] = acc.get(z, 0) ^ prod
-        elif g.kind == X:
-            w = ops[0]
-            if st[w] & zfull:
+        elif k == K_TOF:
+            su = st[u]
+            sv = st[v]
+            if su & zfull or sv & zfull:
+                raise SimulationError("Toffoli control carries symbols")
+            st[w] ^= su & sv
+        elif k == K_X:
+            if st[u] & zfull:
                 raise SimulationError("X on a symbol-carrying wire")
-            st[w] ^= xbits
+            st[u] ^= xbits
         else:
-            raise SimulationError(f"unsupported core gate {g.kind}")
-    flips = [0] * m
-    for z, prod in acc.items():
-        prod >>= m
-        for k in _bits(z):
-            flips[k] ^= prod
+            raise SimulationError(f"unsupported core gate {KINDS[k]}")
+    flips = [f >> m for f in _kickback(acc, m)]
     rank = {w: k for k, w in enumerate(order)}
     out = [0] * circuit.wire_count
     for w, s in enumerate(st):
@@ -232,12 +219,33 @@ def _run_sandwich(circuit: Circuit, cols: list[int], tmask: int) -> list[int]:
     return out
 
 
+def _kickback(acc: dict[int, int], m: int) -> list[int]:
+    """flips[k] = XOR of acc[z] over the masks z with bit k. Each product goes to one
+    bucket per byte of its mask; each bucket, not each product, is expanded into bits."""
+    buckets = acc.items()  # a mask of one byte is its own bucket
+    if m > 8:
+        width = (m + 7) // 8
+        table = [0] * (256 * width)
+        bases = range(0, 256 * width, 256)
+        for z, prod in acc.items():
+            for base, byte in zip(bases, z.to_bytes(width, "little")):
+                if byte:
+                    table[base + byte] ^= prod
+        buckets = filter(itemgetter(1), enumerate(table))
+    flips = [0] * (m + 7 & ~7)
+    for key, prod in buckets:
+        base = key >> 8 << 3
+        for k in _bits(key & 255):
+            flips[base + k] ^= prod
+    return flips[:m]
+
+
 def run_batch(circuit: Circuit, cols: Sequence[int], trials: int) -> list[int]:
     """Run `trials` basis inputs at once; cols[w] holds wire w across trials."""
     tmask = (1 << trials) - 1
     if is_classical(circuit):
         out = list(cols)
-        _run_classical(circuit.gates, out, tmask)
+        _run_classical(circuit, out, tmask)
         return out
     return _run_sandwich(circuit, list(cols), tmask)
 

@@ -25,11 +25,13 @@ subquadratic claim is the CCZ count of this form.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from . import halving
-from .circuit import Circuit, Gate, RegisterLayout
+from .circuit import K_CCZ, K_CNOT, K_H, K_TOF, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, _transpose, build_reduction_matrix, is_irreducible
 from .halving import SUBCALLS, list_halves, split_even, xor_lists
@@ -299,19 +301,30 @@ def _baseline(p: BinaryPolynomial, ladder_style: str, output_form: str) -> Circu
     stage2 = _reduction_stage_gates(p, build_reduction_matrix(p), c, ladder_style)
     if output_form == "ccz_form":
         layout = RegisterLayout(n=n)
-        h_layer = [Gate.h(w) for w in c]
-        stage2 = [Gate.cnot(t, u) for u, t in (g.operands for g in stage2)]
-        product = Gate.ccz
+        h_layer = [(w, -1, -1) for w in c]
+        stage2 = [(t, u, -1) for u, t in (g.operands for g in stage2)]
+        product = K_CCZ
     else:
         layout = RegisterLayout(n=n, phase_wires=frozenset())
         h_layer = []
-        product = Gate.toffoli
-    gates = h_layer + stage2[::-1]
-    gates += [product(a[j], b[n + i - j], c[i]) for i in range(n - 1) for j in range(i + 1, n)]
-    gates += stage2
-    gates += [product(a[j], b[i - j], c[i]) for i in range(n) for j in range(i + 1)]
-    gates += h_layer
-    return Circuit(layout, gates)
+        stage2 = [(*g.operands, -1) for g in stage2]
+        product = K_TOF
+    # (a, b, c) wires ascend: the canonical operand order of a CCZ and a Toffoli.
+    kinds, ops = bytearray(), array("i")
+    _put(kinds, ops, K_H, h_layer)
+    _put(kinds, ops, K_CNOT, stage2[::-1])
+    _put(kinds, ops, product, ((a[j], b[n + i - j], c[i]) for i in a for j in range(i + 1, n)))
+    _put(kinds, ops, K_CNOT, stage2)
+    _put(kinds, ops, product, ((a[j], b[i - j], c[i]) for i in a for j in range(i + 1)))
+    _put(kinds, ops, K_H, h_layer)
+    return Circuit.from_records(layout, kinds, ops)
+
+
+def _put(kinds: bytearray, ops: array, code: int, triples) -> None:
+    """Append a record of kind `code` for each operand triple (-1 padded)."""
+    start = len(ops)
+    ops.extend(chain.from_iterable(triples))
+    kinds += bytes([code]) * ((len(ops) - start) // 3)
 
 
 # ---------------------------------------------------------------------------
@@ -367,33 +380,18 @@ def ccz_count_bound(n: int) -> int:
 # compact builder: in-place materialization of linear forms
 
 
-class _CnotCache(dict):
-    """Maps a (control, target) wire pair to its CNOT Gate, built on first use.
-
-    Gates are immutable and the recursion repeats most CNOTs: compact at
-    n = 256 emits 241,905 CNOTs over 31,602 wire pairs. In the scheduled
-    builders every unprep look-up hits (log-depth, n = 255: 113,963 objects
-    for 227,926 CNOTs); replaying the journaled gates there instead compiled
-    sweep-mid about 10% faster but raised its peak RSS about 4%.
-    """
-
-    def __missing__(self, pair: tuple[int, int]) -> Gate:
-        gate = self[pair] = Gate.cnot(*pair)
-        return gate
-
-
 class _InPlaceGroup:
     """Wires of one register whose contents are re-expressed by CNOTs.
 
     The wire state stays invertible; `materialize` makes some wire hold a
-    requested nonzero form, appending CNOTs within the group to `gates`.
+    requested nonzero form, appending CNOT records within the group.
     """
 
-    def __init__(self, wires: Sequence[int], gates: list[Gate]):
+    def __init__(self, wires: Sequence[int], kinds: bytearray, ops: array):
         self.wires = list(wires)
         self.state = LinearWireState(len(wires))
-        self.gates = gates
-        self.cnots = _CnotCache()
+        self.kinds = kinds
+        self.ops = ops
 
     def materialize(self, form: int) -> int:
         if form == 0:
@@ -403,10 +401,10 @@ class _InPlaceGroup:
         # XOR every other selected wire onto the lowest one, in wire order:
         # one CNOT each, one state update for the whole run. A form already
         # on a wire selects only that wire and emits nothing.
-        wires, cnots = self.wires, self.cnots
+        wires = self.wires
         wt = wires[tgt]
         others = sel & (sel - 1)
-        self.gates.extend([cnots[wires[j], wt] for j in _bits(others)])
+        _put(self.kinds, self.ops, K_CNOT, ((wires[j], wt, -1) for j in _bits(others)))
         self.state.fan_in(others, tgt)
         return wt
 
@@ -414,8 +412,9 @@ class _InPlaceGroup:
         """Emit the CNOTs that return every wire to its initial value. The
         state is not updated, so it is stale and the group's use ends here.
         """
-        wires, cnots = self.wires, self.cnots
-        self.gates.extend([cnots[wires[s], wires[t]] for s, t in _gauss_jordan(self.state.rows)])
+        wires = self.wires
+        undo = ((wires[s], wires[t], -1) for s, t in _gauss_jordan(self.state.rows))
+        _put(self.kinds, self.ops, K_CNOT, undo)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +448,12 @@ class _ScheduledCore:
     total helper count.
     """
 
-    def __init__(self, emit: Callable[[Gate], None], anc_base: int, mode: str):
-        self.emit = emit
+    def __init__(self, kinds: bytearray, ops: array, anc_base: int, mode: str):
+        self.kinds = kinds
+        self.ops = ops
         self.anc_base = anc_base
         self.mode = mode
         self.peak = 0
-        self.cnots = _CnotCache()
 
     def _xor_into(self, src: Slot, tgt: Slot, journal: list, cur: int) -> int:
         if src.form == 0:
@@ -469,7 +468,8 @@ class _ScheduledCore:
             cur += 1
             self.peak = max(self.peak, cur)
             allocated = True
-        self.emit(self.cnots[src.wire, tgt.wire])
+        self.kinds.append(K_CNOT)
+        self.ops.extend((src.wire, tgt.wire, -1))
         tgt.form ^= src.form
         journal.append((src, tgt, allocated))
         return cur
@@ -478,7 +478,8 @@ class _ScheduledCore:
         # Wires handed to lazily-materialized slots are released once the
         # journal unwinds; sibling branches may reuse the window.
         for src, tgt, allocated in reversed(journal):
-            self.emit(self.cnots[src.wire, tgt.wire])
+            self.kinds.append(K_CNOT)
+            self.ops.extend((src.wire, tgt.wire, -1))
             tgt.form ^= src.form
             if allocated:
                 if tgt.form != 0:
@@ -490,7 +491,8 @@ class _ScheduledCore:
         k = len(a)
         if k == 1:
             if a[0].form and b[0].form and c[0].form:
-                self.emit(Gate.ccz(a[0].wire, b[0].wire, c[0].wire))
+                self.kinds.append(K_CCZ)
+                self.ops.extend(sorted((a[0].wire, b[0].wire, c[0].wire)))
             return base
         if k % 2:
             return self.rec(*pad_odd(a, b, c, cp), base)
@@ -637,7 +639,8 @@ def _scratch_prep_equally_spaced(terms, k, c_wires, scratch_wires, temp_wires, s
 
 
 def _core_gates(
-    gates: list[Gate],
+    kinds: bytearray,
+    ops: array,
     mode: str,
     n: int,
     cp_forms: list[int],
@@ -653,7 +656,7 @@ def _core_gates(
     ones = [1 << i for i in range(n)]
     if mode == "compact":
         c_group = [*c_wires, *(w for w in cp_wires if w is not None)]
-        ga, gb, gc = (_InPlaceGroup(ws, gates) for ws in (a_wires, b_wires, c_group))
+        ga, gb, gc = (_InPlaceGroup(ws, kinds, ops) for ws in (a_wires, b_wires, c_group))
 
         def leaf(fa: int, fb: int, fc: int) -> None:
             if not (fa and fb and fc):
@@ -661,13 +664,14 @@ def _core_gates(
             wc = gc.materialize(fc)
             wa = ga.materialize(fa)
             wb = gb.materialize(fb)
-            gates.append(Gate.ccz(wa, wb, wc))
+            kinds.append(K_CCZ)
+            ops.extend(sorted((wa, wb, wc)))
 
         _forms_recursion(ones, ones, ones, cp_forms, leaf)
         for group in (ga, gb, gc):
             group.restore()
         return 0
-    sched = _ScheduledCore(gates.append, anc_base, mode)
+    sched = _ScheduledCore(kinds, ops, anc_base, mode)
     a, b, c = ([Slot(1 << i, w) for i, w in enumerate(ws)] for ws in (a_wires, b_wires, c_wires))
     sched.rec(a, b, c, [Slot(f, w) for f, w in zip(cp_forms, cp_wires)], 0)
     return sched.peak
@@ -698,15 +702,18 @@ def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> 
             raise UnsupportedFamilyError(
                 f"log_depth needs a trinomial or equally spaced modulus, got {p}"
             )
-    h_layer = [Gate.h(w) for w in c_wires]
-    gates = h_layer + prep
+    h_layer = [(w, -1, -1) for w in c_wires]
+    prep = [(*g.operands, -1) for g in prep]
+    kinds, ops = bytearray(), array("i")
+    _put(kinds, ops, K_H, h_layer)
+    _put(kinds, ops, K_CNOT, prep)
     cp_forms = [*q.columns(), 0]
     own = len(scratch) + len(temps)
     cp_wires = scratch + [None] * (n - len(scratch))
-    helpers = _core_gates(gates, variant, n, cp_forms, cp_wires, anc_base + own)
-    gates += reversed(prep)
-    gates += h_layer
-    return Circuit(RegisterLayout(n=n, ancillas=own + helpers), gates)
+    helpers = _core_gates(kinds, ops, variant, n, cp_forms, cp_wires, anc_base + own)
+    _put(kinds, ops, K_CNOT, prep[::-1])
+    _put(kinds, ops, K_H, h_layer)
+    return Circuit.from_records(RegisterLayout(n=n, ancillas=own + helpers), kinds, ops)
 
 
 def synth(options: SynthesisOptions) -> Circuit:
@@ -746,7 +753,7 @@ def karatsuba_core(k: int, mode: str = "compact") -> Circuit:
         raise InputError("k must be >= 1")
     if mode not in ("compact", "linear_depth", "log_depth"):
         raise InputError(f"unknown mode {mode!r}")
-    gates: list[Gate] = []
+    kinds, ops = bytearray(), array("i")
     cp_forms = [1 << (k + i) for i in range(k)]
-    extra = _core_gates(gates, mode, k, cp_forms, range(3 * k, 4 * k), 4 * k)
-    return Circuit(RegisterLayout(n=k, ancillas=k + extra), gates)
+    extra = _core_gates(kinds, ops, mode, k, cp_forms, range(3 * k, 4 * k), 4 * k)
+    return Circuit.from_records(RegisterLayout(n=k, ancillas=k + extra), kinds, ops)

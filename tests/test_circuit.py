@@ -1,6 +1,7 @@
 """Circuit IR, scheduling metrics, and netlist round-trip tests."""
 
 import random
+from array import array
 
 import pytest
 
@@ -85,6 +86,23 @@ def test_extend_validates_every_gate_all_or_nothing(bad, line, message):
     with pytest.raises(NetlistParseError) as err:
         parse_netlist(header + f"CNOT 0 1\n{line}\nX 3\n")
     assert err.value.line_no == 5
+
+
+def test_from_records_checks_every_record():
+    lay = RegisterLayout(n=2)
+    good = Circuit(lay, [Gate.cnot(0, 1), Gate.ccz(0, 2, 4), Gate.h(4), Gate.toffoli(1, 0, 5)])
+    assert list(good.records()) == [(0, 0, 1, -1), (1, 0, 2, 4), (3, 4, -1, -1), (2, 0, 1, 5)]
+    assert Circuit.from_records(lay, bytearray(good.kinds), array("i", good.ops)) == good
+    for kinds, ops, message in [
+        (b"\x07", [0, -1, -1], "unknown gate kind 7"),
+        (b"\x00", [0, 1, 2], "operand slots past its arity"),
+        (b"\x03", [4, 0, -1], "operand slots past its arity"),
+        (b"\x00\x00", [0, 1, -1], "three operand slots per kind code"),
+        (b"\x01", [0, 2, 2], "duplicate operand"),
+        (b"\x04", [6, -1, -1], "operand 6 outside 6-wire circuit"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            Circuit.from_records(lay, kinds, array("i", ops))
 
 
 def test_layout_ranges():
@@ -293,14 +311,13 @@ def test_parse_operand_spellings_and_inline_comments():
     assert spelled == plain
 
 
-def test_parse_shares_gates_and_wire_ints():
+def test_parse_keeps_gate_kinds_and_operands():
     lay = RegisterLayout(n=100, ancillas=200)
     gates = [Gate.cnot(299, 450), Gate.ccz(250, 300, 450), Gate.cnot(299, 450), Gate.x(450)]
     circ = parse_netlist(emit_netlist(Circuit(lay, gates)))
     assert circ.gates == gates
     g0, g1, g2, g3 = circ.gates
     assert g0 is g2
-    assert g0.operands[1] is g1.operands[2] is g3.operands[0]
     assert g0.kind is CNOT and g1.kind is CCZ and g3.kind is X
 
 

@@ -177,34 +177,25 @@ def test_linear_wire_state_solver():
         assert acc == form
 
 
-def test_linear_wire_state_row_dict_matches_scan():
+def test_linear_wire_state_find_wire_and_solve():
     rng = random.Random(31)
     n = 10
-    tracked = LinearWireState(n)
-    plain = LinearWireState(n)
+    state = LinearWireState(n)
     for _ in range(400):
         control, target = rng.sample(range(n), 2)
-        tracked.cnot(control, target)
-        plain.cnot(control, target)
-    assert tracked.rows == plain.rows
-    assert not tracked.is_identity()
-    held = set(tracked.rows)
-    for w, r in enumerate(tracked.rows):
-        assert tracked.find_wire(r) == plain.find_wire(r) == w
+        state.cnot(control, target)
+    assert not state.is_identity()
+    held = set(state.rows)
+    for w, r in enumerate(state.rows):
+        assert state.find_wire(r) == w
     absent = [form for form in range(1 << n) if form not in held]
     assert 0 in absent and len(absent) > 900
     for form in absent:
-        assert tracked.find_wire(form) is None
-        assert plain.find_wire(form) is None
+        assert state.find_wire(form) is None
     for form in range(1 << n):
-        sel = tracked.solve(form)
-        acc = 0
-        for j in range(n):
-            if (sel >> j) & 1:
-                acc ^= tracked.row(j)
-        assert acc == form
+        assert _xor_of_rows(state, state.solve(form)) == form
     with pytest.raises(InputError):
-        tracked.cnot(3, 3)
+        state.cnot(3, 3)
     assert LinearWireState(0).solve(0) == 0
 
 

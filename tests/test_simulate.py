@@ -21,6 +21,7 @@ from gf2kq.gf2 import (
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.phasepoly import _bits, extract_phase
 from gf2kq.simulate import (
+    _kickback,
     _run_sandwich,
     _split_sandwich,
     is_classical,
@@ -498,3 +499,19 @@ def test_sandwich_kernel_error_paths(core, message):
         assert str(err.value) == message
     with pytest.raises(SimulationError, match=message):
         run_batch(circ, cols, 1)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 256])
+def test_kickback_matches_per_bit_expansion(m):
+    rng = random.Random(800 + m)
+    for size in (0, 1, 5, 300):
+        acc = {}
+        for _ in range(size):
+            z = rng.getrandbits(m) or 1 << rng.randrange(m)
+            acc[z] = acc.get(z, 0) ^ rng.getrandbits(200)
+        acc[(1 << m) - 1] = rng.getrandbits(200)
+        want = [0] * m
+        for z, prod in acc.items():
+            for k in _bits(z):
+                want[k] ^= prod
+        assert _kickback(acc, m) == want

@@ -1,8 +1,11 @@
 """Synthesizer tests: variants, fragments, ladders, counts, depth shape."""
 
+import gc
 import math
 import random
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -10,6 +13,7 @@ from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
 from gf2kq.circuit import Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
+from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.phasepoly import LinearWireState, extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
@@ -472,7 +476,32 @@ def test_random_nonzero_initial_c_all_variants():
 
 
 # ---------------------------------------------------------------------------
-# CNOT gate sharing and the compact builder's in-place group
+# gate storage and the compact builder's in-place group
+
+
+def _retained(build):
+    """build()'s result and the bytes it holds once built, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant,n,family", [("compact", 128, None), ("log_depth", 63, "trinomial")])
+def test_gate_storage_is_at_most_16_bytes_per_gate(variant, n, family):
+    p = (catalog_lookup(n, family) if family else catalog_lookup(n)).polynomial
+    circ, held = _retained(lambda: synth(_opts(variant, p)))
+    assert held <= 16 * len(circ)
+    text = emit_netlist(circ)
+    parsed, held = _retained(lambda: parse_netlist(text))
+    assert parsed == circ
+    assert held <= 16 * len(parsed)
+    assert Circuit(circ.layout, circ.gates) == circ
 
 
 def _cnot_objects_and_pairs(gates):
@@ -494,20 +523,24 @@ def test_compact_synth_uses_one_cnot_gate_per_wire_pair():
 
 
 def test_in_place_group_materialize_and_restore():
-    gates = []
-    group = _InPlaceGroup([10, 11, 12, 13], gates)
+    kinds, ops = bytearray(), array("i")
+    group = _InPlaceGroup([10, 11, 12, 13], kinds, ops)
+
+    def gates():
+        return Circuit.from_records(RegisterLayout(n=5), bytes(kinds), array("i", ops)).gates
+
     assert group.materialize(0b0011) == 10
-    assert gates == [Gate.cnot(11, 10)]
+    assert gates() == [Gate.cnot(11, 10)]
     assert group.materialize(0b0011) == 10
     assert group.materialize(0b0010) == 11
-    assert gates == [Gate.cnot(11, 10)]
+    assert gates() == [Gate.cnot(11, 10)]
     assert group.materialize(0b1110) == 11
-    assert gates == [Gate.cnot(11, 10), Gate.cnot(12, 11), Gate.cnot(13, 11)]
+    assert gates() == [Gate.cnot(11, 10), Gate.cnot(12, 11), Gate.cnot(13, 11)]
     with pytest.raises(SynthesisError):
         group.materialize(0)
     group.restore()
-    assert len(gates) > 3
+    assert len(gates()) > 3
     state = LinearWireState(14)
-    for g in gates:
+    for g in gates():
         state.cnot(*g.operands)
     assert state.is_identity()
