@@ -4,7 +4,7 @@ Subcommands: synth (write a netlist plus a resource report), verify (check
 a netlist against the classical oracle), bench (CSV resource table with
 optional scaling fits), catalog (list known moduli).
 
-Exit codes: 0 ok, 1 verification failure, 2 invalid modulus,
+Exit codes: 0 ok, 1 verification failure, 2 invalid modulus or request,
 3 unsupported family or form, 4 parse or I/O error.
 """
 

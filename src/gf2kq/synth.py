@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from typing import Callable, Optional, Sequence
 
 from . import halving
@@ -40,6 +40,8 @@ from .simulate import to_toffoli_form
 
 VARIANTS = ("compact", "linear_depth", "log_depth", "baseline")
 LADDER_STYLES = ("sequential", "prefix_ancilla")
+# Inside this module a CNOT fragment is a list of (control, target) wire pairs.
+_Pairs = list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -101,25 +103,28 @@ def cnot_ladder(wires: Sequence[int], style: str = "sequential") -> list[Gate]:
     at most 2*ceil(log2 m) with no extra wires, so it stays inside the
     "at most m ancillas, restored" budget trivially.
     """
-    m = len(wires)
-    if m < 2:
+    if len(wires) < 2:
         raise InputError("ladder needs at least 2 wires")
+    return list(starmap(Gate.cnot, _ladder(wires, style)))
+
+
+def _ladder(wires: Sequence[int], style: str) -> _Pairs:
+    """`cnot_ladder`'s (control, target) pairs; none for fewer than 2 wires."""
+    m = len(wires)
     if style == "sequential":
-        return [Gate.cnot(wires[i - 1], wires[i]) for i in range(1, m)]
+        return list(zip(wires, wires[1:]))
     if style != "prefix_ancilla":
         raise InputError(f"unknown ladder style {style!r}")
-    gates = []
+    pairs = []
     d = 1
     while 2 * d <= m:
-        for base in range(2 * d - 1, m, 2 * d):
-            gates.append(Gate.cnot(wires[base - d], wires[base]))
+        pairs += [(wires[base - d], wires[base]) for base in range(2 * d - 1, m, 2 * d)]
         d *= 2
     d //= 2
     while d >= 1:
-        for base in range(2 * d - 1, m - d, 2 * d):
-            gates.append(Gate.cnot(wires[base], wires[base + d]))
+        pairs += [(wires[base], wires[base + d]) for base in range(2 * d - 1, m - d, 2 * d)]
         d //= 2
-    return gates
+    return pairs
 
 
 def reduction_cnot_trinomial(
@@ -138,19 +143,19 @@ def reduction_cnot_trinomial(
         wires = list(range(n))
     if len(wires) != n:
         raise InputError("fragment needs exactly n wires")
-    gates: list[Gate] = []
+    return list(starmap(Gate.cnot, _trinomial_pairs(n, k, wires, style)))
+
+
+def _trinomial_pairs(n: int, k: int, wires: Sequence[int], style: str) -> _Pairs:
+    pairs = []
     for res in range(n - k):
-        chain = [wires[pos] for pos in range(res, n - 1, n - k)]
-        if len(chain) >= 2:
-            gates.extend(cnot_ladder(list(reversed(chain)), style))
+        pairs += _ladder(wires[res : n - 1 : n - k][::-1], style)
     # Shift layer: w_(i+k) ^= old w_i for all i < n-k. Within a residue
     # class mod k this is the pairwise-difference operator, the inverse of
     # the running-parity ladder, so the same prefix network flattens it.
     for res in range(k):
-        cls = [wires[pos] for pos in range(res, n, k)]
-        if len(cls) >= 2:
-            gates.extend(reversed(cnot_ladder(cls, style)))
-    return gates
+        pairs += _ladder(wires[res::k], style)[::-1]
+    return pairs
 
 
 def reduction_cnot_equally_spaced(
@@ -168,14 +173,18 @@ def reduction_cnot_equally_spaced(
         wires = list(range(n))
     if len(wires) != n:
         raise InputError("fragment needs exactly n wires")
-    gates: list[Gate] = []
+    return list(starmap(Gate.cnot, _equally_spaced_pairs(terms, k, wires, style)))
+
+
+def _equally_spaced_pairs(terms: int, k: int, wires: Sequence[int], style: str) -> _Pairs:
+    pairs = []
     for j in range(k):
-        stride = [wires[i * k + j] for i in range(terms)]
+        stride = wires[j::k]
         # pairwise differences toward low indices = inverse of the
         # running-parity ladder on the reversed stride
-        gates.extend(reversed(cnot_ladder(list(reversed(stride)), style)))
-        gates.extend(cnot_ladder(stride, style))
-    return gates
+        pairs += _ladder(stride[::-1], style)[::-1]
+        pairs += _ladder(stride, style)
+    return pairs
 
 
 def cprime_ancilla_circuit(q: Gf2Matrix) -> Circuit:
@@ -185,18 +194,16 @@ def cprime_ancilla_circuit(q: Gf2Matrix) -> Circuit:
     the ASAP depth stays O(n).
     """
     layout = RegisterLayout(n=q.n_rows, ancillas=q.n_rows - 1)
-    return Circuit(layout, _cprime_gates(q, layout.c_range, layout.anc_range))
+    kinds, ops = bytearray(), array("i")
+    pairs = _cprime_gates(q, layout.c_range, layout.anc_range)
+    _put(kinds, ops, K_CNOT, ((s, t, -1) for s, t in pairs))
+    return Circuit.from_records(layout, kinds, ops)
 
 
-def _cprime_gates(q: Gf2Matrix, c_wires: Sequence[int], anc_wires: Sequence[int]) -> list[Gate]:
+def _cprime_gates(q: Gf2Matrix, c_wires: Sequence[int], anc_wires: Sequence[int]) -> _Pairs:
     n = q.n_rows
-    gates = []
-    for shift in range(n):
-        for col in range(q.n_cols):
-            row = (col + shift) % n
-            if q[row, col]:
-                gates.append(Gate.cnot(c_wires[row], anc_wires[col]))
-    return gates
+    diagonals = (((col + shift) % n, col) for shift in range(n) for col in range(q.n_cols))
+    return [(c_wires[row], anc_wires[col]) for row, col in diagonals if q[row, col]]
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +251,19 @@ def _gauss_jordan(rows: Sequence[int]) -> list[tuple[int, int]]:
     return ops
 
 
-def _linear_gates_from_matrix(rows: Sequence[int], wires: Sequence[int]) -> list[Gate]:
-    """CNOT list whose classical action is x -> M x for invertible M."""
-    return [Gate.cnot(wires[s], wires[t]) for s, t in reversed(_gauss_jordan(rows))]
-
-
 def _reduction_stage_gates(
     p: BinaryPolynomial, q: Gf2Matrix, wires: Sequence[int], style: str
-) -> list[Gate]:
-    """Gates applying an invertible extension of e -> Qe on the result wires."""
+) -> _Pairs:
+    """CNOT pairs applying an invertible extension of e -> Qe on the result wires."""
     tri = trinomial_split(p)
     if tri is not None:
-        return reduction_cnot_trinomial(p.degree, tri, wires, style)
+        return _trinomial_pairs(p.degree, tri, wires, style)
     es = equally_spaced_split(p)
     if es is not None:
-        return reduction_cnot_equally_spaced(es[0], es[1], wires, style)
+        return _equally_spaced_pairs(*es, wires, style)
+    # x -> M x for the completed matrix M: Gauss-Jordan's row additions, reversed.
     cols = [*q.columns(), 1 << _completion_column(q)]
-    return _linear_gates_from_matrix(_transpose(cols, q.n_rows), wires)
+    return [(wires[s], wires[t]) for s, t in reversed(_gauss_jordan(_transpose(cols, q.n_rows)))]
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +305,12 @@ def _baseline(p: BinaryPolynomial, ladder_style: str, output_form: str) -> Circu
     if output_form == "ccz_form":
         layout = RegisterLayout(n=n)
         h_layer = [(w, -1, -1) for w in c]
-        stage2 = [(t, u, -1) for u, t in (g.operands for g in stage2)]
+        stage2 = [(t, s, -1) for s, t in stage2]
         product = K_CCZ
     else:
         layout = RegisterLayout(n=n, phase_wires=frozenset())
         h_layer = []
-        stage2 = [(*g.operands, -1) for g in stage2]
+        stage2 = [(s, t, -1) for s, t in stage2]
         product = K_TOF
     # (a, b, c) wires ascend: the canonical operand order of a CCZ and a Toffoli.
     kinds, ops = bytearray(), array("i")
@@ -587,7 +590,7 @@ def prepare_parallel(
     if k % 2 or len(b_wires) != k or len(c_wires) != k or len(cp_wires) != k:
         raise InputError("prepare_parallel needs even equal-size registers")
     if len(fresh_wires) != k // 2:
-        raise InputError("need ceil(k/2) fresh wires")
+        raise InputError("need k/2 fresh wires")
     return _cnots(_prepare_parallel, a_wires, b_wires, c_wires, cp_wires, fresh_wires)
 
 
@@ -610,28 +613,23 @@ def _cnots(fragment, *wires) -> list[Gate]:
 # scratch preparation of c' = Q^T c for the scheduled variants
 
 
-def _scratch_prep_trinomial(n, k, c_wires, scratch_wires, style) -> list[Gate]:
-    gates = [Gate.cnot(c_wires[m], scratch_wires[m]) for m in range(n - 1)]
-    gates += [Gate.cnot(c_wires[k + i], scratch_wires[i]) for i in range(n - k)]
+def _scratch_prep_trinomial(n, k, c_wires, scratch_wires, style) -> _Pairs:
+    pairs = [(c_wires[m], scratch_wires[m]) for m in range(n - 1)]
+    pairs += [(c_wires[k + i], scratch_wires[i]) for i in range(n - k)]
     for res in range(n - k):
-        chain = [scratch_wires[pos] for pos in range(res, n - 1, n - k)]
-        if len(chain) >= 2:
-            gates.extend(cnot_ladder(chain, style))
-    return gates
+        pairs += _ladder(scratch_wires[res :: n - k], style)
+    return pairs
 
 
-def _scratch_prep_equally_spaced(terms, k, c_wires, scratch_wires, temp_wires, style) -> list[Gate]:
+def _scratch_prep_equally_spaced(terms, k, c_wires, scratch_wires, temp_wires, style) -> _Pairs:
     n = terms * k
-    gates = [Gate.cnot(c_wires[m - k], scratch_wires[m]) for m in range(k, n - 1)]
+    pairs = [(c_wires[m - k], scratch_wires[m]) for m in range(k, n - 1)]
     for j in range(k):
         temps = temp_wires[j * terms : (j + 1) * terms]
-        copy = [Gate.cnot(c_wires[i * k + j], temps[i]) for i in range(terms)]
-        ladder = cnot_ladder(temps, style)
-        gates += copy + ladder
-        gates.append(Gate.cnot(temps[-1], scratch_wires[j]))
-        gates += [g for g in reversed(ladder)]
-        gates += [g for g in reversed(copy)]
-    return gates
+        copy = list(zip(c_wires[j::k], temps))
+        ladder = _ladder(temps, style)
+        pairs += copy + ladder + [(temps[-1], scratch_wires[j])] + ladder[::-1] + copy[::-1]
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +683,7 @@ def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> 
     # The scheduled variants first copy c' = Q^T c onto scratch wires.
     scratch: list[int] = []
     temps: list[int] = []
-    prep: list[Gate] = []
+    prep: _Pairs = []
     if variant != "compact":
         scratch = [anc_base + i for i in range(n - 1)]
         tri = trinomial_split(p)
@@ -703,7 +701,7 @@ def _karatsuba_circuit(p: BinaryPolynomial, variant: str, ladder_style: str) -> 
                 f"log_depth needs a trinomial or equally spaced modulus, got {p}"
             )
     h_layer = [(w, -1, -1) for w in c_wires]
-    prep = [(*g.operands, -1) for g in prep]
+    prep = [(s, t, -1) for s, t in prep]
     kinds, ops = bytearray(), array("i")
     _put(kinds, ops, K_H, h_layer)
     _put(kinds, ops, K_CNOT, prep)

@@ -18,13 +18,17 @@ METRICS = [
 ]
 
 
-def _runs(workload, values_by_metric, seeds=(1, 2, 3, 4), failed=0):
-    return [
+def _runs(workload, values_by_metric, seeds=(1, 2, 3, 4), failed=0, digests=None):
+    runs = [
         {"workload": workload, "seed": seed, "ran_first_in_pair": i % 2 == 0,
          "result": {"failed": failed, "metrics": {name: {"value": vals[i], "unit": "x"}
                                              for name, vals in values_by_metric.items()}}}
         for i, seed in enumerate(seeds)
     ]
+    for run, digest in zip(runs, digests or ()):
+        if digest is not None:
+            run["netlist_digest"] = digest
+    return runs
 
 
 def test_quartiles_interpolate_between_order_statistics():
@@ -113,3 +117,28 @@ def test_report_exit_status_counts_failures_and_unresolved_metrics(tmp_path, cap
     _write(tmp_path, "new", _runs("w", {"compile_s": [1.1] * 4}))
     assert _report(tmp_path) == 1
     assert "UNRESOLVED" in capsys.readouterr().out
+
+
+def test_digest_counts_pairs_equal_different_and_unrecorded():
+    first = _runs("w", {}, seeds=(1, 2, 3, 4, 5, 6), digests=["a", "b", None, "d", "", "f"])
+    second = _runs("w", {}, seeds=(1, 2, 3, 4, 5, 6), digests=["a", "x", "c", None, "e", "f"])
+    # a run without a partner on the other side is no pair
+    first += _runs("w", {}, seeds=(9,), digests=["z"])
+    second += _runs("v", {}, seeds=(1,), digests=["a"])
+    assert bench_pairs.digest_counts(first, second) == {"equal": 2, "different": 1, "unrecorded": 3}
+
+
+def test_report_counts_digests_and_fails_when_a_pair_differs(tmp_path, capsys):
+    values = {"compile_s": [1.0] * 4}
+    # files written before digests were kept: every pair unrecorded, no failure
+    _write(tmp_path, "old", _runs("w", values))
+    _write(tmp_path, "new", _runs("w", values))
+    assert _report(tmp_path) == 0
+    assert "netlist_digest: 0 pairs equal, 0 different, 4 unrecorded" in capsys.readouterr().out
+    _write(tmp_path, "old", _runs("w", values, digests=["a", "b", "c", "d"]))
+    _write(tmp_path, "new", _runs("w", values, digests=["a", "b", "c", None]))
+    assert _report(tmp_path) == 0
+    assert "netlist_digest: 3 pairs equal, 0 different, 1 unrecorded" in capsys.readouterr().out
+    _write(tmp_path, "new", _runs("w", values, digests=["a", "b", "x", None]))
+    assert _report(tmp_path) == 1
+    assert "netlist_digest: 2 pairs equal, 1 different, 1 unrecorded" in capsys.readouterr().out

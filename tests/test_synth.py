@@ -1,6 +1,8 @@
 """Synthesizer tests: variants, fragments, ladders, counts, depth shape."""
 
 import gc
+import hashlib
+import importlib
 import math
 import random
 import sys
@@ -192,6 +194,8 @@ def test_prepare_parallel_k4_shape():
     fresh = [lay.anc(k + i) for i in range(k // 2)]
     gates = prepare_parallel(a, b, c, cp, fresh)
     assert len(gates) == 10
+    with pytest.raises(InputError, match=r"need k/2 fresh wires"):
+        prepare_parallel(a, b, c, cp, fresh[:1])
     circ = Circuit(lay, gates)
     assert compute_depth(circ).depth == 2
     both = Circuit(lay, gates + list(reversed(gates)))
@@ -225,6 +229,67 @@ def test_scheduled_calls_touch_disjoint_wires():
     wires_a = {w for g in call_a for w in g.operands}
     wires_b = {w for g in call_b for w in g.operands}
     assert not wires_a & wires_b
+
+
+def _operand_digest(gates):
+    return hashlib.sha256(repr([g.operands for g in gates]).encode()).hexdigest()
+
+
+_FRAGMENTS = {
+    "ladder-seq-2": lambda: cnot_ladder(list(range(2)), "sequential"),
+    "ladder-seq-7": lambda: cnot_ladder(list(range(7)), "sequential"),
+    "ladder-seq-16": lambda: cnot_ladder(list(range(16)), "sequential"),
+    "ladder-seq-37": lambda: cnot_ladder(list(range(37)), "sequential"),
+    "ladder-pre-2": lambda: cnot_ladder(list(range(2)), "prefix_ancilla"),
+    "ladder-pre-7": lambda: cnot_ladder(list(range(7)), "prefix_ancilla"),
+    "ladder-pre-16": lambda: cnot_ladder(list(range(16)), "prefix_ancilla"),
+    "ladder-pre-37": lambda: cnot_ladder(list(range(37)), "prefix_ancilla"),
+    "tri-seq-9-7": lambda: reduction_cnot_trinomial(9, 7, style="sequential"),
+    "tri-seq-17-5": lambda: reduction_cnot_trinomial(17, 5, style="sequential"),
+    "tri-seq-17-15": lambda: reduction_cnot_trinomial(17, 15, style="sequential"),
+    "tri-pre-9-7": lambda: reduction_cnot_trinomial(9, 7, style="prefix_ancilla"),
+    "tri-pre-17-5": lambda: reduction_cnot_trinomial(17, 5, style="prefix_ancilla"),
+    "tri-pre-17-15": lambda: reduction_cnot_trinomial(17, 15, style="prefix_ancilla"),
+    "es-seq-4-1": lambda: reduction_cnot_equally_spaced(4, 1, style="sequential"),
+    "es-seq-4-3": lambda: reduction_cnot_equally_spaced(4, 3, style="sequential"),
+    "es-pre-4-1": lambda: reduction_cnot_equally_spaced(4, 1, style="prefix_ancilla"),
+    "es-pre-4-3": lambda: reduction_cnot_equally_spaced(4, 3, style="prefix_ancilla"),
+    "prepare-parallel-8": lambda: prepare_parallel(
+        range(8), range(8, 16), range(16, 24), range(24, 32), range(32, 36)
+    ),
+    "prepare-second-8": lambda: prepare_second(range(8), range(8, 16)),
+}
+
+
+# sha256 of the repr of each fragment's operand tuples, in gate order. The
+# netlist goldens see fragment order only through catalog moduli; these pin
+# the standalone shapes too.
+@pytest.mark.parametrize("name, digest", [
+    ("ladder-seq-2", "4c461d4a0ab0fe42d5dfe0398002bac0ee02261aa3b5641fe9d4d1f8d99633a3"),
+    ("ladder-seq-7", "89fc64631a0bbd22c3fa6f390d7a5467077b226495da0654d1fff8fcedf8b452"),
+    ("ladder-seq-16", "297e4a1592203ad9c88e15b2798f883ac252cfa9dca0e3580b284fe5fbb626c8"),
+    ("ladder-seq-37", "364537b3c30849e41029fde2f6320cc0e793ef224b0f2da89f9c2d18c00fa81d"),
+    ("ladder-pre-2", "4c461d4a0ab0fe42d5dfe0398002bac0ee02261aa3b5641fe9d4d1f8d99633a3"),
+    ("ladder-pre-7", "e89ce8003f278549ba119ba026ce6a341bbf3cbda8c5b2b72a537a0d249f59cb"),
+    ("ladder-pre-16", "dcfa6ee2133d96bc1b0507fcc3710e4f7807baa0d9c4a699b927bf30913de6ea"),
+    ("ladder-pre-37", "a42e768cc962f76b4a7115a177cb0f29d34ef50fbc3694400b73446684d4e98f"),
+    ("tri-seq-9-7", "6faf7728e41a1c7181549fcb13a6fef2cfb5eecae338de432d81fb5c830fb854"),
+    ("tri-seq-17-5", "b4bac4b7c3fb08d26828fe27764fa7bcca3133adf7edc2dacf30b68e5692a3ad"),
+    ("tri-seq-17-15", "20ce44fac08caaefcb271001e8f8b306e50559b72753e3128d22ba20a034e845"),
+    ("tri-pre-9-7", "4e156a5cc7556607e6b1adac164aa64249ebcceeda2f14b0ffe11937134ae3a0"),
+    ("tri-pre-17-5", "1de28012310a199d94f38515f83c11a942b86d19f21403196dde937dc8e484b0"),
+    ("tri-pre-17-15", "f3e3f6f371ff7971281d03151f192e2799edef75671db6bc03bcb540fd90fb1e"),
+    ("es-seq-4-1", "4e048762ab4d70dde889f799c92792112353756de79238eee2dcc4147fc44655"),
+    ("es-seq-4-3", "8108f940df2aea9682587aa61e99bb46795c60f67e08d1f603eb10b640f82fca"),
+    ("es-pre-4-1", "bdae5448a41d0145cf8eae4a24ea75b7e5bc381215c6ad38f81c0f3fe60953b4"),
+    ("es-pre-4-3", "bbb81a78819d69dbdd063992bf10917d9ed00868ffe5bf190890726b79bb6936"),
+    ("prepare-parallel-8", "e2c66f8be553a790bbbc519356c7407b77bc0cf9beae337f9038e75876d56144"),
+    ("prepare-second-8", "f96a6aadfbf9588639087ee66faa8e728c25189247497d3693d2f83785058ee5"),
+])
+def test_public_fragments_keep_their_gate_lists(name, digest):
+    gates = _FRAGMENTS[name]()
+    assert all(type(g) is Gate and g.kind == "CNOT" for g in gates)
+    assert _operand_digest(gates) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +609,31 @@ def test_in_place_group_materialize_and_restore():
     for g in gates():
         state.cnot(*g.operands)
     assert state.is_identity()
+
+
+class _NoGate:
+    def __getattr__(self, name):
+        raise AssertionError(f"a builder used Gate.{name}")
+
+
+def test_builders_make_no_gate_objects(monkeypatch):
+    # `gf2kq.synth` the attribute is the function; the module is imported by name.
+    module = importlib.import_module("gf2kq.synth")
+    monkeypatch.setattr(module, "Gate", _NoGate())
+    moduli = [catalog_lookup(9, "trinomial"), catalog_lookup(12, "equally_spaced"),
+              catalog_lookup(13), catalog_lookup(16)]
+    for entry in moduli:
+        p = entry.polynomial
+        for variant in module.VARIANTS:
+            if variant == "log_depth" and entry.family == "generic":
+                continue
+            forms = ("ccz_form", "toffoli_form") if variant in ("baseline", "compact") else ("ccz_form",)
+            for form in forms:
+                for ladder in module.LADDER_STYLES:
+                    circ = synth(_opts(variant, p, output_form=form, ladder_style=ladder))
+                    assert circ.counts()["CCZ" if form == "ccz_form" else "TOF"] > 0
+    for k in (1, 5, 8):
+        for mode in ("compact", "linear_depth", "log_depth"):
+            assert karatsuba_core(k, mode).counts()["CCZ"] > 0
+    q = build_reduction_matrix(P7)
+    assert cprime_ancilla_circuit(q).counts()["CNOT"] == q.popcount()

@@ -4,10 +4,13 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, on the
 same workload and seed; which checkout runs first alternates from pair to
 pair. The tool writes one BENCH_<label>.json per side (rewritten after every
-pair) and prints, for each workload and end-to-end metric of BENCHMARK.json,
-each side's median and quartiles, the pairs the second side won and the
-relative change of the median next to the metric's bound. The workloads and
-the run length are those of BENCHMARK.json; each workload gets ten pairs.
+pair), each run with the netlist digest the runner printed, and prints how
+many pairs have equal, different and unrecorded digests (files written before
+digests were kept count as unrecorded), then, for each workload and end-to-end
+metric of BENCHMARK.json, each side's median and quartiles, the pairs the
+second side won and the relative change of the median next to the metric's
+bound. The workloads and the run length are those of BENCHMARK.json; each
+workload gets ten pairs.
 Run from the repository root:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --labels parent change \\
@@ -20,8 +23,9 @@ already in `--out` and runs nothing.
 The exit status is 1 when a metric's median is worse than its bound, when a
 metric is unresolved (the first side's quartile distance, relative to its
 median, exceeds the bound and not every run of the second side is better
-than every run of the first), or when the second side has more failed
-operations than the first; otherwise 0.
+than every run of the first), when the second side has more failed
+operations than the first, or when a pair's recorded netlist digests differ;
+otherwise 0.
 """
 
 from __future__ import annotations
@@ -68,6 +72,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def digest_counts(first: list[dict], second: list[dict]) -> dict[str, int]:
+    """Pairs (runs of one workload and seed) whose netlist digests are equal,
+    different, or unrecorded on either side."""
+    by_key = {(r["workload"], r["seed"]): r for r in second}
+    counts = {"equal": 0, "different": 0, "unrecorded": 0}
+    for r in first:
+        other = by_key.get((r["workload"], r["seed"]))
+        if other is None:
+            continue
+        a, b = r.get("netlist_digest"), other.get("netlist_digest")
+        counts["unrecorded" if not (a and b) else "equal" if a == b else "different"] += 1
+    return counts
 
 
 def summarize(first: list[dict], second: list[dict], metrics: list[dict]) -> list[dict]:
@@ -140,23 +158,24 @@ def main(argv=None) -> int:
                             f"{PAIRS} pairs per workload, first side alternating",
                     "runs": []} for checkout, label in sides]
         runs = [rec["runs"] for rec in records]
-        turn, digests_equal = 0, 0
+        turn = 0
         for w, workload in enumerate(wl["name"] for wl in BENCHMARK["workloads"]):
             for i in range(1, PAIRS + 1):
                 seed = args.seed_base + 100 * w + i
                 order = (0, 1) if turn % 2 == 0 else (1, 0)
                 turn += 1
-                digests = {}
                 for pos, side in enumerate(order):
-                    result, digests[side] = run_once(sides[side][0], workload, seed)
+                    result, digest = run_once(sides[side][0], workload, seed)
                     runs[side].append({"workload": workload, "seed": seed,
-                                       "ran_first_in_pair": pos == 0, "result": result})
-                digests_equal += digests[0] == digests[1]
+                                       "ran_first_in_pair": pos == 0,
+                                       "netlist_digest": digest, "result": result})
                 for rec, path in zip(records, paths):
                     path.write_text(json.dumps(rec, indent=1) + "\n")
                 print(f"{workload} seed {seed} done", file=sys.stderr)
-        print(f"netlist_digest equal in {digests_equal} of {turn} pairs")
 
+    digests = digest_counts(*runs)
+    print("netlist_digest: {equal} pairs equal, {different} different, {unrecorded} unrecorded"
+          .format(**digests))
     failed = [sum(r["result"]["failed"] for r in side) for side in runs]
     for label, side, f in zip(args.labels, runs, failed):
         print(f"{label}: {len(side)} runs, failed {f}")
@@ -165,7 +184,8 @@ def main(argv=None) -> int:
         print(format_row(row))
     if failed[1] > failed[0]:
         print(f"{args.labels[1]} has more failed operations than {args.labels[0]}")
-    return int(failed[1] > failed[0] or any(row["worse"] or row["unresolved"] for row in rows))
+    return int(failed[1] > failed[0] or digests["different"] > 0
+               or any(row["worse"] or row["unresolved"] for row in rows))
 
 
 if __name__ == "__main__":
