@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .gf2 import BinaryPolynomial
-from .netlist import emit_netlist, parse_netlist
+from .netlist import _emit_chunks, parse_netlist
 from .simulate import DEFAULT_SEED, SEED_ENV_VAR, verify_multiplier
 from .synth import SynthesisOptions, synth
 
@@ -91,10 +91,10 @@ def cmd_synth(args) -> int:
         ladder_style=_LADDERS[args.ladder],
     )
     circuit = synth(options)
-    text = emit_netlist(circuit)
     try:
+        # Chunk by chunk, so the whole netlist text never exists in memory.
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_emit_chunks(circuit))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_PARSE_IO

@@ -11,32 +11,50 @@ parse_netlist(emit_netlist(c)) equals c structurally.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from collections import deque
+from collections.abc import Iterator
+from itertools import chain, islice, repeat
 from struct import Struct
 
 from .circuit import _ARITY, _CODE, KINDS, Circuit, Gate, RegisterLayout
 from .errors import NetlistParseError
 
+# Gate lines per emitted chunk and characters per parsed slice: netlist I/O
+# holds one chunk's or one slice's lines at a time, never one str per line
+# of the whole netlist.
+_EMIT_CHUNK = 8192
+_PARSE_SLICE = 64 * 1024
+
 
 def emit_netlist(circuit: Circuit) -> str:
+    """The netlist text of `circuit`, joined from chunks of at most 8,192 gate lines."""
+    return "".join(_emit_chunks(circuit))
+
+
+def _emit_chunks(circuit: Circuit) -> Iterator[str]:
+    """`emit_netlist`'s text in pieces: the header, the gate lines in chunks, the last newline."""
     lay = circuit.layout
-    lines = [f"QUBITS {lay.total_wires}"]
-    lines.append(
+    phase = ",".join(str(w) for w in sorted(lay.phase_wires))
+    yield (
+        f"QUBITS {lay.total_wires}\n"
         "REGISTERS "
         f"a={lay.a_range.start}:{lay.a_range.stop} "
         f"b={lay.b_range.start}:{lay.b_range.stop} "
         f"c={lay.c_range.start}:{lay.c_range.stop} "
-        f"anc={lay.anc_range.start}:{lay.anc_range.stop}"
+        f"anc={lay.anc_range.start}:{lay.anc_range.stop}\n"
+        + f"PHASEWIRES {phase}".rstrip()
     )
-    phase = ",".join(str(w) for w in sorted(lay.phase_wires))
-    lines.append(f"PHASEWIRES {phase}".rstrip())
     # One " <w>" string per wire and "" for the -1 padding slot, so each gate
-    # line joins its kind and its three operand slots.
+    # line joins its kind and its three operand slots. Each gate line starts
+    # with the newline that ends the line before it.
     op = [f" {w}" for w in range(lay.total_wires)]
     op.append("")
     words = map(op.__getitem__, circuit.ops)
-    lines += map("".join, zip(map(KINDS.__getitem__, circuit.kinds), words, words, words))
-    return "\n".join(lines) + "\n"
+    kinds = map(["\n" + kind for kind in KINDS].__getitem__, circuit.kinds)
+    lines = map("".join, zip(kinds, words, words, words))
+    while chunk := "".join(islice(lines, _EMIT_CHUNK)):
+        yield chunk
+    yield "\n"
 
 
 def _parse_range(token: str, name: str, line_no: int) -> range:
@@ -50,25 +68,48 @@ def _parse_range(token: str, name: str, line_no: int) -> range:
         raise NetlistParseError(f"bad register token {token!r}", line_no) from None
 
 
+def _slices(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) for each slice of `text` in order.
+
+    Each slice is at least `_PARSE_SLICE` characters, extended to just after
+    a "\n", so it splits into the same lines as the whole text does there.
+    A text of one slice is not copied.
+    """
+    pos, line_no = 0, 1
+    while pos < len(text):
+        cut = text.find("\n", pos + _PARSE_SLICE) + 1 or len(text)
+        lines = text[pos:cut].splitlines()
+        # Counted before the caller edits the list.
+        first, line_no = line_no, line_no + len(lines)
+        yield first, lines
+        pos = cut
+
+
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit, validating every gate line.
 
-    Each distinct raw gate line is parsed and checked once, in order of
-    first occurrence, into its record; large netlists repeat most of their
-    lines. A line is checked for a known gate kind, its operand count,
-    integer operands (any spelling `int()` accepts, so `+1`, `01` and `1_0`
-    name wires 1, 1 and 10), operands inside the wire range and distinct
-    operands, in that order; the first failed check raises NetlistParseError
-    at the line where the bad line first occurs. A good line becomes its
-    record in bytes, and the circuit's records are cut from the bytes of
-    every line, with no loop per gate.
+    The text is read in slices of about 64 KiB cut at line ends, so the
+    parse holds one slice's lines at a time, never a str per line of the
+    whole netlist. Each distinct raw gate line is parsed and checked once,
+    in order of first occurrence, into its record; large netlists repeat
+    most of their lines. A line is checked for a known gate kind, its
+    operand count, integer operands (any spelling `int()` accepts, so `+1`,
+    `01` and `1_0` name wires 1, 1 and 10), operands inside the wire range
+    and distinct operands, in that order; the first failed check raises
+    NetlistParseError at the line where the bad line first occurs. A good
+    line becomes its record in bytes, and each slice's records are cut from
+    the bytes of its lines, with no loop per gate.
     """
-    lines = text.splitlines()
-    numbered = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, start=1))
-    body = ((i, line) for i, line in numbered if line)
-    header = list(islice(body, 3))
-    if len(header) < 3:
-        raise NetlistParseError("missing header lines", len(lines))
+    slices = _slices(text)
+    header: list[tuple[int, str]] = []
+    first, lines = 1, []
+    for first, lines in slices:
+        numbered = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, first))
+        header += islice(((i, line) for i, line in numbered if line), 3 - len(header))
+        if len(header) == 3:
+            break
+    else:
+        raise NetlistParseError("missing header lines", first + len(lines) - 1)
 
     (ln1, l1), (ln2, l2), (ln3, l3) = header
     parts = l1.split()
@@ -110,45 +151,51 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistParseError(f"phase wire {w} out of range", ln3)
 
     layout = RegisterLayout(n=n, ancillas=len(ranc), phase_wires=phase)
-    start = ln3  # index of the first line after the header
+    circuit = Circuit(layout)
+    # The header's slice continues with the first body line.
+    del lines[: ln3 + 1 - first]
     # Distinct raw lines in order of first occurrence, each mapped to its
     # record's bytes; blank and comment-only lines keep b"".
-    seen: dict[str, bytes] = dict.fromkeys(islice(lines, start, None), b"")
+    seen: dict[str, bytes] = {}
     arity = _ARITY
-    for raw in seen:
-        line = raw.split("#", 1)[0]
-        toks = line.split()
-        if not toks:
-            continue
-        kind = toks[0]
-        want = arity.get(kind)
-        if want is None:
-            error = f"unknown gate token {kind!r}"
-        elif want != len(toks) - 1:
-            error = f"{kind} takes {want} operands, got {len(toks) - 1}"
-        else:
-            try:
-                ops = tuple(map(int, toks[1:]))
-            except ValueError:
-                ops = None
-            if ops is None:
-                error = f"non-integer operand in {line.strip()!r}"
-            elif min(ops) < 0 or max(ops) >= total:
-                w = next(w for w in ops if not 0 <= w < total)
-                error = f"operand {w} overflows {total} wires"
-            elif len(set(ops)) < want:
-                error = f"duplicate operand in {Gate(kind, ops)}"
-            else:
-                seen[raw] = _RECORD.pack(_CODE[kind], *(ops + (-1, -1))[:3])
+    for first, lines in chain([(ln3 + 1, lines)], slices):
+        before = len(seen)
+        deque(map(seen.setdefault, lines, repeat(b"")), 0)
+        # The keys this slice added, oldest first, found without a walk over the older keys.
+        for raw in reversed([*islice(reversed(seen), len(seen) - before)]):
+            line = raw.split("#", 1)[0]
+            toks = line.split()
+            if not toks:
                 continue
-        raise NetlistParseError(error, lines.index(raw, start) + 1)
-    # Not b"".join: it holds an 80-byte buffer view per line while it runs.
-    records = bytearray(chain.from_iterable(map(seen.__getitem__, islice(lines, start, None))))
-    del lines, seen  # the per-line tables are the parse's peak; free them first
-    circuit = Circuit(layout)
-    circuit.kinds = records[:: _RECORD.size]
-    del records[:: _RECORD.size]
-    circuit.ops.frombytes(records)
+            kind = toks[0]
+            want = arity.get(kind)
+            if want is None:
+                error = f"unknown gate token {kind!r}"
+            elif want != len(toks) - 1:
+                error = f"{kind} takes {want} operands, got {len(toks) - 1}"
+            else:
+                try:
+                    ops = tuple(map(int, toks[1:]))
+                except ValueError:
+                    ops = None
+                if ops is None:
+                    error = f"non-integer operand in {line.strip()!r}"
+                elif min(ops) < 0 or max(ops) >= total:
+                    w = next(w for w in ops if not 0 <= w < total)
+                    error = f"operand {w} overflows {total} wires"
+                elif len(set(ops)) < want:
+                    error = f"duplicate operand in {Gate(kind, ops)}"
+                else:
+                    seen[raw] = _RECORD.pack(_CODE[kind], *(ops + (-1, -1))[:3])
+                    continue
+            raise NetlistParseError(error, first + lines.index(raw))
+        # join holds an 80-byte buffer view per line while it runs: a slice's worth.
+        records = bytearray().join(map(seen.__getitem__, lines))
+        circuit.kinds += records[:: _RECORD.size]
+        del records[:: _RECORD.size]
+        circuit.ops.frombytes(records)
+        # Free this slice's lines before the next slice is split.
+        lines.clear()
     return circuit
 
 

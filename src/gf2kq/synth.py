@@ -288,8 +288,7 @@ def synth_baseline(
     directly; that keeps the construction ancilla-free and correct for any
     initial value of the result register.
     """
-    _check_modulus(p)
-    return _baseline(p, ladder_style, "toffoli_form")
+    return synth(SynthesisOptions("baseline", p, "toffoli_form", ladder_style))
 
 
 def _baseline(p: BinaryPolynomial, ladder_style: str, output_form: str) -> Circuit:

@@ -4,7 +4,10 @@ import csv
 import io
 
 from gf2kq.bench import CSV_FIELDS, bench_row, fit_loglog, rows_to_csv, run_bench
+from gf2kq.catalog import catalog_lookup
 from gf2kq.cli import main
+from gf2kq.netlist import _EMIT_CHUNK, emit_netlist
+from gf2kq.synth import SynthesisOptions, synth
 
 
 def test_fit_loglog_exact_powers():
@@ -74,6 +77,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     # bad polynomial syntax -> 2
     assert main(["synth", "--poly", "y^2", "--variant", "compact", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_cli_synth_writes_the_emit_netlist_text(tmp_path, capsys):
+    p = catalog_lookup(64).polynomial
+    out = tmp_path / "m64.qc"
+    assert main(["synth", "--poly", str(p), "--variant", "compact", "--out", str(out)]) == 0
+    want = emit_netlist(synth(SynthesisOptions("compact", p)))
+    assert want.count("\n") > 2 * _EMIT_CHUNK  # the file is written in several chunks
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+
+
+def test_cli_synth_unwritable_out_exits_4(tmp_path, capsys):
+    for out in (tmp_path / "no-such-dir" / "m4.qc", tmp_path):
+        assert main(["synth", "--poly", "4,1,0", "--variant", "compact", "--out", str(out)]) == 4
+        assert "cannot write" in capsys.readouterr().err
 
 
 def test_cli_trinomial_log_depth_succeeds(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Circuit IR, scheduling metrics, and netlist round-trip tests."""
 
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -18,7 +19,8 @@ from gf2kq.circuit import (
     compute_depth,
     inverse,
 )
-from gf2kq.catalog import catalog_entries
+from gf2kq import netlist
+from gf2kq.catalog import catalog_entries, catalog_lookup
 from gf2kq.errors import InputError, NetlistParseError
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.simulate import simulate
@@ -339,3 +341,115 @@ def test_parse_round_trips_every_variant():
                 assert parse_netlist(emit_netlist(circ)) == circ, (n, p, variant, form, style)
                 checked.add(variant)
     assert checked == {"compact", "linear_depth", "baseline", "log_depth"}
+
+
+# parse_netlist reads its text in slices of about _PARSE_SLICE characters cut
+# after a "\n"; the texts below span several slices.
+SLICE = netlist._PARSE_SLICE
+FILLER = {"CNOT 0 1": Gate(CNOT, (0, 1)), "CCZ 8 2 5": Gate(CCZ, (8, 2, 5)),
+          "X 11": Gate(X, (11,)), "TOF 3 4 9": Gate(TOFFOLI, (3, 4, 9)), "H 10": Gate(H, (10,))}
+
+
+def _filler(chars: int) -> str:
+    """Good gate lines, each ended by "\\n", of at least `chars` characters in all."""
+    block = "\n".join(FILLER) + "\n"
+    return block * (chars // len(block) + 1)
+
+
+def _slice_of(text: str, line_no: int) -> int:
+    """The index of the slice that holds line `line_no` of `text`."""
+    return sum(first <= line_no for first, _ in netlist._slices(text)) - 1
+
+
+def test_parse_error_in_a_later_slice_names_its_line():
+    head = HEADER12 + _filler(2 * SLICE)
+    text = head + "CNOT 0 12\n" + _filler(SLICE)
+    bad = head.count("\n") + 1
+    assert _slice_of(text, bad) == 2
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == f"line {bad}: operand 12 overflows 12 wires"
+
+
+def test_parse_reports_the_first_slice_a_repeated_bad_line_occurs_in():
+    head = HEADER12 + _filler(SLICE)
+    text = head + "X 12\n" + _filler(SLICE) + "CNOT 5 5\nX 12\n" + _filler(SLICE) + "X 12"
+    bad = head.count("\n") + 1
+    assert _slice_of(text, bad) == 1 and _slice_of(text, text.count("\n") + 1) == 3
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == f"line {bad}: operand 12 overflows 12 wires"
+
+
+def test_parse_header_after_more_than_a_slice_of_comments():
+    body = _filler(SLICE)
+    want = parse_netlist(HEADER12 + body)
+    assert want.gates[:5] == list(FILLER.values())
+    preamble = "# preamble\n" * (SLICE // 10)
+    assert parse_netlist(preamble + HEADER12 + body) == want
+    # the header's own lines may sit in different slices
+    qubits, rest = HEADER12.split("\n", 1)
+    text = qubits + "\n" + preamble + rest + body
+    phasewires = text.count("\n") - body.count("\n")
+    assert _slice_of(text, 1) == 0 and _slice_of(text, phasewires) == 1
+    assert parse_netlist(text) == want
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text + "CNOT 4 4\n")
+    assert err.value.line_no == text.count("\n") + 1
+
+
+def _ended(lines: list[str], endings: tuple[str, ...]) -> str:
+    """`lines`, each but the last ended by the next of `endings` in turn."""
+    return "".join(line + endings[i % len(endings)] for i, line in enumerate(lines[:-1])) + lines[-1]
+
+
+@pytest.mark.parametrize("endings", [("\r\n",), ("\r",), ("\n", "\r", "\r\n", "\n")])
+def test_parse_line_endings_across_slices_match_splitlines(endings):
+    lines = (HEADER12 + _filler(3 * SLICE)).splitlines()
+    text = _ended(lines, endings)
+    assert text.splitlines() == lines and not text.endswith(("\r", "\n"))
+    circuit = parse_netlist(text)
+    assert circuit.layout == RegisterLayout(n=4)
+    assert circuit.gates == [FILLER[line] for line in lines[3:]]
+    bad = len(lines) - 10
+    lines[bad - 1] = "H 12"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(_ended(lines, endings))
+    assert str(err.value) == f"line {bad}: operand 12 overflows 12 wires"
+
+
+def test_parse_missing_header_names_the_last_line():
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("")
+    assert str(err.value) == "line 0: missing header lines"
+    text = "QUBITS 12\n" + "# no header yet\n" * (SLICE // 8) + HEADER12.split("\n")[1] + "\n\n"
+    last = text.count("\n")
+    assert _slice_of(text, last) >= 1
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == f"line {last}: missing header lines"
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_netlist_io_keeps_no_string_per_line():
+    # Holding one str per netlist line peaks at 7.5x the text to emit and
+    # 7.8x to parse below; chunked emit reads 2.0x and sliced parse 2.3x.
+    circuit = synth(SynthesisOptions("compact", catalog_lookup(128).polynomial))
+    text = emit_netlist(circuit)
+    assert _traced_peak(emit_netlist, circuit) <= 4 * len(text)
+    # 100,000 gate lines over several slices, repeating 5,000 distinct lines
+    rng = random.Random(12)
+    pool = ["CNOT %d %d" % tuple(rng.sample(range(300), 2)) for _ in range(5000)]
+    header = "QUBITS 300\nREGISTERS a=0:100 b=100:200 c=200:300 anc=300:300\nPHASEWIRES\n"
+    text = header + "\n".join(pool + rng.choices(pool, k=95_000)) + "\n"
+    assert _slice_of(text, text.count("\n")) >= 4
+    assert _traced_peak(parse_netlist, text) <= 5 * len(text)

@@ -380,6 +380,13 @@ def test_irreducibility_checked_once_per_call(monkeypatch):
         synth_baseline(BinaryPolynomial.parse("x+1"))
 
 
+@pytest.mark.parametrize("poly", ["7,5,3,1,0", "9,4,0", "4,3,2,1,0"])
+def test_synth_baseline_rejects_unknown_ladder_style(poly):
+    # generic, trinomial and equally-spaced moduli: only the last two use a ladder
+    with pytest.raises(InputError, match="unknown ladder style 'bogus'"):
+        synth_baseline(BinaryPolynomial.parse(poly), "bogus")
+
+
 def test_synth_compact_n2_exhaustive_and_count():
     circ = synth(_opts("compact", P2))
     assert circ.counts()["CCZ"] <= 3
