@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 from . import halving
 from .circuit import K_CCZ, K_CNOT, K_H, K_TOF, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
-from .gf2 import BinaryPolynomial, Gf2Matrix, _transpose, build_reduction_matrix, is_irreducible
+from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
 from .halving import SUBCALLS, list_halves, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
@@ -210,28 +210,6 @@ def _cprime_gates(q: Gf2Matrix, c_wires: Sequence[int], anc_wires: Sequence[int]
 # generic in-place linear synthesis (used by the baseline reduction stage)
 
 
-def _completion_column(q: Gf2Matrix) -> int:
-    """Index i such that appending e_i to Q's columns gives full rank."""
-    basis: list[int] = []
-
-    def reduce(v: int) -> int:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        return v
-
-    for col in q.columns():
-        r = reduce(col)
-        if r == 0:
-            raise SynthesisError("reduction matrix columns are dependent")
-        basis.append(r)
-    for i in range(q.n_rows):
-        if reduce(1 << i):
-            return i
-    raise SynthesisError("no completion column found")
-
-
 def _gauss_jordan(rows: Sequence[int]) -> list[tuple[int, int]]:
     """Row additions (source, target) that, applied in order as
     rows[target] ^= rows[source], reduce an invertible GF(2) matrix to I.
@@ -261,9 +239,11 @@ def _reduction_stage_gates(
     es = equally_spaced_split(p)
     if es is not None:
         return _equally_spaced_pairs(*es, wires, style)
-    # x -> M x for the completed matrix M: Gauss-Jordan's row additions, reversed.
-    cols = [*q.columns(), 1 << _completion_column(q)]
-    return [(wires[s], wires[t]) for s, t in reversed(_gauss_jordan(_transpose(cols, q.n_rows)))]
+    # M = [Q | x^(n-1)] has columns x^(n-1) * x^j mod p, j < n: a basis, as x is
+    # invertible mod p. e -> M e is Gauss-Jordan's row additions, reversed.
+    n = q.n_rows
+    rows = [*q.rows[:-1], q.rows[-1] | 1 << (n - 1)]
+    return [(wires[s], wires[t]) for s, t in reversed(_gauss_jordan(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -723,19 +703,18 @@ def synth(options: SynthesisOptions) -> Circuit:
     """
     p = options.modulus
     _check_modulus(p)
+    toffoli = options.output_form == "toffoli_form"
+    if toffoli and options.variant not in ("baseline", "compact"):
+        raise FormError(
+            f"{options.variant} emits ccz_form only; its helper wires have "
+            "no gate-local Toffoli rewrite"
+        )
 
     if options.variant == "baseline":
         return _baseline(p, options.ladder_style, options.output_form)
 
     circ = _karatsuba_circuit(p, options.variant, options.ladder_style)
-    if options.output_form == "toffoli_form":
-        if options.variant != "compact":
-            raise FormError(
-                f"{options.variant} emits ccz_form only; its helper wires have "
-                "no gate-local Toffoli rewrite"
-            )
-        circ = to_toffoli_form(circ)
-    return circ
+    return to_toffoli_form(circ) if toffoli else circ
 
 
 def karatsuba_core(k: int, mode: str = "compact") -> Circuit:

@@ -142,3 +142,19 @@ def test_report_counts_digests_and_fails_when_a_pair_differs(tmp_path, capsys):
     _write(tmp_path, "new", _runs("w", values, digests=["a", "b", "x", None]))
     assert _report(tmp_path) == 1
     assert "netlist_digest: 2 pairs equal, 1 different, 1 unrecorded" in capsys.readouterr().out
+
+
+def test_report_counts_digests_per_workload_after_the_total(tmp_path, capsys):
+    values = {"compile_s": [1.0] * 4}
+    old = _runs("b", values, digests="pqrs") + _runs("a", values, digests="wxyz")
+    new = _runs("a", values, digests="wxy") + _runs("b", values, digests=["p", "Q", "r", "S"])
+    _write(tmp_path, "old", old)
+    _write(tmp_path, "new", new)
+    assert _report(tmp_path) == 1
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("netlist_digest")]
+    # workloads in the first side's order, each pair counted under its own workload
+    assert lines == [
+        "netlist_digest: 5 pairs equal, 2 different, 1 unrecorded",
+        "netlist_digest b: 2 pairs equal, 2 different, 0 unrecorded",
+        "netlist_digest a: 3 pairs equal, 0 different, 1 unrecorded",
+    ]

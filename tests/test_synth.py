@@ -458,6 +458,18 @@ def test_synth_scheduled_variants_reject_toffoli_form():
             synth(_opts(variant, p, output_form="toffoli_form"))
 
 
+def test_synth_refuses_toffoli_form_before_building(monkeypatch):
+    module = importlib.import_module("gf2kq.synth")
+
+    def unbuildable(*args):
+        raise AssertionError("built a circuit the form check refuses")
+
+    monkeypatch.setattr(module, "_karatsuba_circuit", unbuildable)
+    for variant, p in (("linear_depth", P7), ("log_depth", catalog_lookup(9, "trinomial").polynomial)):
+        with pytest.raises(FormError, match=f"{variant} emits ccz_form only"):
+            synth(_opts(variant, p, output_form="toffoli_form"))
+
+
 def test_synth_cross_variant_agreement_n16():
     p = catalog_lookup(16).polynomial
     compact = synth(_opts("compact", p))
@@ -509,6 +521,42 @@ def test_baseline_forms_agree_on_catalog(ladder):
         assert to_toffoli_form(ccz) == toffoli, entry.describe()
         if ladder == "sequential":
             assert synth_baseline(p) == toffoli, entry.describe()
+
+
+def _generic_path(p):
+    return trinomial_split(p) is None and equally_spaced_split(p) is None
+
+
+def _assert_closed_form_baseline(p, form, **verify):
+    # Q completed by x^(n-1) costs 2(n-1)(w-2) CNOTs for a modulus of w terms.
+    n, w = p.degree, len(p.exponents())
+    circ = synth(_opts("baseline", p, output_form=form))
+    counts = circ.counts()
+    assert counts["CNOT"] == 2 * (n - 1) * (w - 2), (p, form)
+    assert counts.get("CCZ", 0) + counts.get("TOF", 0) == n * n, (p, form)
+    if verify:
+        assert verify_multiplier(circ, p, **verify).passed, (p, form)
+
+
+def test_baseline_generic_reduction_stage_closed_form_on_catalog():
+    moduli = {e.polynomial for e in catalog_entries() if e.n <= 128 and _generic_path(e.polynomial)}
+    assert len(moduli) == 99
+    for p in moduli:
+        for form in ("ccz_form", "toffoli_form"):
+            _assert_closed_form_baseline(p, form)
+
+
+def test_baseline_generic_reduction_stage_closed_form_on_random_moduli():
+    rng = random.Random(13)
+    moduli = set()
+    while len(moduli) < 24:
+        n = rng.randint(3, 6 if len(moduli) < 4 else 40)
+        p = BinaryPolynomial(1 << n | rng.getrandbits(n) | 1)
+        if _generic_path(p) and is_irreducible(p):
+            moduli.add(p)
+    for p in moduli:
+        for form in ("ccz_form", "toffoli_form"):
+            _assert_closed_form_baseline(p, form, exhaustive=p.degree <= 6, seed=p.bits)
 
 
 def test_compact_toffoli_form_has_no_phase_gates():

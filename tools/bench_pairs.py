@@ -6,11 +6,11 @@ same workload and seed; which checkout runs first alternates from pair to
 pair. The tool writes one BENCH_<label>.json per side (rewritten after every
 pair), each run with the netlist digest the runner printed, and prints how
 many pairs have equal, different and unrecorded digests (files written before
-digests were kept count as unrecorded), then, for each workload and end-to-end
-metric of BENCHMARK.json, each side's median and quartiles, the pairs the
-second side won and the relative change of the median next to the metric's
-bound. The workloads and the run length are those of BENCHMARK.json; each
-workload gets ten pairs.
+digests were kept count as unrecorded), in total and then per workload, then,
+for each workload and end-to-end metric of BENCHMARK.json, each side's median
+and quartiles, the pairs the second side won and the relative change of the
+median next to the metric's bound. The workloads and the run length are those
+of BENCHMARK.json; each workload gets ten pairs.
 Run from the repository root:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --labels parent change \\
@@ -174,8 +174,11 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} done", file=sys.stderr)
 
     digests = digest_counts(*runs)
-    print("netlist_digest: {equal} pairs equal, {different} different, {unrecorded} unrecorded"
-          .format(**digests))
+    line = "{equal} pairs equal, {different} different, {unrecorded} unrecorded"
+    print("netlist_digest: " + line.format(**digests))
+    for workload in dict.fromkeys(r["workload"] for r in runs[0]):
+        mine = [r for r in runs[0] if r["workload"] == workload]
+        print(f"netlist_digest {workload}: " + line.format(**digest_counts(mine, runs[1])))
     failed = [sum(r["result"]["failed"] for r in side) for side in runs]
     for label, side, f in zip(args.labels, runs, failed):
         print(f"{label}: {len(side)} runs, failed {f}")
