@@ -158,9 +158,9 @@ GOLDEN = {
     (3, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "fdba186bbde7b683128195d8d8da0a03cd249103c4e0d2e2f3cce1f84edbef1b",
     (3, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "e679a8eddbcc8016b759fc4046e3e26b29081f384a1cc6e02c46bcbc87943906",
+        "3067ac3b896bc5b277480db139f997f7b90eee37a9bcbbf7d3f434b4ba565ba5",
     (3, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "6314b1cc53f229d28646985292fd78328f866b40ba22dbcf5f8d31d5bdc3d9fb",
+        "e0bf459ef61316ded124c0ded8eef9d529dbadb5a78c99e0c920fa407cea5f60",
     (3, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "40edc2d20d86eba95b21813615b04f605ec46f06cc33b10a62edc160834d734d",
     (3, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -186,9 +186,9 @@ GOLDEN = {
     (4, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "42b54d76e1de19eb6f61dd6ea53231c943f99830be95f0b1a80ebc2e3cd27a62",
     (4, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "4a9483b13121cd07f394cca531509957f964057eb66300b1242c91d96b460b5b",
+        "c8a28869a668a9134060bb80a3868509a5b842ef0346817f2638412017d3b689",
     (4, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "0a46679f1502e5c87fc36ed247e4c0f8fe5db6a1d06b3f3b5373a789d7ab38c4",
+        "2b1b13cfdd467b27877d071134a28f000c2cd5a72d05b351891036f20012d547",
     (4, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "845533c957ee0d0a7bf292b8c13bb2819e67cd15f3914c123371f6eae2410d9d",
     (4, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -250,9 +250,9 @@ GOLDEN = {
     (6, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "593369c07b313c25306fa3f3354409aacad87ab6c0cba463a7b561ba4d12c6ed",
     (6, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "d5396f033b0cad16885fc447cf604e4565906f53a3da0a9344796b97111bb269",
+        "df95db3c9c78202600b72427442ba9022d5872e1347621d5fe4b0da884036521",
     (6, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "d7ab416683b768077fdeb99b6dfa32a790b82d35cec2bb6ad67be5fb5ceef850",
+        "1caf1e000107a8c23b058694c7c4432188195d2528bbca2df46cff39c078667a",
     (6, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "ce2561df681b0cbc2c8ab3ce8b71bdca190032b092d4e67fd4b604364f5e8ba9",
     (6, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -278,9 +278,9 @@ GOLDEN = {
     (7, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "ca90e6882dc4ac9b3382f2f047936ee193f9046960f640d8613262ebf0c50357",
     (7, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "a6783d32abfd6c1721b36ce5718d3c9d4a500587bab0b19b1056ca7b5d09b651",
+        "0e3be9a76084d5e111eb3fc933d777f84c77d0272a2ab50d4db8e382a4237392",
     (7, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "fa876163aa34ddbba199b6f04e499b9f42ee760f93cccb4256ed8ef5241f185c",
+        "f15b129cbc8c0501d774feb840e3525f28fddca37dbbe842dc6b91b01aa31340",
     (7, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "d7a2cb7e0a60037e0ca58a97afc4748004ec31c3b65acc7faf6205c68b43fddf",
     (7, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -306,9 +306,9 @@ GOLDEN = {
     (7, "generic-pinned", "linear_depth", "ccz_form", "prefix_ancilla"):
         "01d6ece5c5389741354190f14ed775fd990b3b514635d5df5a58114e7c9f14eb",
     (7, "generic-pinned", "baseline", "ccz_form", "prefix_ancilla"):
-        "2db40d45284141290d9ade8b2a8ed87961c914565139a60a8d2118b330bdef67",
+        "ab5d061cd5f072904fd91bb38cf5accfde53fe0ba8c02a529195c7c662153824",
     (7, "generic-pinned", "baseline", "toffoli_form", "prefix_ancilla"):
-        "3199fcf399dcfe45aac58bb5eab71e8771e348ff4b4b45a3c1b19b776badab9c",
+        "d06a6aa5589fb39fdce7ea64279f959e909dcd711d376b9adcc164982e14aebd",
     (8, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "bb7ee84352cae7618a7ceb9d180784492551d3a3a644837a524c38a6c9c5cbaa",
     (8, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -316,9 +316,9 @@ GOLDEN = {
     (8, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1abdf74648daee71af6dca0de26ad6d26748d4bc991887b6d8eb767eba9e75eb",
     (8, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "570daa004ea0c85bc6b5690e8e31f61bad09f14067954d88ecd71283f48d5b55",
+        "bf45c85834dd1f7b89211581ba0b6b25c90edc4f60556e0be9d074b62b60d8d3",
     (8, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "278735125adce4ceee7758f0a25351e06c6b123fede1c3cb2868a1263d0bcc2f",
+        "8b8cba2394320280740ae257cc572fd28b508e3e8d7bd842d4ae51e74c056abf",
     (9, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "06dcb7ea6e394bb734d622a84425362d28b3116a2571f11571efd5a233f75e81",
     (9, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -326,9 +326,9 @@ GOLDEN = {
     (9, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "11ccf4d5fc81aeb8a67c912a054a3d22f5bca6ebf05e9ee340828334f26e7f20",
     (9, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "273c697542248ca519e018b1e599fb7f48abcf24759fa1104e6dae7d3bf53e47",
+        "9461e6dbbeda5a4f0df93df48755a1bcde30af091cc4e8999f942c2db86dac25",
     (9, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "891f9bd8251bd0684f51ce1aa668430321b40cb4ea150a675afe3488f6aced8c",
+        "6751f6da27a8bb59df4ca881b489b7ff79fb04164995eebdd0d0a8dc7520e5dd",
     (9, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "7ad87927978c0b03bcb1b903090b62f3046a1a094366e536bf1f57f73fdd53e8",
     (9, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -444,9 +444,9 @@ GOLDEN = {
     (13, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "d59bc239f683f8eb1bbc31fb955e78554aa02eb47ce8087f0e642d6b8a80709e",
     (13, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "a0e92f43cb7134b27e61b0927e20259a762df6dfab57c07e90affe6f83166234",
+        "1285ed696ced9bb37d53b8ea970bfdbc7a82c37f2919b7090291ee8e780c3d96",
     (13, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "b733752de6d1dfc9c581169d8e28f44334203f6ef1a3a490dd2cfd225333ff95",
+        "46336f0a1111255de564c264f2ad4f632a20efb7de98aa8a25202c1da4220514",
     (14, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "5a194c57027c0ca80aa27ffa9bd1117d2d7d75b5a98485cab3d3d4e49e12275f",
     (14, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -472,9 +472,9 @@ GOLDEN = {
     (15, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "aeab52d66a6c22dd6affcc48792c304e3d499cc159e23690522636df32130ce8",
     (15, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "048ea8a5e6b291566217f651dde2fae6193545005f57c3cd88161b8d784f9a45",
+        "125a281135659fdbb919869c8722317228879c746b9c7c9a5ed16b908244eb07",
     (15, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "e3b36cfe3d12f8b18a65eb8dbf0f914c98ae4f30454e29a80699aa9b9627082f",
+        "7aa601f62a75788b69ff2b0a30cdc3e86672f5d825a7bc2cad5f6929ecd74f3c",
     (15, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "2bf4d025b6149ac8a659a20107a4bd30f18e7ec9c7feab66909c5370a1cc853d",
     (15, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -500,9 +500,9 @@ GOLDEN = {
     (16, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "d769b20ba2db922d325eea7bbe38ef8f9cbd7b278986a63ccf13e35c63d8a926",
     (16, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "715d51c44e663168a124a93cc94bb4b5e8ca018037d1981a9dcdbbaafa613c83",
+        "6d40d8ef5076b243040b1432332b0a6fac1e3b7bf22606809f73973f6832c1e9",
     (16, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "4b0b8c917533b5dbddbc5b219b9b18c49ce5be0cae87a0b525d92bda201a4f49",
+        "0924d9116308c6bca8469ec9bf70d7315795535ee0c5705fa6d31d229cf412ae",
     (33, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "06a5f39a53814c584895194308d9e026d862190874b144d77ba3b3ebf18f5f37",
     (33, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -510,9 +510,9 @@ GOLDEN = {
     (33, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "8afcf7d5c80ecac42dd8cdcd235f9c9cb58b35a02c0ed2ce175d43bc3a294d9c",
     (33, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "f2c0020815805ab0263897e23553eec379854a159571dabe7912af874936afc6",
+        "756c8ba9e85295b293989e5bd72439af539095f32928f300afb6464fd1a89943",
     (33, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "227abc2631b7cc187651aaf767171fb3651291093cee32d8aa3ee69924f96ec0",
+        "f8423c15f5029fd303ba3751b8eb8314d9c27c7a4631ad09f5b8cb233fac4e01",
     (33, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "36f3b8d532def6f00c53bdae023d757e2c7fe68143f0e322708a9fe685d09719",
     (33, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -538,9 +538,9 @@ GOLDEN = {
     (64, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "2ea630f05b1ef46ff207f7e83143d7a3fbfa11e165453151b5fd3b0ffc64ae33",
     (64, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "9571b17b53b90ee445ae191948edac8e9fcc502943f2ca64745053f3054a7eff",
+        "d43da07d9a9403e414b5178a8fcf455d3d24a79dc34451492a36e2b48fafceb7",
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "f3485ba8a53e9e8a969d0ea96996cb6ed90f198232ca43573e2f926741fc5073",
+        "2228ab8e4ed2403a1faea232c4bf5ef75bba6ba4ad7559c72f4d740592a9a012",
     (127, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "208785c856471fdfc9457819ffce981049a3804b47cf2c8c23625c67476eae29",
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -548,9 +548,9 @@ GOLDEN = {
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "06600da0011b9b170299fe06712afd180ad83be635f202b0dbf961efca8385f8",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "43f9d9b7c3a40bd5ed1a25c948aa3cae0605c5af2060daf61b262bf9b5c28333",
+        "95f88900520f98cc4b321520cb6cbe9ff9bcc8f3db22a2719047bf697b90629f",
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "dcf23a6ae003ad2072e99daccce7e6494bf1d1f7041795213add1326ae5dab4d",
+        "6c2525bc0df1011b2950cabda4a5f2164d5556fe868261521bd02b8ec134053c",
     (127, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
         "0331fd873438e97a2b838e2ce5daee9a2eb8a6507a6b67fc063b723a67b92838",
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
@@ -576,9 +576,9 @@ GOLDEN = {
     (128, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "52983ee1f48f9bbde34fd32fd235d56729a9b24eea8ef801a52866c57f313cc4",
     (128, "generic", "baseline", "ccz_form", "prefix_ancilla"):
-        "76859437df47f6bfeb603fd652b87483a3809798f1c1ca3bc481e3342033d363",
+        "de21706b010b29a08d256aee856271031ed003e6cb9111983d8185194e1c7eeb",
     (128, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
-        "6d656c4499490fc5ba76f44aa9dd0ef4872d9f653d0d8637a1c8f49d9fd8f7e5",
+        "71ad8f2763ce5694d577b460f338cfc1313d8e1f7e5f0044fbb175d1de141623",
 }
 
 
