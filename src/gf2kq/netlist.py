@@ -11,6 +11,7 @@ parse_netlist(emit_netlist(c)) equals c structurally.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Iterator
 from itertools import chain, islice, repeat
@@ -158,6 +159,9 @@ def parse_netlist(text: str) -> Circuit:
     # record's bytes; blank and comment-only lines keep b"".
     seen: dict[str, bytes] = {}
     arity = _ARITY
+    # Sized for a gate per line feed, so they fill in place; other line ends grow them.
+    gates, most = 0, text.count("\n") + 1
+    circuit.kinds, circuit.ops = bytearray(most), array("i", [-1]) * (3 * most)
     for first, lines in chain([(ln3 + 1, lines)], slices):
         before = len(seen)
         deque(map(seen.setdefault, lines, repeat(b"")), 0)
@@ -191,11 +195,13 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistParseError(error, first + lines.index(raw))
         # join holds an 80-byte buffer view per line while it runs: a slice's worth.
         records = bytearray().join(map(seen.__getitem__, lines))
-        circuit.kinds += records[:: _RECORD.size]
+        end = gates + len(records) // _RECORD.size
+        circuit.kinds[gates:end] = records[:: _RECORD.size]
         del records[:: _RECORD.size]
-        circuit.ops.frombytes(records)
+        circuit.ops[3 * gates : 3 * end], gates = array("i", records), end
         # Free this slice's lines before the next slice is split.
         lines.clear()
+    del circuit.kinds[gates:], circuit.ops[3 * gates :]
     return circuit
 
 
