@@ -14,7 +14,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
+from operator import contains, eq, itemgetter
 from struct import Struct
 
 from .circuit import _ARITY, _CODE, KINDS, Circuit, Gate, RegisterLayout
@@ -91,15 +92,18 @@ def parse_netlist(text: str) -> Circuit:
 
     The text is read in slices of about 64 KiB cut at line ends, so the
     parse holds one slice's lines at a time, never a str per line of the
-    whole netlist. Each distinct raw gate line is parsed and checked once,
-    in order of first occurrence, into its record; large netlists repeat
-    most of their lines. A line is checked for a known gate kind, its
-    operand count, integer operands (any spelling `int()` accepts, so `+1`,
-    `01` and `1_0` name wires 1, 1 and 10), operands inside the wire range
-    and distinct operands, in that order; the first failed check raises
-    NetlistParseError at the line where the bad line first occurs. A good
-    line becomes its record in bytes, and each slice's records are cut from
-    the bytes of its lines, with no loop per gate.
+    whole netlist. Each distinct raw gate line is checked once, in the
+    slice where it first occurs; large netlists repeat most of their
+    lines. A slice's new lines are grouped by token count and checked a
+    column at a time, with no Python step per line: kinds of that arity,
+    integer operands (any spelling `int()` accepts, so `+1`, `01` and
+    `1_0` name wires 1, 1 and 10), operands inside the wire range, distinct
+    operands. If a check fails, the slice's new lines are checked again one
+    at a time, in order, for a known gate kind, its operand count, integer
+    operands, the range and distinct operands, in that order; the first
+    failed check raises NetlistParseError at the line where the bad line
+    first occurs. Each slice's records are cut from the bytes of its lines'
+    records, with no loop per gate.
     """
     slices = _slices(text)
     header: list[tuple[int, str]] = []
@@ -114,7 +118,7 @@ def parse_netlist(text: str) -> Circuit:
 
     (ln1, l1), (ln2, l2), (ln3, l3) = header
     parts = l1.split()
-    if len(parts) != 2 or parts[0] != "QUBITS" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "QUBITS" or not parts[1].isdecimal():
         raise NetlistParseError(f"expected 'QUBITS <total>', got {l1!r}", ln1)
     total = int(parts[1])
 
@@ -158,41 +162,19 @@ def parse_netlist(text: str) -> Circuit:
     # Distinct raw lines in order of first occurrence, each mapped to its
     # record's bytes; blank and comment-only lines keep b"".
     seen: dict[str, bytes] = {}
-    arity = _ARITY
     # Sized for a gate per line feed, so they fill in place; other line ends grow them.
     gates, most = 0, text.count("\n") + 1
     circuit.kinds, circuit.ops = bytearray(most), array("i", [-1]) * (3 * most)
     for first, lines in chain([(ln3 + 1, lines)], slices):
         before = len(seen)
         deque(map(seen.setdefault, lines, repeat(b"")), 0)
-        # The keys this slice added, oldest first, found without a walk over the older keys.
-        for raw in reversed([*islice(reversed(seen), len(seen) - before)]):
-            line = raw.split("#", 1)[0]
-            toks = line.split()
-            if not toks:
-                continue
-            kind = toks[0]
-            want = arity.get(kind)
-            if want is None:
-                error = f"unknown gate token {kind!r}"
-            elif want != len(toks) - 1:
-                error = f"{kind} takes {want} operands, got {len(toks) - 1}"
-            else:
-                try:
-                    ops = tuple(map(int, toks[1:]))
-                except ValueError:
-                    ops = None
-                if ops is None:
-                    error = f"non-integer operand in {line.strip()!r}"
-                elif min(ops) < 0 or max(ops) >= total:
-                    w = next(w for w in ops if not 0 <= w < total)
-                    error = f"operand {w} overflows {total} wires"
-                elif len(set(ops)) < want:
-                    error = f"duplicate operand in {Gate(kind, ops)}"
-                else:
-                    seen[raw] = _RECORD.pack(_CODE[kind], *(ops + (-1, -1))[:3])
-                    continue
-            raise NetlistParseError(error, first + lines.index(raw))
+        # The keys this slice added, newest first, found without a walk over the older keys.
+        new = [*islice(reversed(seen), len(seen) - before)]
+        if not _pack(new, total, seen):
+            for raw in reversed(new):
+                if error := _line_error(raw, total):
+                    raise NetlistParseError(error, first + lines.index(raw))
+            raise RuntimeError("column check refused a slice whose lines each pass")
         # join holds an 80-byte buffer view per line while it runs: a slice's worth.
         records = bytearray().join(map(seen.__getitem__, lines))
         end = gates + len(records) // _RECORD.size
@@ -207,3 +189,59 @@ def parse_netlist(text: str) -> Circuit:
 
 # A gate as bytes: kind code, then its three operand slots as Circuit.ops ints.
 _RECORD = Struct("=B3i")
+# For each token count of a gate line, the codes of the kinds with that many operands.
+_FITS = {a + 1: {k: _CODE[k] for k in KINDS if _ARITY[k] == a} for a in _ARITY.values()}
+
+
+def _pack(raws: list[str], total: int, seen: dict[str, bytes]) -> bool:
+    """Store the record of each gate line of `raws` in `seen`; False if any line fails a check.
+
+    The lines are grouped by token count, and each group is checked and
+    packed a column at a time: its kind tokens, then each operand slot.
+    """
+    lines = raws
+    if any(map(contains, raws, repeat("#"))):
+        lines = [*map(itemgetter(0), map(str.partition, raws, repeat("#")))]
+    sizes = [*map(len, map(str.split, lines))]
+    for size in set(sizes) - {0}:
+        fits = _FITS.get(size)
+        if fits is None:
+            return False
+        picked = [*map(size.__eq__, sizes)]
+        flat = " ".join(compress(lines, picked)).split()
+        try:
+            kinds = [*map(fits.__getitem__, flat[::size])]
+            cols = [[*map(int, flat[i::size])] for i in range(1, size)]
+        except (KeyError, ValueError):
+            return False
+        if min(map(min, cols)) < 0 or max(map(max, cols)) >= total:
+            return False
+        if any(any(map(eq, u, v)) for u, v in combinations(cols, 2)):
+            return False
+        pads = [repeat(-1)] * (4 - size)
+        seen.update(zip(compress(raws, picked), map(_RECORD.pack, kinds, *cols, *pads)))
+    return True
+
+
+def _line_error(raw: str, total: int) -> str | None:
+    """The message of the first check the gate line `raw` fails, or None if it passes."""
+    line = raw.split("#", 1)[0]
+    toks = line.split()
+    if not toks:
+        return None
+    kind, ops = toks[0], toks[1:]
+    want = _ARITY.get(kind)
+    if want is None:
+        return f"unknown gate token {kind!r}"
+    if want != len(ops):
+        return f"{kind} takes {want} operands, got {len(ops)}"
+    try:
+        ops = tuple(map(int, ops))
+    except ValueError:
+        return f"non-integer operand in {line.strip()!r}"
+    for w in ops:
+        if not 0 <= w < total:
+            return f"operand {w} overflows {total} wires"
+    if len(set(ops)) < want:
+        return f"duplicate operand in {Gate(kind, ops)}"
+    return None

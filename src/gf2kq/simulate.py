@@ -55,6 +55,12 @@ def default_seed() -> int:
 
 
 def _split_sandwich(circuit: Circuit) -> tuple[frozenset, Circuit]:
+    """The phase wires and the core inside the H layers.
+
+    The core's records are memoryviews of the circuit's, not copies. While
+    they live, the circuit's arrays cannot be resized, so callers release
+    them (`with core.kinds, core.ops:`) before they return.
+    """
     kinds, ops = circuit.kinds, circuit.ops
     h = bytes([K_H])
     lo = len(kinds) - len(kinds.lstrip(h))
@@ -74,7 +80,7 @@ def _split_sandwich(circuit: Circuit) -> tuple[frozenset, Circuit]:
     if front != circuit.layout.phase_wires:
         raise FormError("H layers do not match the layout's phase wires")
     core = Circuit(circuit.layout)
-    core.kinds, core.ops = kinds[lo:hi], ops[3 * lo : 3 * hi]
+    core.kinds, core.ops = memoryview(kinds)[lo:hi], memoryview(ops)[3 * lo : 3 * hi]
     return frozenset(front), core
 
 
@@ -90,27 +96,28 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
         circuit.layout.n, circuit.layout.ancillas, phase_wires=frozenset()
     )
     ops = array("i")
-    for k, u, v, w in core.records():
-        if k == K_CNOT:
-            inside = (u in phase) + (v in phase)
-            if inside == 1:
-                raise FormError(f"CNOT {(u, v)} mixes phase and plain wires")
-            u, v = (v, u) if inside else (u, v)
-        elif k == K_CCZ:
-            marked = [x for x in (u, v, w) if x in phase]
-            if len(marked) != 1:
-                raise FormError(f"CCZ {(u, v, w)} touches {len(marked)} phase wires")
-            u, v = sorted(x for x in (u, v, w) if x not in phase)
-            w = marked[0]
-        elif k == K_H:
-            raise FormError("H gate inside the sandwich core")
-        elif k == K_X:
-            if u in phase:
-                raise FormError("X on a phase wire has no classical rewrite")
-        else:
-            raise FormError(f"unsupported core gate {KINDS[k]}")
-        ops.extend((u, v, w))
-    kinds = core.kinds.replace(bytes([K_CCZ]), bytes([K_TOF]))
+    with core.kinds, core.ops:
+        for k, u, v, w in core.records():
+            if k == K_CNOT:
+                inside = (u in phase) + (v in phase)
+                if inside == 1:
+                    raise FormError(f"CNOT {(u, v)} mixes phase and plain wires")
+                u, v = (v, u) if inside else (u, v)
+            elif k == K_CCZ:
+                marked = [x for x in (u, v, w) if x in phase]
+                if len(marked) != 1:
+                    raise FormError(f"CCZ {(u, v, w)} touches {len(marked)} phase wires")
+                u, v = sorted(x for x in (u, v, w) if x not in phase)
+                w = marked[0]
+            elif k == K_H:
+                raise FormError("H gate inside the sandwich core")
+            elif k == K_X:
+                if u in phase:
+                    raise FormError("X on a phase wire has no classical rewrite")
+            else:
+                raise FormError(f"unsupported core gate {KINDS[k]}")
+            ops.extend((u, v, w))
+        kinds = bytearray(core.kinds).replace(bytes([K_CCZ]), bytes([K_TOF]))
     return Circuit.from_records(layout, kinds, ops)
 
 
@@ -165,42 +172,43 @@ def _run_sandwich(circuit: Circuit, cols: list[int], tmask: int) -> list[int]:
         st[w] = 1 << k
     xbits = tmask << m
     acc: dict[int, int] = {}
-    for k, u, v, w in core.records():
-        if k == K_CNOT:
-            st[v] ^= st[u]
-        elif k == K_CCZ:
-            su = st[u]
-            sv = st[v]
-            sw = st[w]
-            zu = su & zfull
-            zv = sv & zfull
-            zw = sw & zfull
-            if zu:
-                if zv or zw:
-                    raise SimulationError(_TWO_SYMBOLS)
-                z, prod = zu, sv & sw
-            elif zv:
-                if zw:
-                    raise SimulationError(_TWO_SYMBOLS)
-                z, prod = zv, su & sw
-            elif zw:
-                z, prod = zw, su & sv
+    with core.kinds, core.ops:
+        for k, u, v, w in core.records():
+            if k == K_CNOT:
+                st[v] ^= st[u]
+            elif k == K_CCZ:
+                su = st[u]
+                sv = st[v]
+                sw = st[w]
+                zu = su & zfull
+                zv = sv & zfull
+                zw = sw & zfull
+                if zu:
+                    if zv or zw:
+                        raise SimulationError(_TWO_SYMBOLS)
+                    z, prod = zu, sv & sw
+                elif zv:
+                    if zw:
+                        raise SimulationError(_TWO_SYMBOLS)
+                    z, prod = zv, su & sw
+                elif zw:
+                    z, prod = zw, su & sv
+                else:
+                    continue  # per-input global phase only
+                if prod:
+                    acc[z] = acc.get(z, 0) ^ prod
+            elif k == K_TOF:
+                su = st[u]
+                sv = st[v]
+                if su & zfull or sv & zfull:
+                    raise SimulationError("Toffoli control carries symbols")
+                st[w] ^= su & sv
+            elif k == K_X:
+                if st[u] & zfull:
+                    raise SimulationError("X on a symbol-carrying wire")
+                st[u] ^= xbits
             else:
-                continue  # per-input global phase only
-            if prod:
-                acc[z] = acc.get(z, 0) ^ prod
-        elif k == K_TOF:
-            su = st[u]
-            sv = st[v]
-            if su & zfull or sv & zfull:
-                raise SimulationError("Toffoli control carries symbols")
-            st[w] ^= su & sv
-        elif k == K_X:
-            if st[u] & zfull:
-                raise SimulationError("X on a symbol-carrying wire")
-            st[u] ^= xbits
-        else:
-            raise SimulationError(f"unsupported core gate {KINDS[k]}")
+                raise SimulationError(f"unsupported core gate {KINDS[k]}")
     flips = [f >> m for f in _kickback(acc, m)]
     rank = {w: k for k, w in enumerate(order)}
     out = [0] * circuit.wire_count

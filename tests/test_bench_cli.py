@@ -211,3 +211,12 @@ def test_cli_verify_refused_core_and_undecodable_file(tmp_path, capsys):
     undecodable.write_bytes(b"QUBITS 6\n\xff\xfe\n")
     assert main(["verify", "--circuit", str(undecodable), "--poly", "2,1,0"]) == 4
     assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_cli_verify_header_count_that_int_refuses_exits_4(tmp_path, capsys):
+    # "²".isdigit() is true but int("²") raises: a parse error, not a traceback
+    netlist = tmp_path / "squared.qc"
+    netlist.write_text("QUBITS ²\nREGISTERS a=0:2 b=2:4 c=4:6 anc=6:6\nPHASEWIRES 4,5\n",
+                       encoding="utf-8")
+    assert main(["verify", "--circuit", str(netlist), "--poly", "2,1,0"]) == 4
+    assert capsys.readouterr().err == "error: line 1: expected 'QUBITS <total>', got 'QUBITS ²'\n"

@@ -158,3 +158,49 @@ def test_report_counts_digests_per_workload_after_the_total(tmp_path, capsys):
         "netlist_digest b: 2 pairs equal, 2 different, 0 unrecorded",
         "netlist_digest a: 3 pairs equal, 0 different, 1 unrecorded",
     ]
+
+
+def _claim(tmp_path, first, second):
+    _write(tmp_path, "old", _runs("w", {"compile_s": first}, seeds=range(1, 11)))
+    _write(tmp_path, "new", _runs("w", {"compile_s": second}, seeds=range(1, 11)))
+    return bench_pairs.main(["unused", "unused", "--labels", "old", "new", "--report",
+                             "--out", str(tmp_path), "--claim", "w:compile_s"])
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+def test_claim_met_when_nine_of_ten_pairs_win_beyond_the_spread(tmp_path, capsys):
+    # the tenth pair is a tie, which counts for neither side
+    second = [v - 0.1 for v in PARENT[:9]] + [PARENT[9]]
+    assert _claim(tmp_path, PARENT, second) == 0
+    out = capsys.readouterr().out
+    assert "won 9/10 tied 1" in out and "claim w:compile_s: claim met" in out
+
+
+def test_claim_fails_with_too_few_wins(tmp_path, capsys):
+    # eight wins and two ties: the median still gains 0.1, far past the spread
+    second = [v - 0.1 for v in PARENT[:8]] + PARENT[8:]
+    assert _claim(tmp_path, PARENT, second) == 1
+    out = capsys.readouterr().out
+    assert "claim w:compile_s: won 8 of 10 pairs (tied 2), fewer than nine tenths" in out
+
+
+def test_claim_fails_when_the_gain_is_within_the_parent_spread(tmp_path, capsys):
+    # every pair wins by 0.01, less than the parent's quartile distance 0.02
+    second = [v - 0.01 for v in PARENT]
+    assert _claim(tmp_path, PARENT, second) == 1
+    out = capsys.readouterr().out
+    assert "won 10/10" in out
+    assert ("claim w:compile_s: median gain 0.01 is not above the first side's "
+            "quartile distance 0.02") in out
+    # the same runs without --claim pass
+    assert _report(tmp_path) == 0
+
+
+def test_claim_of_an_unknown_workload_or_metric_fails(tmp_path, capsys):
+    _write(tmp_path, "old", _runs("w", {"compile_s": [1.0] * 4}))
+    _write(tmp_path, "new", _runs("w", {"compile_s": [0.5] * 4}))
+    assert bench_pairs.main(["unused", "unused", "--labels", "old", "new", "--report",
+                             "--out", str(tmp_path), "--claim", "w:verify_s"]) == 1
+    assert "claim w:verify_s: no paired runs of that workload and metric" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from gf2kq.circuit import (
     CNOT,
     TOFFOLI,
     H,
+    KINDS,
     X,
     Circuit,
     Gate,
@@ -428,6 +429,85 @@ def test_parse_missing_header_names_the_last_line():
     with pytest.raises(NetlistParseError) as err:
         parse_netlist(text)
     assert str(err.value) == f"line {last}: missing header lines"
+
+
+def _reference_records(text: str) -> tuple[bytearray, array]:
+    """The gate records of a good netlist, parsed one line at a time."""
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    gates = [toks for toks in lines if toks][3:]
+    kinds = bytearray(KINDS.index(toks[0]) for toks in gates)
+    ops = array("i", [w for toks in gates for w in [*map(int, toks[1:]), -1, -1][:3]])
+    return kinds, ops
+
+
+def _spelled(rng: random.Random, w: int) -> str:
+    """Wire `w` as one of the spellings int() accepts."""
+    spellings = [str(w), f"+{w}", f"0{w}"] + [f"{w // 10}_{w % 10}"] * (w >= 10)
+    return rng.choice(spellings)
+
+
+def _random_netlist(seed: int, chars: int) -> str:
+    """HEADER12 and random good gate lines of every kind and spelling, tabs,
+    comments, blank lines and mixed line ends, of at least `chars` characters."""
+    rng = random.Random(seed)
+    arity = {CNOT: 2, CCZ: 3, TOFFOLI: 3, H: 1, X: 1}
+    parts = [HEADER12]
+    size = len(HEADER12)
+    while size < chars:
+        roll = rng.random()
+        if roll < 0.05:
+            line = rng.choice(["", "   ", "\t", "# comment only"])
+        else:
+            kind = rng.choice(KINDS)
+            ops = [_spelled(rng, w) for w in rng.sample(range(12), arity[kind])]
+            line = rng.choice([" ", "\t", "  "]).join([kind, *ops])
+            if roll < 0.15:
+                line = rng.choice(["\t", ""]) + line + rng.choice(["  # note", "#x", " \t"])
+        part = line + rng.choice(["\n", "\r\n"])
+        parts.append(part)
+        size += len(part)
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parse_matches_the_per_line_reference(seed):
+    text = _random_netlist(seed, 3 * SLICE)
+    assert _slice_of(text, text.count("\n")) >= 2
+    assert "\r\n" in text and "\t" in text and "#" in text and "1_0" in text
+    circuit = parse_netlist(text)
+    assert (circuit.kinds, circuit.ops) == _reference_records(text)
+    assert set(circuit.kinds) == set(range(len(KINDS)))
+
+
+@pytest.mark.parametrize("line,message", PARSE_ERRORS)
+def test_parse_error_after_slices_of_mixed_arity(line, message):
+    # more than a slice of repeated good lines, then new good lines of each
+    # arity in the bad line's slice, so the slice's columns hold several groups
+    head = HEADER12 + _filler(SLICE + SLICE // 2) + "CNOT 7 6\nX 3\n\nTOF 6 7 8  # c\n"
+    text = head + line + "\n" + _filler(SLICE)
+    bad = head.count("\n") + 1
+    assert _slice_of(text, bad) == 1
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == f"line {bad}: {message}"
+
+
+def test_parse_error_on_a_line_of_300_tokens():
+    line = "CNOT " + " ".join(map(str, range(299)))
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(HEADER12 + "X 1\nCCZ 1 2 3\n" + line + "\n")
+    assert str(err.value) == "line 6: CNOT takes 2 operands, got 299"
+
+
+def test_parse_qubits_count_must_be_decimal_digits():
+    # "²".isdigit() is true, but int() refuses it
+    for count in ("\u00b2", "12\u00b2", "-12", "1.2"):
+        with pytest.raises(NetlistParseError) as err:
+            parse_netlist(HEADER12.replace("12", count, 1))
+        assert str(err.value) == f"line 1: expected 'QUBITS <total>', got 'QUBITS {count}'"
+    # int() takes every Unicode decimal digit, so the header does too
+    arabic = "\u0661\u0662"
+    assert parse_netlist(HEADER12.replace("12", arabic, 1)).layout == RegisterLayout(n=4)
 
 
 def _traced_peak(fn, *args) -> int:

@@ -6,6 +6,7 @@ oracle for `_run_sandwich`.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -499,6 +500,45 @@ def test_sandwich_kernel_error_paths(core, message):
         assert str(err.value) == message
     with pytest.raises(SimulationError, match=message):
         run_batch(circ, cols, 1)
+
+
+def _resizable(circ):
+    """True when no live view blocks a resize of the circuit's record arrays."""
+    try:
+        circ.kinds.append(0), circ.ops.append(0)
+    except BufferError:
+        return False
+    del circ.kinds[-1], circ.ops[-1]
+    return True
+
+
+def test_sandwich_core_is_a_released_view():
+    p = catalog_lookup(128).polynomial
+    circ = synth(SynthesisOptions("compact", p))
+    records = len(circ.kinds) + circ.ops.itemsize * len(circ.ops)
+    # With one trial every column is one bit, so the peak is all overhead;
+    # a copy of the core's records alone would be about `records` bytes.
+    tracemalloc.start()
+    try:
+        assert verify_multiplier(circ, p, trials=1).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < records
+    assert _resizable(circ)
+    tof = to_toffoli_form(circ)
+    assert _resizable(circ) and isinstance(tof.kinds, bytearray)
+    assert tof == synth(SynthesisOptions("compact", p, "toffoli_form"))
+    # an error inside the core's walk releases the views too, while its
+    # traceback still holds the frames that hold the core
+    lay = RegisterLayout(n=1, ancillas=1, phase_wires=frozenset({2, 3}))
+    h = [Gate.h(2), Gate.h(3)]
+    bad = Circuit(lay, h + [Gate.cnot(2, 0), Gate(CCZ, (1, 0, 3))] + h)
+    with pytest.raises(SimulationError) as run_error:
+        run_batch(bad, [1, 1, 0, 1], 1)
+    with pytest.raises(FormError) as form_error:
+        to_toffoli_form(bad)
+    assert run_error.tb and form_error.tb and _resizable(bad)
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 256])

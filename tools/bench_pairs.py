@@ -18,14 +18,18 @@ Run from the repository root:
 
 Pair i (from 1) of the w-th workload of BENCHMARK.json (from 0) uses seed
 seed_base + 100 w + i. `--report` prints the summary of the BENCH files
-already in `--out` and runs nothing.
+already in `--out` and runs nothing. `--claim WORKLOAD:METRIC` tests a claimed
+gain of the second side on that metric: it must win at least nine tenths of
+the pairs (a tie counts for neither side), and its median must be better
+than the first side's by more than the first side's quartile distance. It
+prints `claim met` or the reason the claim fails.
 
 The exit status is 1 when a metric's median is worse than its bound, when a
 metric is unresolved (the first side's quartile distance, relative to its
 median, exceeds the bound and not every run of the second side is better
 than every run of the first), when the second side has more failed
-operations than the first, or when a pair's recorded netlist digests differ;
-otherwise 0.
+operations than the first, when a pair's recorded netlist digests differ, or
+when the claim given with `--claim` fails; otherwise 0.
 """
 
 from __future__ import annotations
@@ -124,9 +128,20 @@ def summarize(first: list[dict], second: list[dict], metrics: list[dict]) -> lis
                 "won": sum(b < a if lower else b > a for a, b in vals),
                 "tied": sum(a == b for a, b in vals), "pairs": len(vals),
                 "rel": rel, "bound": m["bound"], "worse": (rel if lower else -rel) > m["bound"],
+                "gain": q_a[1] - q_b[1] if lower else q_b[1] - q_a[1],
                 "unresolved": spread > m["bound"] and not separated,
             })
     return rows
+
+
+def claim_failure(row: dict) -> str | None:
+    """Why `row` does not support a claimed gain for the second side, or None if it does."""
+    if 10 * row["won"] < 9 * row["pairs"]:
+        return f"won {row['won']} of {row['pairs']} pairs (tied {row['tied']}), fewer than nine tenths"
+    spread = row["first"][2] - row["first"][0]
+    if row["gain"] <= spread:
+        return f"median gain {row['gain']:.4g} is not above the first side's quartile distance {spread:.4g}"
+    return None
 
 
 def format_row(row: dict) -> str:
@@ -145,6 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument("--out", type=Path, default=Path("."))
     parser.add_argument("--report", action="store_true", help="summarize existing BENCH files")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="test a claimed gain of the second side on this metric")
     args = parser.parse_args(argv)
 
     paths = [args.out / f"BENCH_{label}.json" for label in args.labels]
@@ -187,7 +204,13 @@ def main(argv=None) -> int:
         print(format_row(row))
     if failed[1] > failed[0]:
         print(f"{args.labels[1]} has more failed operations than {args.labels[0]}")
-    return int(failed[1] > failed[0] or digests["different"] > 0
+    claim_failed = False
+    if args.claim:
+        claimed = next((r for r in rows if f"{r['workload']}:{r['metric']}" == args.claim), None)
+        reason = claim_failure(claimed) if claimed else "no paired runs of that workload and metric"
+        print(f"claim {args.claim}: {reason or 'claim met'}")
+        claim_failed = reason is not None
+    return int(failed[1] > failed[0] or digests["different"] > 0 or claim_failed
                or any(row["worse"] or row["unresolved"] for row in rows))
 
 
