@@ -150,9 +150,6 @@ class BinaryPolynomial:
     def exponents(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.bits.bit_length() - 1, -1, -1) if (self.bits >> i) & 1)
 
-    def coefficient(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -170,9 +167,6 @@ class BinaryPolynomial:
     def __divmod__(self, other: "BinaryPolynomial"):
         q, r = _divmod(self.bits, other.bits)
         return BinaryPolynomial(q), BinaryPolynomial(r)
-
-    def gcd(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return BinaryPolynomial(_gcd(self.bits, other.bits))
 
     def is_irreducible(self) -> bool:
         return _is_irreducible(self.bits)

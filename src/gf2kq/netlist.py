@@ -11,8 +11,6 @@ parse_netlist(emit_netlist(c)) equals c structurally.
 
 from __future__ import annotations
 
-from array import array
-from collections import deque
 from collections.abc import Iterator
 from itertools import chain, combinations, compress, islice, repeat
 from operator import contains, eq, itemgetter
@@ -92,18 +90,20 @@ def parse_netlist(text: str) -> Circuit:
 
     The text is read in slices of about 64 KiB cut at line ends, so the
     parse holds one slice's lines at a time, never a str per line of the
-    whole netlist. Each distinct raw gate line is checked once, in the
-    slice where it first occurs; large netlists repeat most of their
-    lines. A slice's new lines are grouped by token count and checked a
-    column at a time, with no Python step per line: kinds of that arity,
-    integer operands (any spelling `int()` accepts, so `+1`, `01` and
-    `1_0` name wires 1, 1 and 10), operands inside the wire range, distinct
-    operands. If a check fails, the slice's new lines are checked again one
-    at a time, in order, for a known gate kind, its operand count, integer
+    whole netlist. Each distinct raw gate line of a slice is checked once
+    in that slice; large netlists repeat most of their lines within a
+    slice. Nothing is kept from one slice to the next but the records. A
+    slice's distinct lines are grouped by token count and checked a column
+    at a time, with no Python step per line: kinds of that arity, integer
+    operands (any spelling `int()` accepts, so `+1`, `01` and `1_0` name
+    wires 1, 1 and 10), operands inside the wire range, distinct operands.
+    If a check fails, the slice's distinct lines are checked again one at a
+    time, in order, for a known gate kind, its operand count, integer
     operands, the range and distinct operands, in that order; the first
     failed check raises NetlistParseError at the line where the bad line
     first occurs. Each slice's records are cut from the bytes of its lines'
-    records, with no loop per gate.
+    records, with no loop per gate. A QUBITS total above 2^31 - 1 is
+    refused: wire numbers are stored as 32-bit ints.
     """
     slices = _slices(text)
     header: list[tuple[int, str]] = []
@@ -121,6 +121,8 @@ def parse_netlist(text: str) -> Circuit:
     if len(parts) != 2 or parts[0] != "QUBITS" or not parts[1].isdecimal():
         raise NetlistParseError(f"expected 'QUBITS <total>', got {l1!r}", ln1)
     total = int(parts[1])
+    if total > 2**31 - 1:
+        raise NetlistParseError(f"QUBITS {total} is above the 2^31 - 1 wire limit", ln1)
 
     toks = l2.split()
     if len(toks) != 5 or toks[0] != "REGISTERS":
@@ -159,31 +161,22 @@ def parse_netlist(text: str) -> Circuit:
     circuit = Circuit(layout)
     # The header's slice continues with the first body line.
     del lines[: ln3 + 1 - first]
-    # Distinct raw lines in order of first occurrence, each mapped to its
-    # record's bytes; blank and comment-only lines keep b"".
-    seen: dict[str, bytes] = {}
-    # Sized for a gate per line feed, so they fill in place; other line ends grow them.
-    gates, most = 0, text.count("\n") + 1
-    circuit.kinds, circuit.ops = bytearray(most), array("i", [-1]) * (3 * most)
     for first, lines in chain([(ln3 + 1, lines)], slices):
-        before = len(seen)
-        deque(map(seen.setdefault, lines, repeat(b"")), 0)
-        # The keys this slice added, newest first, found without a walk over the older keys.
-        new = [*islice(reversed(seen), len(seen) - before)]
-        if not _pack(new, total, seen):
-            for raw in reversed(new):
+        # The slice's distinct raw lines, each mapped to its record's bytes;
+        # blank and comment-only lines keep b"".
+        seen = dict.fromkeys(lines, b"")
+        if not _pack([*seen], total, seen):
+            for raw in seen:
                 if error := _line_error(raw, total):
                     raise NetlistParseError(error, first + lines.index(raw))
             raise RuntimeError("column check refused a slice whose lines each pass")
         # join holds an 80-byte buffer view per line while it runs: a slice's worth.
         records = bytearray().join(map(seen.__getitem__, lines))
-        end = gates + len(records) // _RECORD.size
-        circuit.kinds[gates:end] = records[:: _RECORD.size]
+        circuit.kinds += records[:: _RECORD.size]
         del records[:: _RECORD.size]
-        circuit.ops[3 * gates : 3 * end], gates = array("i", records), end
-        # Free this slice's lines before the next slice is split.
-        lines.clear()
-    del circuit.kinds[gates:], circuit.ops[3 * gates :]
+        circuit.ops.frombytes(records)
+        # The memo's keys are this slice's lines: free both before the next slice is split.
+        del seen, lines[:]
     return circuit
 
 

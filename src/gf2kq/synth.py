@@ -31,7 +31,7 @@ from itertools import chain, starmap
 from typing import Callable, Optional, Sequence
 
 from . import halving
-from .circuit import K_CCZ, K_CNOT, K_H, K_TOF, Circuit, Gate, RegisterLayout
+from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
 from .halving import SUBCALLS, list_halves, split_even, xor_lists
@@ -271,35 +271,27 @@ def synth_baseline(
     return synth(SynthesisOptions("baseline", p, "toffoli_form", ladder_style))
 
 
-def _baseline(p: BinaryPolynomial, ladder_style: str, output_form: str) -> Circuit:
-    """`synth_baseline`'s construction in either form, for an already checked modulus.
+def _baseline(p: BinaryPolynomial, ladder_style: str) -> Circuit:
+    """`synth_baseline`'s construction in ccz form, for an already checked modulus.
 
-    The ccz form puts the whole construction between H layers on c: each
-    Toffoli (all target c) becomes a CCZ, and each stage-2 CNOT, which acts
-    within c, reverses direction.
+    The whole construction sits between H layers on c: each Toffoli (all
+    target c) becomes a CCZ, and each stage-2 CNOT, which acts within c,
+    reverses direction. `to_toffoli_form` turns it back.
     """
     n = p.degree
     a, b, c = range(n), range(n, 2 * n), range(2 * n, 3 * n)
     stage2 = _reduction_stage_gates(p, build_reduction_matrix(p), c, ladder_style)
-    if output_form == "ccz_form":
-        layout = RegisterLayout(n=n)
-        h_layer = [(w, -1, -1) for w in c]
-        stage2 = [(t, s, -1) for s, t in stage2]
-        product = K_CCZ
-    else:
-        layout = RegisterLayout(n=n, phase_wires=frozenset())
-        h_layer = []
-        stage2 = [(s, t, -1) for s, t in stage2]
-        product = K_TOF
+    h_layer = [(w, -1, -1) for w in c]
+    stage2 = [(t, s, -1) for s, t in stage2]
     # (a, b, c) wires ascend: the canonical operand order of a CCZ and a Toffoli.
     kinds, ops = bytearray(), array("i")
     _put(kinds, ops, K_H, h_layer)
     _put(kinds, ops, K_CNOT, stage2[::-1])
-    _put(kinds, ops, product, ((a[j], b[n + i - j], c[i]) for i in a for j in range(i + 1, n)))
+    _put(kinds, ops, K_CCZ, ((a[j], b[n + i - j], c[i]) for i in a for j in range(i + 1, n)))
     _put(kinds, ops, K_CNOT, stage2)
-    _put(kinds, ops, product, ((a[j], b[i - j], c[i]) for i in a for j in range(i + 1)))
+    _put(kinds, ops, K_CCZ, ((a[j], b[i - j], c[i]) for i in a for j in range(i + 1)))
     _put(kinds, ops, K_H, h_layer)
-    return Circuit.from_records(layout, kinds, ops)
+    return Circuit.from_records(RegisterLayout(n=n), kinds, ops)
 
 
 def _put(kinds: bytearray, ops: array, code: int, triples) -> None:
@@ -711,9 +703,9 @@ def synth(options: SynthesisOptions) -> Circuit:
         )
 
     if options.variant == "baseline":
-        return _baseline(p, options.ladder_style, options.output_form)
-
-    circ = _karatsuba_circuit(p, options.variant, options.ladder_style)
+        circ = _baseline(p, options.ladder_style)
+    else:
+        circ = _karatsuba_circuit(p, options.variant, options.ladder_style)
     return to_toffoli_form(circ) if toffoli else circ
 
 

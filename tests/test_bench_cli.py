@@ -220,3 +220,13 @@ def test_cli_verify_header_count_that_int_refuses_exits_4(tmp_path, capsys):
                        encoding="utf-8")
     assert main(["verify", "--circuit", str(netlist), "--poly", "2,1,0"]) == 4
     assert capsys.readouterr().err == "error: line 1: expected 'QUBITS <total>', got 'QUBITS ²'\n"
+
+
+def test_cli_verify_wire_count_above_32_bits_exits_4(tmp_path, capsys):
+    # the gate's wire number passes the range check but not a 32-bit slot
+    netlist = tmp_path / "wide.qc"
+    netlist.write_text("QUBITS 3000000000\nREGISTERS a=0:2 b=2:4 c=4:6 anc=6:3000000000\n"
+                       "PHASEWIRES\nX 2999999999\n", encoding="utf-8")
+    assert main(["verify", "--circuit", str(netlist), "--poly", "2,1,0"]) == 4
+    assert capsys.readouterr().err == (
+        "error: line 1: QUBITS 3000000000 is above the 2^31 - 1 wire limit\n")

@@ -510,6 +510,22 @@ def test_parse_qubits_count_must_be_decimal_digits():
     assert parse_netlist(HEADER12.replace("12", arabic, 1)).layout == RegisterLayout(n=4)
 
 
+def test_parse_qubits_total_must_fit_a_32_bit_wire_number():
+    # wire numbers are stored as 32-bit ints; the parse sizes nothing by the
+    # wire count, so a netlist of 2^31 - 1 wires parses in a few bytes
+    def text(total):
+        regs = f"REGISTERS a=0:2 b=2:4 c=4:6 anc=6:{total}"
+        return f"QUBITS {total}\n{regs}\nPHASEWIRES\nX {total - 1}\n"
+
+    circuit = parse_netlist(text(2**31 - 1))
+    assert circuit.layout.total_wires == 2**31 - 1
+    assert circuit.gates == [Gate(X, (2**31 - 2,))]
+    for total in (2**31, 3_000_000_000):
+        with pytest.raises(NetlistParseError) as err:
+            parse_netlist(text(total))
+        assert str(err.value) == f"line 1: QUBITS {total} is above the 2^31 - 1 wire limit"
+
+
 def _traced_peak(fn, *args) -> int:
     """The tracemalloc peak, in bytes, of the call fn(*args)."""
     tracemalloc.start()
@@ -533,3 +549,11 @@ def test_netlist_io_keeps_no_string_per_line():
     text = header + "\n".join(pool + rng.choices(pool, k=95_000)) + "\n"
     assert _slice_of(text, text.count("\n")) >= 4
     assert _traced_peak(parse_netlist, text) <= 5 * len(text)
+    # about 120,000 distinct gate lines over more than 20 slices: the parse
+    # keeps no line from one slice to the next (12.7x with a memo of every
+    # distinct line of the netlist, 2.4x without)
+    pairs = [divmod(i, 1000) for i in rng.sample(range(1_000_000), 120_000)]
+    body = "\n".join([f"CNOT {u} {v}" for u, v in pairs if u != v])
+    text = "QUBITS 1000\nREGISTERS a=0:300 b=300:600 c=600:900 anc=900:1000\nPHASEWIRES\n" + body
+    assert _slice_of(text, text.count("\n")) > 20
+    assert _traced_peak(parse_netlist, text) <= 4 * len(text)
