@@ -91,7 +91,7 @@ def parse_netlist(text: str) -> Circuit:
     The text is read in slices of about 64 KiB cut at line ends, so the
     parse holds one slice's lines at a time, never a str per line of the
     whole netlist. Each distinct raw gate line of a slice is checked once
-    in that slice; large netlists repeat most of their lines within a
+    in that slice; large netlists repeat many of their lines within a
     slice. Nothing is kept from one slice to the next but the records. A
     slice's distinct lines are grouped by token count and checked a column
     at a time, with no Python step per line: kinds of that arity, integer

@@ -3,8 +3,8 @@
 Builds circuits mapping |a>|b>|c>|0> to |a>|b>|c xor AB mod P>|0> in four
 variants:
 
-* ``baseline``  - three-stage quadratic construction, built directly in
-  either form, exactly n^2 Toffolis (or CCZs), no ancillas.
+* ``baseline``  - three-stage quadratic construction, built in ccz form,
+  exactly n^2 CCZs (or Toffolis), no ancillas.
 * ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes,
   at most 3^ceil(log2 n) CCZ gates and zero ancillas.
 * ``linear_depth`` - same CCZ count; the two independent recursive calls run
