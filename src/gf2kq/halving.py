@@ -1,9 +1,16 @@
 """The halving recursion behind every Karatsuba-style construction.
 
 An even-size instance of the phase polynomial g(a,b,c) xor h(a,b,c') splits
-into three half-size instances of itself; an odd one first grows by one
-position. `SUBCALLS` writes the split once for `ccz_count`, the builders in
-`synth` and the identity checks in `phasepoly`.
+into three half-size instances of itself (`SUBCALLS`). `reshape` readies
+each instance for the split: one whose a and b are zero at the top, as the
+(A_R, B_R) sub-call of a padded instance is, drops that position
+(`shrink`, the inverse of `pad_odd`), and an odd one grows by one
+(`pad_odd`). A size-k instance thus recurses on two instances of size
+ceil(k/2) and one of size floor(k/2), and has Karatsuba's unbalanced count
+of base cases, M(k) = 2 M(ceil(k/2)) + M(floor(k/2)) with M(1) = 1, which
+is at most 3^ceil(log2 k). The table and `reshape` write the recursion once
+for `ccz_count`, the builders in `synth` and the identity checks in
+`phasepoly`.
 """
 
 from __future__ import annotations
@@ -53,6 +60,32 @@ def pad_odd(a: list[T], b: list[T], c: list[T], cp: list[T], zero: Callable[[], 
     `zero()` makes each new entry, so mutable zeros are never shared.
     """
     return a + [zero()], b + [zero()], c + [cp[0]], cp[1:] + [zero(), zero()]
+
+
+def shrink(a: list[T], b: list[T], c: list[T], cp: list[T]):
+    """`pad_odd` backwards: drop the top position, c_(k-1) moves into c'_0.
+
+    Valid when a and b are zero at the top: the size-(k-1) instance then
+    has the same g xor h.
+    """
+    return a[:-1], b[:-1], c[:-1], [c[-1], *cp[: len(cp) - 2]]
+
+
+def reshape(a: list[T], b: list[T], c: list[T], cp: list[T], zero: Callable[[], T]):
+    """The instance to split or, at size 1, to take as the base case.
+
+    A zero-topped instance (a and b falsy at the top) of odd size or of
+    size 2 shrinks. An even one above 2 is split as it is: its zero top
+    passes to its (A_R, B_R) sub-call, for the same M(k - 1) base cases,
+    and its c' entries stay where they are, where padding would put new
+    zeros that the scheduled builders give helper wires. An odd instance
+    above size 1 is then padded; being even, it never shrinks back.
+    """
+    if (len(a) % 2 or len(a) == 2) and not a[-1] and not b[-1]:
+        a, b, c, cp = shrink(a, b, c, cp)
+    if len(a) % 2 and len(a) > 1:
+        return pad_odd(a, b, c, cp, zero)
+    return a, b, c, cp
 
 
 def xor_lists(u: Sequence[int], v: Sequence[int]) -> list[int]:

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .circuit import K_CCZ, K_CNOT, KINDS, Circuit
 from .errors import InputError
 from .gf2 import Gf2Matrix, _mul
+from . import halving
 from .halving import C, CP, SUBCALLS, list_halves, pad_odd, split_even, xor_lists
 
 
@@ -287,10 +288,33 @@ def _mask_halves(h: int):
     return lambda x: (x & low, x >> h)
 
 
-def _pad_masks(regs, n: int) -> list[int]:
-    """pad_odd on bit-mask registers, by way of their bit lists."""
-    bits = [[(x >> i) & 1 for i in range(n)] for x in regs]
-    return [sum(v << i for i, v in enumerate(r)) for r in pad_odd(*bits, int)]
+def _on_lists(rule: Callable, regs, n: int):
+    """`rule` applied to list registers: (the new registers, their size)."""
+    out = rule(*regs)
+    return out, len(out[0])
+
+
+def _on_bit_lists(rule: Callable, regs, n: int):
+    """`rule` applied to size-n bit-mask registers, by way of their bit lists."""
+    out = rule(*([(x >> i) & 1 for i in range(n)] for x in regs))
+    return [sum(v << i for i, v in enumerate(r)) for r in out], len(out[0])
+
+
+def _pad(a, b, c, cp):
+    return pad_odd(a, b, c, cp, int)
+
+
+# The halving rules are looked up at each call, so a test can swap in a faulty one.
+def _shrink(a, b, c, cp):
+    return halving.shrink(a, b, c, cp)
+
+
+def _reshape(a, b, c, cp):
+    return halving.reshape(a, b, c, cp, int)
+
+
+def _zero_top(a, b, c, cp):
+    return a[:-1] + [0], b[:-1] + [0], c, cp
 
 
 class _Model(NamedTuple):
@@ -300,13 +324,11 @@ class _Model(NamedTuple):
     h: Callable  # h(a, b, c', n)
     combine: Callable  # XOR of two half registers
     halves: Callable  # halves(h) splits a size-2h register into (low, high)
-    pad: Callable  # pad(regs, n) is pad_odd of size-n registers
+    lists: Callable  # lists(rule, regs, n) applies a list-register rule such as pad_odd
 
 
-_FORMS = _Model(
-    _sym_g, _sym_h, xor_lists, lambda h: list_halves, lambda regs, n: pad_odd(*regs, int)
-)
-_MASKS = _Model(g_value, h_value, operator.xor, _mask_halves, _pad_masks)
+_FORMS = _Model(_sym_g, _sym_h, xor_lists, lambda h: list_halves, _on_lists)
+_MASKS = _Model(g_value, h_value, operator.xor, _mask_halves, _on_bit_lists)
 
 
 def _instances(n: int, trials: int, symbolic: bool, seed: int):
@@ -360,7 +382,7 @@ def _padding_sides(n: int, regs=None, model: _Model = _FORMS):
     """Both sides of the padding identity, over free symbolic registers by default."""
     if regs is None:
         regs = _free_forms(n)
-    return _gh(model, regs, n), _gh(model, model.pad(regs, n), n + 1)
+    return _gh(model, regs, n), _gh(model, *model.lists(_pad, regs, n))
 
 
 def check_padding_identity(
@@ -373,6 +395,24 @@ def check_padding_identity(
         lhs, rhs = _padding_sides(n, regs, model)
         if lhs != rhs:
             return False
+    return True
+
+
+def check_shrink_identity(
+    n: int, trials: int = 0, symbolic: bool = False, seed: int = 0
+) -> bool:
+    """Check the shrink identity at size n: with a_(n-1) = b_(n-1) = 0, g ^ h
+    is unchanged by `halving.shrink` and by `halving.reshape`, which shrinks
+    only some zero-topped sizes and pads odd ones.
+    """
+    if n < 2:
+        raise InputError("the shrink identity needs n >= 2")
+    for regs, model in _instances(n, trials, symbolic, seed):
+        regs, _ = model.lists(_zero_top, regs, n)
+        lhs = _gh(model, regs, n)
+        for rule in (_shrink, _reshape):
+            if _gh(model, *model.lists(rule, regs, n)) != lhs:
+                return False
     return True
 
 

@@ -29,7 +29,9 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
+from itertools import compress, count
+from operator import gt, itemgetter
 from typing import Optional, Sequence
 
 from .circuit import K_CCZ, K_CNOT, K_H, K_TOF, K_X, KINDS, Circuit, RegisterLayout
@@ -90,35 +92,73 @@ def to_toffoli_form(circuit: Circuit) -> Circuit:
     Requires every CCZ to touch exactly one sandwiched wire and every CNOT
     to touch either none or both; CNOTs between sandwiched wires reverse
     direction. The result is purely classical-reversible.
+
+    The rewrite works on whole columns, as the simulators do. A flag int
+    holds one byte per core gate: 1 where the gate is of some kind, or
+    where one of its operands is a phase wire. Each check and the CNOT
+    reversal are then a few big-int operations, not a loop over the gates.
     """
     phase, core = _split_sandwich(circuit)
     layout = RegisterLayout(
         circuit.layout.n, circuit.layout.ancillas, phase_wires=frozenset()
     )
-    ops = array("i")
     with core.kinds, core.ops:
-        for k, u, v, w in core.records():
-            if k == K_CNOT:
-                inside = (u in phase) + (v in phase)
-                if inside == 1:
-                    raise FormError(f"CNOT {(u, v)} mixes phase and plain wires")
-                u, v = (v, u) if inside else (u, v)
-            elif k == K_CCZ:
-                marked = [x for x in (u, v, w) if x in phase]
-                if len(marked) != 1:
-                    raise FormError(f"CCZ {(u, v, w)} touches {len(marked)} phase wires")
-                u, v = sorted(x for x in (u, v, w) if x not in phase)
-                w = marked[0]
-            elif k == K_H:
-                raise FormError("H gate inside the sandwich core")
-            elif k == K_X:
-                if u in phase:
-                    raise FormError("X on a phase wire has no classical rewrite")
-            else:
-                raise FormError(f"unsupported core gate {KINDS[k]}")
-            ops.extend((u, v, w))
-        kinds = bytearray(core.kinds).replace(bytes([K_CCZ]), bytes([K_TOF]))
+        kinds = bytes(core.kinds)
+        ops = array("i", bytes(core.ops))
+    n = len(kinds)
+    u, v, w = (ops[i::3] for i in range(3))
+    # Per wire, 1 on a phase wire, and as a 32-bit word, all ones on one.
+    # Index -1, read for unused operand slots, is a plain wire.
+    mark = bytearray(circuit.wire_count + 1)
+    word = [bytes(4)] * len(mark)
+    for x in phase:
+        mark[x], word[x] = 1, b"\xff" * 4
+    wide = b"".join(map(word.__getitem__, u))
+    cnot, ccz, gx, gh = (_flags(kinds.translate(_IS[k])) for k in (K_CNOT, K_CCZ, K_X, K_H))
+    every = _flags(b"\1" * n)
+    pu = _flags(wide[::4]) & every
+    pv, pw = (_flags(bytes(map(mark.__getitem__, col))) for col in (v, w))
+    not_one = pu ^ pv ^ pw ^ every | pu & pv & pw  # not exactly one phase operand
+    fault = cnot & (pu ^ pv) | ccz & not_one | gx & pu | gh | every ^ cnot ^ ccz ^ gx ^ gh
+    if fault:
+        i = ((fault & -fault).bit_length() - 1) // 8
+        raise FormError(_core_fault(kinds[i], u[i], v[i], w[i], mark))
+    # A CNOT between phase wires reverses: both operands XOR with u ^ v. Past
+    # the checks, a first operand on a phase wire is such a CNOT or a CCZ,
+    # and a CCZ is rebuilt below from its operands in any order.
+    wu, wv = (int.from_bytes(col.tobytes(), "little") for col in (u, v))
+    swap = (wu ^ wv) & int.from_bytes(wide, "little")
+    ops[0::3], ops[1::3] = (array("i", (x ^ swap).to_bytes(4 * n, "little")) for x in (wu, wv))
+    # A CCZ becomes a Toffoli with ascending controls and its phase wire as
+    # target. The builders emit CCZs in that order; any other is rebuilt.
+    moved = ccz & (pu | pv | _flags(bytes(map(gt, u, v))))
+    by_mark = partial(sorted, key=mark.__getitem__)
+    for i in compress(count(), moved.to_bytes(n, "little")):
+        ops[3 * i : 3 * i + 3] = array("i", by_mark(sorted(ops[3 * i : 3 * i + 3])))
+    kinds = bytearray(kinds.replace(bytes([K_CCZ]), bytes([K_TOF])))
     return Circuit.from_records(layout, kinds, ops)
+
+
+def _flags(flags: bytes) -> int:
+    """One 0/1 byte per gate as a flag int: bitwise ops act gate by gate."""
+    return int.from_bytes(flags, "little")
+
+
+def _core_fault(k: int, u: int, v: int, w: int, mark: bytearray) -> str:
+    """Why the core gate (k, u, v, w) has no Toffoli-form rewrite."""
+    if k == K_CNOT:
+        return f"CNOT {(u, v)} mixes phase and plain wires"
+    if k == K_CCZ:
+        return f"CCZ {(u, v, w)} touches {mark[u] + mark[v] + mark[w]} phase wires"
+    if k == K_H:
+        return "H gate inside the sandwich core"
+    if k == K_X:
+        return "X on a phase wire has no classical rewrite"
+    return f"unsupported core gate {KINDS[k]}"
+
+
+# _IS[k] is the bytes.translate table that maps kind code k to 1, all else to 0.
+_IS = [bytes(c == k for c in range(256)) for k in range(len(KINDS))]
 
 
 # ---------------------------------------------------------------------------

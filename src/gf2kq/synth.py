@@ -6,7 +6,9 @@ variants:
 * ``baseline``  - three-stage quadratic construction, built in ccz form,
   exactly n^2 CCZs (or Toffolis), no ancillas.
 * ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes,
-  at most 3^ceil(log2 n) CCZ gates and zero ancillas.
+  M(n) CCZ gates and zero ancillas. M is Karatsuba's unbalanced count,
+  M(n) = 2 M(ceil(n/2)) + M(floor(n/2)) with M(1) = 1, at most
+  3^ceil(log2 n).
 * ``linear_depth`` - same CCZ count; the two independent recursive calls run
   on disjoint wires so total depth grows linearly, using O(n log n) helper
   wires.
@@ -34,7 +36,7 @@ from . import halving
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
-from .halving import SUBCALLS, list_halves, split_even, xor_lists
+from .halving import SUBCALLS, list_halves, reshape, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
 
@@ -313,11 +315,9 @@ def _forms_recursion(
     `leaf(alpha, beta, gamma)` is called once per base case; zero forms are
     passed through so the leaf can drop vanishing terms.
     """
-    k = len(a)
-    if k == 1:
+    a, b, c, cp = reshape(a, b, c, cp, int)  # int() is the zero form
+    if len(a) == 1:
         leaf(a[0], b[0], c[0])
-    elif k % 2:
-        _forms_recursion(*halving.pad_odd(a, b, c, cp, int), leaf)  # int() is the zero form
     else:
         for sub in split_even((a, b, c, cp), xor_lists, list_halves):
             _forms_recursion(*sub, leaf)
@@ -327,7 +327,9 @@ def ccz_count(p: BinaryPolynomial) -> int:
     """CCZ count of the Karatsuba core for modulus p, without building gates.
 
     Runs the same recursion as the builders and counts base cases whose
-    three operand forms are all nonzero.
+    three operand forms are all nonzero. Zero-topped sub-instances shrink
+    (`halving.reshape`), so this is M(n) = 2 M(ceil(n/2)) + M(floor(n/2)),
+    M(1) = 1, on every catalog modulus, at most `ccz_count_bound(n)`.
     """
     n = p.degree
     if n < 2:
@@ -399,12 +401,15 @@ class _InPlaceGroup:
 class Slot:
     """A c-side or operand-side value holder: linear form plus its wire.
 
-    Zero-valued slots may have no wire until something is XORed into them;
-    `Slot()` is such a zero slot.
+    Zero-valued slots are false and may have no wire until something is
+    XORed into them; `Slot()` is such a zero slot.
     """
 
     form: int = 0
     wire: Optional[int] = None
+
+    def __bool__(self) -> bool:
+        return self.form != 0
 
 
 def pad_odd(a: list[Slot], b: list[Slot], c: list[Slot], cp: list[Slot]):
@@ -462,14 +467,12 @@ class _ScheduledCore:
 
     def rec(self, a, b, c, cp, base) -> int:
         """Emit the size-len(a) instance with helpers from offset `base`; return the peak."""
-        k = len(a)
-        if k == 1:
+        a, b, c, cp = reshape(a, b, c, cp, Slot)
+        if len(a) == 1:
             if a[0].form and b[0].form and c[0].form:
                 self.kinds.append(K_CCZ)
                 self.ops.extend(sorted((a[0].wire, b[0].wire, c[0].wire)))
             return base
-        if k % 2:
-            return self.rec(*pad_odd(a, b, c, cp), base)
         if self.mode == "linear_depth":
             return self._rec_linear(a, b, c, cp, base)
         return self._rec_log(a, b, c, cp, base)

@@ -6,6 +6,7 @@ from functools import reduce
 
 import pytest
 
+from gf2kq import halving
 from gf2kq.circuit import Circuit, Gate, RegisterLayout
 from gf2kq.errors import InputError
 from gf2kq.gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix
@@ -16,6 +17,7 @@ from gf2kq.phasepoly import (
     check_split_identities,
     check_halving_identity,
     check_padding_identity,
+    check_shrink_identity,
     extract_phase,
     g_value,
     h_value,
@@ -359,3 +361,34 @@ def test_bits_matches_generator_reference():
     masks += [rng.getrandbits(5000) & rng.getrandbits(5000) & rng.getrandbits(5000) for _ in range(20)]
     for mask in masks:
         assert list(_bits(mask)) == list(_reference_bits(mask))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_shrink_identity_symbolic(n):
+    assert check_shrink_identity(n, symbolic=True)
+
+
+@pytest.mark.parametrize("n", [*range(2, 18), 31, 32, 33, 63, 64])
+def test_shrink_identity_on_random_masks(n):
+    assert check_shrink_identity(n, trials=1000, seed=n)
+
+
+def test_shrink_identity_input_check():
+    with pytest.raises(InputError):
+        check_shrink_identity(1)
+
+
+def _shrink_dropping_top_c(a, b, c, cp):
+    """A faulty shrink: c_(k-1) is dropped, not moved into c'_0."""
+    return a[:-1], b[:-1], c[:-1], cp[: len(cp) - 1]
+
+
+def test_shrink_identity_catches_a_dropped_top_c(monkeypatch):
+    monkeypatch.setattr(halving, "shrink", _shrink_dropping_top_c)
+    # At n = 2 the product has no x^1 term once a_1 = b_1 = 0, so c_1 reads
+    # nothing there and the faulty shrink is still exact.
+    assert check_shrink_identity(2, symbolic=True)
+    for n in range(3, 13):
+        assert not check_shrink_identity(n, symbolic=True)
+    for n in (*range(3, 18), 31, 32, 33, 63, 64):
+        assert not check_shrink_identity(n, trials=1000, seed=n)

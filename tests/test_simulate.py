@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from gf2kq.catalog import catalog_entries, catalog_lookup
-from gf2kq.circuit import CCZ, CNOT, TOFFOLI, Circuit, Gate, RegisterLayout, X
+from gf2kq.circuit import CCZ, CNOT, TOFFOLI, Circuit, Gate, H, RegisterLayout, X
 from gf2kq.errors import FormError, InputError, SimulationError
 from gf2kq.gf2 import (
     BinaryPolynomial,
@@ -555,3 +555,104 @@ def test_kickback_matches_per_bit_expansion(m):
             for k in _bits(z):
                 want[k] ^= prod
         assert _kickback(acc, m) == want
+
+
+def reference_toffoli_form(circuit):
+    """The per-gate walk `to_toffoli_form`'s column rewrite must match."""
+    phase, core = _split_sandwich(circuit)
+    gates = []
+    with core.kinds, core.ops:
+        for g in core.gates:
+            u, v, w = (*g.operands, None, None)[:3]
+            if g.kind == CNOT:
+                inside = (u in phase) + (v in phase)
+                if inside == 1:
+                    raise FormError(f"CNOT {(u, v)} mixes phase and plain wires")
+                gates.append(Gate.cnot(v, u) if inside else g)
+            elif g.kind == CCZ:
+                marked = [x for x in g.operands if x in phase]
+                if len(marked) != 1:
+                    raise FormError(f"CCZ {g.operands} touches {len(marked)} phase wires")
+                gates.append(Gate.toffoli(*sorted(x for x in g.operands if x not in phase), marked[0]))
+            elif g.kind == H:
+                raise FormError("H gate inside the sandwich core")
+            elif g.kind == X:
+                if u in phase:
+                    raise FormError("X on a phase wire has no classical rewrite")
+                gates.append(g)
+            else:
+                raise FormError(f"unsupported core gate {g.kind}")
+    layout = RegisterLayout(circuit.layout.n, circuit.layout.ancillas, phase_wires=frozenset())
+    return Circuit(layout, gates)
+
+
+def _random_toffoli_sandwich(rng, faults):
+    """An H sandwich with a random core of rewritable gates, plus `faults`
+    gates that have no Toffoli-form rewrite, at random places."""
+    n, ancillas = rng.randint(1, 3), rng.randint(0, 3)
+    wires = range(3 * n + ancillas)
+    phase = set(rng.sample(wires, rng.randint(1, len(wires) - 2)))
+    lay = RegisterLayout(n=n, ancillas=ancillas, phase_wires=frozenset(phase))
+    sym, plain = sorted(phase), [w for w in wires if w not in phase]
+    core = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.choice((CNOT, CNOT, CCZ, CCZ, X))
+        pool = sym if rng.random() < 0.5 else plain
+        if kind == CNOT and len(pool) >= 2:
+            core.append(Gate.cnot(*rng.sample(pool, 2)))
+        elif kind == CCZ and len(plain) >= 2:
+            ops = rng.sample(plain, 2)
+            ops.insert(rng.randrange(3), rng.choice(sym))
+            core.append(Gate(CCZ, tuple(ops)))
+        elif kind == X:
+            core.append(Gate.x(rng.choice(plain)))
+    for _ in range(faults):
+        kind = rng.choice(("cnot", "ccz", "h", "x", "tof"))
+        counts = [k for k in (0, 2, 3) if k <= len(sym) and 3 - k <= len(plain)]
+        if kind == "ccz" and not counts:
+            kind = "tof"
+        if kind == "cnot":
+            pair = [rng.choice(sym), rng.choice(plain)]
+            rng.shuffle(pair)
+            bad = Gate.cnot(*pair)
+        elif kind == "ccz":
+            marked = rng.choice(counts)
+            ops = rng.sample(sym, marked) + rng.sample(plain, 3 - marked)
+            bad = Gate(CCZ, tuple(rng.sample(ops, 3)))
+        elif kind == "h":
+            bad = Gate.h(rng.choice(wires))
+        elif kind == "x":
+            bad = Gate.x(rng.choice(sym))
+        else:
+            bad = Gate.toffoli(*rng.sample(wires, 3))
+        core.insert(rng.randint(0, len(core)), bad)
+    h = [Gate.h(w) for w in sym]
+    return Circuit(lay, h + core + h)
+
+
+def _toffoli_outcome(rewrite, circ):
+    try:
+        out = rewrite(circ)
+    except FormError as err:
+        return str(err)
+    return out.layout, bytes(out.kinds), out.ops.tolist()
+
+
+def test_to_toffoli_form_matches_per_gate_walk():
+    rng = random.Random(1601)
+    outcomes = set()
+    for trial in range(600):
+        circ = _random_toffoli_sandwich(rng, faults=trial % 3)
+        want = _toffoli_outcome(reference_toffoli_form, circ)
+        assert _toffoli_outcome(to_toffoli_form, circ) == want, circ.gates
+        outcomes.add(want.split(" ")[0] if isinstance(want, str) else "rewritten")
+    assert {"rewritten", "CNOT", "CCZ", "H", "X", "unsupported"} <= outcomes
+
+
+@pytest.mark.parametrize("variant", ["baseline", "compact"])
+def test_to_toffoli_form_matches_per_gate_walk_on_synthesized(variant):
+    for n in (2, 5, 16, 33):
+        circ = synth(SynthesisOptions(variant, catalog_lookup(n).polynomial))
+        assert _toffoli_outcome(to_toffoli_form, circ) == _toffoli_outcome(
+            reference_toffoli_form, circ
+        )

@@ -692,3 +692,44 @@ def test_builders_make_no_gate_objects(monkeypatch):
             assert karatsuba_core(k, mode).counts()["CCZ"] > 0
     q = build_reduction_matrix(P7)
     assert cprime_ancilla_circuit(q).counts()["CNOT"] == q.popcount()
+
+
+def karatsuba_m(n):
+    """Karatsuba's unbalanced count: M(n) = 2 M(ceil(n/2)) + M(floor(n/2)), M(1) = 1."""
+    return 1 if n == 1 else 2 * karatsuba_m((n + 1) // 2) + karatsuba_m(n // 2)
+
+
+def test_ccz_count_is_unbalanced_karatsuba_on_catalog():
+    for n in range(2, 129):
+        want = karatsuba_m(n)
+        assert want <= ccz_count_bound(n)
+        for entry in catalog_entries(n):
+            assert ccz_count(entry.polynomial) == want, entry
+
+
+# The five binary fields of FIPS 186-4, Appendix D, and M(n) for each.
+FIPS_186_4 = (
+    ([163, 7, 6, 3, 0], 4387),
+    ([233, 74, 0], 6323),
+    ([283, 12, 7, 5, 0], 10273),
+    ([409, 87, 0], 17101),
+    ([571, 10, 5, 2, 0], 31171),
+)
+
+
+@pytest.mark.parametrize("exponents,m", FIPS_186_4)
+def test_ccz_count_on_fips_186_4_fields(exponents, m):
+    p = BinaryPolynomial.parse(",".join(map(str, exponents)))
+    assert is_irreducible(p)
+    assert ccz_count(p) == karatsuba_m(p.degree) == m
+
+
+@pytest.mark.parametrize("mode", ["compact", "linear_depth", "log_depth"])
+def test_karatsuba_core_is_unbalanced_karatsuba_with_exact_phase(mode):
+    for k in range(1, 17):
+        frag = karatsuba_core(k, mode)
+        assert frag.counts()["CCZ"] == karatsuba_m(k), k
+        poly, state = extract_phase(frag)
+        assert state.is_identity(), k
+        # Helpers start at 4k and hold 0 on entry.
+        assert poly.restricted_to_zero(range(4 * k, frag.wire_count)) == target_polynomial(k), k
