@@ -152,33 +152,33 @@ GOLDEN = {
     (2, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "1c8ae6a4db675b595f032ffae34330b3e9273652c55b8a9c076f5c72f5f1513a",
     (3, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "2f91a674192913503a2da01dc1274a9e5c673006d0d6f22223db4d6a356632cb",
+        "3cc85775055c18531f3eb9c741ff0e5c8fae2d4f7d18ba7633f83271c310aa5a",
     (3, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "f3b667b799a98b0333c543c28e0da7dcefe6f43df5a1593c560d9b81ef129a56",
+        "abb1dc81b4537cf298ea18aab33cd6aee45c28bed185e993fce832460554df34",
     (3, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "fdba186bbde7b683128195d8d8da0a03cd249103c4e0d2e2f3cce1f84edbef1b",
+        "6c2b9ff233b47ffe2e5fc57e1d36ae846a61ca02cdb01fbbe4d95ef2a8a71be2",
     (3, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "3067ac3b896bc5b277480db139f997f7b90eee37a9bcbbf7d3f434b4ba565ba5",
     (3, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "e0bf459ef61316ded124c0ded8eef9d529dbadb5a78c99e0c920fa407cea5f60",
     (3, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "40edc2d20d86eba95b21813615b04f605ec46f06cc33b10a62edc160834d734d",
+        "255e5bea71495b135ae1725ecda453b780f5d3c452cd9f8c3f7cdbfc654f711b",
     (3, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "5125360184f5b5e9a34aff3daac231f62a6000dff2ce671d07b434d68a7db139",
+        "10460e9b668f8cbe13b146544dd4d2bdeab5bcf89ce2ca1b205b1b83386da87b",
     (3, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "344ef8b67e151f402b451c40aa831da83ff5de873724924984eebe71154dcbb7",
+        "dbdb588099a64c80d5af02c698e2683a41d6c45ba68cbb1717442f0124d1d9f3",
     (3, "trinomial", "baseline", "ccz_form", "sequential"):
         "9ab02bb3b7e071ea250a1c11c4bdcf42f2121c741dd8a98c756ad73fd99eb76c",
     (3, "trinomial", "baseline", "toffoli_form", "sequential"):
         "666d3112f5ab7fe2ea05a698b05668a3b16138be5432102ddd84d9bb9089a4e5",
     (3, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "6a794e364daf5eee662c1c00c69300cdb4e5c16a8c72b90f847f7e1a9310ad4f",
+        "688f3d0dcd5201506fd30622536d589391de1bd81822cf49c17c9b258aeed0cd",
     (3, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "9ab02bb3b7e071ea250a1c11c4bdcf42f2121c741dd8a98c756ad73fd99eb76c",
     (3, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "666d3112f5ab7fe2ea05a698b05668a3b16138be5432102ddd84d9bb9089a4e5",
     (3, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "6a794e364daf5eee662c1c00c69300cdb4e5c16a8c72b90f847f7e1a9310ad4f",
+        "688f3d0dcd5201506fd30622536d589391de1bd81822cf49c17c9b258aeed0cd",
     (4, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "eea393a6c0dfbf88276a58b79261cba90039fc98375b74ad56c95734d34da1bd",
     (4, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -226,85 +226,85 @@ GOLDEN = {
     (4, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "205d996623e3d7f9c34701c99f3137a974f5e95d5cff3bb86bac6e201e7765e7",
     (5, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "dd6b602b85f1dfaaf07a704ecacc7490ed846eaaf52790a9f91ad2b7a5a2921d",
+        "f0951318fba4cbaa4309aae350970d0f811ac52ca6fc771647b7b3c39497e820",
     (5, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "53f323d5a87194eb43700fb6eae8c17d6d565e74dfa00eb26ceea8c1f9794220",
+        "e24694c08e9c7bf81be974c53273d1a00e522e26d66600e7f225de0fd795d440",
     (5, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "8f0e543ecb4784b2c32a0ac57193119edd72063c0fe170f0a4fad8fa868034d9",
+        "5c069512758767436814023851d80401dcc681172837bb0d1400b14642214ff0",
     (5, "generic", "baseline", "ccz_form", "sequential"):
         "250bfd3ff79b68abd2c6726898efa411a3f33dc39e054aa1d181989e10618f68",
     (5, "generic", "baseline", "toffoli_form", "sequential"):
         "53ffe31aa3778b255c0569f78b2a683c9985eae760caad9e28b9eba45921cd4f",
     (5, "generic", "log_depth", "ccz_form", "sequential"):
-        "ed62a67f45242bcb31ab644d182ed1f67fd7139bc9e60b8a3d67c400931bdd4d",
+        "757d34cff1e3878d307bbf81775ce55282f126ae7ff1b1c0ddf47683e85d8a90",
     (5, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "250bfd3ff79b68abd2c6726898efa411a3f33dc39e054aa1d181989e10618f68",
     (5, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "53ffe31aa3778b255c0569f78b2a683c9985eae760caad9e28b9eba45921cd4f",
     (5, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "ed62a67f45242bcb31ab644d182ed1f67fd7139bc9e60b8a3d67c400931bdd4d",
+        "757d34cff1e3878d307bbf81775ce55282f126ae7ff1b1c0ddf47683e85d8a90",
     (6, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "ec50f738a9b883aa22d13c25b6d26bdfcffc2457568929ba1a152bffa131cad7",
+        "30e30c0e3f347f33ae4154845cb2107ef8d513147e0217ffd8a48e4e5a6e360d",
     (6, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "a8dbb8dd81c084879e5a7b58c310d54c8ff0b9ea43c95028e3b2db149a2a1c52",
+        "d14b6fbae6ae9c4042af5f3552d8dc041563af1ff7c27d3997b37b366322e75d",
     (6, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "593369c07b313c25306fa3f3354409aacad87ab6c0cba463a7b561ba4d12c6ed",
+        "455acec000a8eb7bdfd0ff33c07cf2476e7aea844e9114e32da45a146d11bcb7",
     (6, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "df95db3c9c78202600b72427442ba9022d5872e1347621d5fe4b0da884036521",
     (6, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "1caf1e000107a8c23b058694c7c4432188195d2528bbca2df46cff39c078667a",
     (6, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "ce2561df681b0cbc2c8ab3ce8b71bdca190032b092d4e67fd4b604364f5e8ba9",
+        "2c2d69000c1cf67c4d43fe8b95d585e5352a3e0aadbda00477f3978bdd7cdcf4",
     (6, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "6d569cf55f78e5b0b874fbb3c7c55e1d25c0179815c336a97e1e7019c1b75490",
+        "bc6933c44566e49fcf96ffd7cbb2d82b7b0422a16ad003ed254efdb7c6d287ca",
     (6, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a38ba0c02c8caf7154159e955204d5e1033d160fa3527e91b899ebbb72fe885d",
+        "dc98236332c6c325db42f6441acef03e604cd021b1d52dfde6281c8efd02cee0",
     (6, "trinomial", "baseline", "ccz_form", "sequential"):
         "fc618cc6ee95550fc721adfeb704b18ade9302757550ff04ba86ec8e985c2d27",
     (6, "trinomial", "baseline", "toffoli_form", "sequential"):
         "514d40a7384d2f80e559c5bd25662a878c0504b499a3410d88ad22f5ffa5f207",
     (6, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "5c13747859f8112a71cf19337f915e6f1191f2ad635000d27c8315ba786520fa",
+        "9cd1c070cf11df30459648c363a2e8319bc07f4732b3ff9fbbe870e3e057a842",
     (6, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "fc618cc6ee95550fc721adfeb704b18ade9302757550ff04ba86ec8e985c2d27",
     (6, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "514d40a7384d2f80e559c5bd25662a878c0504b499a3410d88ad22f5ffa5f207",
     (6, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "5c13747859f8112a71cf19337f915e6f1191f2ad635000d27c8315ba786520fa",
+        "9cd1c070cf11df30459648c363a2e8319bc07f4732b3ff9fbbe870e3e057a842",
     (7, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "3240aba8a0ae1ed14c8010254ad4e3dea26661fc6ca74f3f4890b6b01e68a780",
+        "08b3f0386d83f5facd5f364861834733b720dbc829b900881735eaa27747bb04",
     (7, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "922ac04491145f3664407d5e2af7e20e316762e53a533e97e6eca5a9f5271054",
+        "9c11d3aced75fa40ab257b89dcd07e8befa1a567ef019435245da11dc7f2dacd",
     (7, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "ca90e6882dc4ac9b3382f2f047936ee193f9046960f640d8613262ebf0c50357",
+        "1f0c355798183abd2b78b464a5b68aae6ae7a0c1293a212597201468a238959a",
     (7, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "0e3be9a76084d5e111eb3fc933d777f84c77d0272a2ab50d4db8e382a4237392",
     (7, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "f15b129cbc8c0501d774feb840e3525f28fddca37dbbe842dc6b91b01aa31340",
     (7, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "d7a2cb7e0a60037e0ca58a97afc4748004ec31c3b65acc7faf6205c68b43fddf",
+        "6de65d15f06609edcb3fd5ddd16722e8d5114f428ae777871db60393b448bd40",
     (7, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "b1638b1d95dc90ff1d335bb506d4bf5df0b9ed747ce49823235de8b414632c3e",
+        "0dbb1fa9d16a88dc70ebd950372ef593a807ddfc80a95674d070233e1930b858",
     (7, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "6bbb63ee663e77089687062bd4a5cab7185222c775a42e20f4588139d7b2d9b7",
+        "469cf64ad405ba31ca527810d7cd10a653f49ca019f70ab8bbe5ac103fde1588",
     (7, "trinomial", "baseline", "ccz_form", "sequential"):
         "8e7072bce8e1a7dc570a039f0ccb1c59627ca3e9e2e3ae8fdfab6e4b0938cf41",
     (7, "trinomial", "baseline", "toffoli_form", "sequential"):
         "006038a4c016710c6f92c4735821e2d31bbcd8b3c6e34c1b1f1a3717a0e827f1",
     (7, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "1ad9db2d59b4cd87a46ad251319b6e234269cdffeed0fdaf4142bb4a46789649",
+        "d6b59b9d669c645e2e97b4c9acba1861db16ae82c07de430c6498641e3f094ae",
     (7, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "8e7072bce8e1a7dc570a039f0ccb1c59627ca3e9e2e3ae8fdfab6e4b0938cf41",
     (7, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "006038a4c016710c6f92c4735821e2d31bbcd8b3c6e34c1b1f1a3717a0e827f1",
     (7, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "1ad9db2d59b4cd87a46ad251319b6e234269cdffeed0fdaf4142bb4a46789649",
+        "d6b59b9d669c645e2e97b4c9acba1861db16ae82c07de430c6498641e3f094ae",
     (7, "generic-pinned", "compact", "ccz_form", "prefix_ancilla"):
-        "3af7bafdeef4391df3afefe48cc439ccd77b1444d89797a4114a7f5ade57cc13",
+        "fb313a50c69b159e7c952d1655b262094ecf983dd1d102460ea8b5b9068f4d29",
     (7, "generic-pinned", "compact", "toffoli_form", "prefix_ancilla"):
-        "6085f1b3879fbe99b649666994f002e0bc4b18e27ba5e24c9dfad7b73608648b",
+        "4ce393a54cf513af88dce9762ed67a5ed2d7d0c7fbc1ecce89c16f7caa5d1831",
     (7, "generic-pinned", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "01d6ece5c5389741354190f14ed775fd990b3b514635d5df5a58114e7c9f14eb",
+        "5890284faf5a20d6956d29b43c4428829723439b1334871ced8fc9e8e725b4f6",
     (7, "generic-pinned", "baseline", "ccz_form", "prefix_ancilla"):
         "ab5d061cd5f072904fd91bb38cf5accfde53fe0ba8c02a529195c7c662153824",
     (7, "generic-pinned", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -320,179 +320,179 @@ GOLDEN = {
     (8, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "8b8cba2394320280740ae257cc572fd28b508e3e8d7bd842d4ae51e74c056abf",
     (9, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "06dcb7ea6e394bb734d622a84425362d28b3116a2571f11571efd5a233f75e81",
+        "b3f35d74936750f4261fc1fb2b1ffe0a9e75012e228ed563d5915cb3de40bbe7",
     (9, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "7a4525deb482cd5e4185e16969c62b6ced4b470b5104276bed2cf3d5f6101c97",
+        "de44ecc51d9de9d7ac171668be226cd30dc8d7e62aefe0c683178765e8346c76",
     (9, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "11ccf4d5fc81aeb8a67c912a054a3d22f5bca6ebf05e9ee340828334f26e7f20",
+        "cc1802c213b0e38173ebf43efa1cb88b78188692c4a032f007d3c1acc9f86aae",
     (9, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "9461e6dbbeda5a4f0df93df48755a1bcde30af091cc4e8999f942c2db86dac25",
     (9, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6751f6da27a8bb59df4ca881b489b7ff79fb04164995eebdd0d0a8dc7520e5dd",
     (9, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "7ad87927978c0b03bcb1b903090b62f3046a1a094366e536bf1f57f73fdd53e8",
+        "909737a38705a33a6b701081ad753ac72032a5648bf5636a484a68792acb3bde",
     (9, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "90ab75e875376973d4adc61cec4c8909922b28772a482e4100515676078bdb6f",
+        "f2817cf242a110c1c029c1f7736ca39e73f2a28f89517feb29ff15654eefd2a9",
     (9, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "4c0f9eb0c811f6c0e83b3e1fe0c6ebab3467c7d9c25b5224374721f90fd00fd3",
+        "ab01691fb0b7a4433f77a386b3d40eedd84485ef5312a12ff2563e0af7ff9de3",
     (9, "trinomial", "baseline", "ccz_form", "sequential"):
         "332a740fe572461a1965332ab98c148f29e4af67d9f7fef1729a47b57085acaa",
     (9, "trinomial", "baseline", "toffoli_form", "sequential"):
         "cb9032a932fc109c04bd1bc0d043f7ca61daa902dcce02fac908ed0f166a18fc",
     (9, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "d3d1af224697b1727b3f318c50a142dbc52e38d738d6073974b7d22fcb6e3df1",
+        "77f4b5d45a7d3b87de686528ee3804b388a8225224b7ca9422464ec7a673ae5c",
     (9, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "332a740fe572461a1965332ab98c148f29e4af67d9f7fef1729a47b57085acaa",
     (9, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "cb9032a932fc109c04bd1bc0d043f7ca61daa902dcce02fac908ed0f166a18fc",
     (9, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "d3d1af224697b1727b3f318c50a142dbc52e38d738d6073974b7d22fcb6e3df1",
+        "77f4b5d45a7d3b87de686528ee3804b388a8225224b7ca9422464ec7a673ae5c",
     (10, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "ade63c22edabf497d42259790f9314ed5c9df5ef24122bda3636907d252a24c3",
+        "45f2418324e92fb58c8254a71117b7556ded7aa5c34c12568c66e53e6bded5df",
     (10, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "4bbe8190c5405392b8e5a49922ab31f0e0e03331ec62ebb815c4bcdedb0308bc",
+        "ef81a9114949de7d4f4ecda12155db424f97c014326aede879d266dff9396f4a",
     (10, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "317deaa77c5edef8532675edacf9c5425fed6ce59b68c35083b89beb2682acda",
+        "b38824988578568dd252cf78f67aa7c47a28c876d7b0b90fe256716d9ad74d95",
     (10, "generic", "baseline", "ccz_form", "sequential"):
         "e1d382c62f4eee40478b6bc3b0f30c28f7bc7b0c0ba5f3aac42d6f7ad5a575de",
     (10, "generic", "baseline", "toffoli_form", "sequential"):
         "05c3bb4034e744c159b6d337d595ee39d55602d5c4c0241bd9a97326f80a8928",
     (10, "generic", "log_depth", "ccz_form", "sequential"):
-        "5d3294fe86c6ab7d5505b84cd7be4c0fe9e065697cffee74503535b59bb7953a",
+        "040cdd2e813b18e07faefb3f3f328416ecc3d7dd1c43658f155da0c05e1aafd2",
     (10, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "eecb24ae9ed72caf8785b063bc46d406682f0f4b53e35e0effc799770c6a04e0",
     (10, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "8c6c59f9c3090bf3f705fcacf3734f60ebf393204f1ec05e61eb495d2f9c6e7f",
     (10, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "5d3294fe86c6ab7d5505b84cd7be4c0fe9e065697cffee74503535b59bb7953a",
+        "040cdd2e813b18e07faefb3f3f328416ecc3d7dd1c43658f155da0c05e1aafd2",
     (10, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "72133ae0f062c0952a1d53639d4037b234ef6c974606fad1a89ca5305c8a3ea5",
+        "94c023a74710de85a98d2dcf03f0b6993710904fd30b0e2b249a909cc623e1bc",
     (10, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "93bc3be595d8539a6674d7eb80a348f4578424b167d21bdae23d960b71c67a30",
+        "a7dcf754118e9a40d834e9373d593a463b53fdfbe96bdb1346586d1c2a7a487b",
     (10, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "ade3c1937dc5c1b8e045fe46835779967217043c254ce20008dd167cf43bf32a",
+        "f63aaafae8c269136ee74d68919d1f6f4c36e21c95222b5775219e327527ebba",
     (10, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "4608cfc1d14335753cdf73f12ed2c49fd9793c61a851fe8ef74afc71fb103288",
     (10, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "282aedb480d7cd861ef9fc053bde19aa6853ab7e1c93d00db2f35bb246534158",
     (10, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "c9bb8e8b99b5c8c02c6bad71c147c967253baae993ec995d99103fe0335c2aa0",
+        "b6e5e80475779a3f29cdb7d6663e870930c9c58185efa5320ced47b3088d0ac1",
     (10, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "34452fdd406c9503fb59ac2a8be2f4c4ea094ebbaa615dc10332073ce77a9e60",
     (10, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "53a14184b2cb814a0d8377aeb3b2dc52a849bf847a3ba163a2896d85c5fb4304",
     (10, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "b2d5f41c73362900e7c005db16f4c9a10a20906a3b4c0c8c3eb5577e77e4d20b",
+        "a6bca64dfa342d03dc1570c099977812b8f0dd3723933f5c0e808831f468e0da",
     (11, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "1b2dc42e54ddc2778f61dcc84972f56cfc1d477f5ea75f66c7a757a612f2806a",
+        "8804da6f7c3f2f1d0dded676be6fe49de1f3fa5aa55afc814e3b1a7555417346",
     (11, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "71bba4bc319cde31e07a96fb7f2903816d84cdfdb85cea202dde144218c27108",
+        "2b5b635a413e49feb6645407f6b72d2d56c92b2c249b93c1faa03f922140dd41",
     (11, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "efaf90b98642bf6b39dc25e4be67c224f1e4873a6848e6c9d276f329a72ca173",
+        "a259b430704fc4752f60d0e4c04b7d9a41540c7d07917f5b6a4508d6e4f144d3",
     (11, "generic", "baseline", "ccz_form", "sequential"):
         "8dbb241a42ec0969e1f654d42b0d6c7217fa5c209fa897e4e2c7833fe5e0b1ef",
     (11, "generic", "baseline", "toffoli_form", "sequential"):
         "4a2daf5a9f50d128b54b97005636af05f3387621e2afd406f4f1cbe97acdb69e",
     (11, "generic", "log_depth", "ccz_form", "sequential"):
-        "d99f7d24f678a638c9c00d2d9c09ce3022c2b9fb15e557e43d97ccdc9ec0256d",
+        "51e2f04438b28031f4b78a45608d2a8135bbe71ae74b044ca238d6e4fd6d495e",
     (11, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "3b3d186a4ad4bb03e3d407cbeafc9923545d1254b928499a3b2215f73f85bc3b",
     (11, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "c90d3a0b21a70bdc4103c95967a0cadf412e4fbc4b9cb7738981f78f23bb7b0e",
     (11, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "d99f7d24f678a638c9c00d2d9c09ce3022c2b9fb15e557e43d97ccdc9ec0256d",
+        "51e2f04438b28031f4b78a45608d2a8135bbe71ae74b044ca238d6e4fd6d495e",
     (12, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "3adf16954b5bf5241e44e621cb277db8400389c6dbea07a2e0a12816471479ae",
+        "d309c03f0ac01eeae37cccdb1c67ed31f3b378b8cbe77fd205a64ed973c0b91a",
     (12, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "de12c73494149376fe6ceeafeecdcae6306b8843266e3b2a672abca14ecfd826",
+        "0ff3714d33c0bea9b577adc21af17cdf3d926337a38a63725e7c4658e44dbcb8",
     (12, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "903513127828b40ebbcbcb2a4f2021c0702820e7d8922d928d9daf97de413e6e",
+        "a1ebb083c8df48b2dc61a82c915d78adca7ab5c8578b3d0f9ee4c95d9f00e9f9",
     (12, "generic", "baseline", "ccz_form", "sequential"):
         "11a822bd6f6d1c190cdcfff36f45c348d1d9e85988204ee0b2135afd633e63d4",
     (12, "generic", "baseline", "toffoli_form", "sequential"):
         "951fc92a4bbbb9c6171bb1f58eed2370750490b5d055314f1473ec2583f3ef33",
     (12, "generic", "log_depth", "ccz_form", "sequential"):
-        "1d9bbdf802261df2437ebbb9caadb904dca389359299b4944a1f0c222bd129bf",
+        "b54aff47cf2ae22561c8a328046ba41eea2c622f0072d3b96b730370941dfbc6",
     (12, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "ff14cc7b4150926cef87f4e799742d357df946669e28df82f85fab90b3663c8a",
     (12, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "bc96f6133ff3019fb1652abb64ef9eb57ce8368998ba332d519b7e3f6ea02745",
     (12, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "1d9bbdf802261df2437ebbb9caadb904dca389359299b4944a1f0c222bd129bf",
+        "b54aff47cf2ae22561c8a328046ba41eea2c622f0072d3b96b730370941dfbc6",
     (12, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "45a0f75b1a74a8cc7f3b27dcbee0d440aa18a833b8867c63c43dd0a3b17dfea1",
+        "135e8d07a887416dd94f0903b925dfabf8bf4575a60d92b6367cb88b90309ecb",
     (12, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "a590df4db1029aa1eb1b67fdbc4bb5b831ad493dd9815644d0b5390d824fb732",
+        "fdb4ab9fb5f88894041c3a1980a4aa4444c54ef0340b0ca5b852026315f537fd",
     (12, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "f8d23fc588e9babe383a7b9001239a9a71d0a40c38e9a74efeef90ba3c69e74e",
+        "1c4e31fc3db1187fbdf615414e4d878d6ab990569dc5bab3d547764ae4e51e2d",
     (12, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "a351d1e73b898a68a71ec8b69f4f19602b342ac8d94b8fdf42ef77d73932ec04",
     (12, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "beb22e0f8ab5c6acb0d56091d35949f1fa607ae4eb1d61850ec555f44a08dfac",
     (12, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "4b029c5acb4b02b94f0280ff819020700123e6554554b514e94955ced136b30e",
+        "7a2810d12336e6af630396cd839c938a97b77c2cbe33aca8c434b2fac5566bd1",
     (12, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "9098e5047e89042fb470ec5a19a728bad25eed56eade8e8892ea53786faa87d9",
     (12, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "20f97ffdb9893e7b62f92c56ec7d1e2c0bc3bc13102560b031a3467eb5dc19c5",
     (12, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "ef0949c64d539729ad3ea6a714e3c7d8a02c8dab71785d3e3e5ca3baf1bddc43",
+        "79835eadf9066dfc136f3d2f28afd03b970ae174f436208066d8a4f33b33781c",
     (13, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "673cccae286f1ec0f0bd568b1435f3f00d36727c8113518d23f62e75b7e6d193",
+        "d7b7f6fd402f43ff300d3d155ae639dee291e79c56947429a992fda1b2cfcf9f",
     (13, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "f9c224024f0246ef3c5f10cf658403d1c438cba36b1b8faca57f653dda599ba7",
+        "6c5f6ca647224d1d369fe6476a4060836f7a00fad8f7a3b07cd56680e5cf7c2e",
     (13, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "d59bc239f683f8eb1bbc31fb955e78554aa02eb47ce8087f0e642d6b8a80709e",
+        "b08bf9e027e498bfbfa7e2fc04c6a52c0151fa74b28f4aeb79d182cccdb3af89",
     (13, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "1285ed696ced9bb37d53b8ea970bfdbc7a82c37f2919b7090291ee8e780c3d96",
     (13, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "46336f0a1111255de564c264f2ad4f632a20efb7de98aa8a25202c1da4220514",
     (14, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "5a194c57027c0ca80aa27ffa9bd1117d2d7d75b5a98485cab3d3d4e49e12275f",
+        "88d39adaaea6e82539d7070c04e0910d0b8a17c3debe70851fa7c304f7225a7a",
     (14, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "c84d15a60ea2ca66e6c6f0d613fa524bf24e69dee5055b06b74ff3e0cf1b4972",
+        "76f8080186fee0283fdefe12d4c93b2ed530dad51b0f79c7ba151aa32f3989b2",
     (14, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "e63dae9af2eac42109da9b7168fb97e35a812d8f913e9c50a1a53e7e3298a8d5",
+        "4663ff9861d23490c0feb3663a0440c4023804394de0586583a374930a79bc67",
     (14, "generic", "baseline", "ccz_form", "sequential"):
         "a32d0a27bb3ff1c8aa785246fd3677608939df9622ddfbc53d91d94863869464",
     (14, "generic", "baseline", "toffoli_form", "sequential"):
         "08ede31415bb60d56ab2376e4c3e148eaecbf2390e471b2d0922daed5a0a890a",
     (14, "generic", "log_depth", "ccz_form", "sequential"):
-        "c4bb34a77e244debfa3aaa15c1ecc364ebdc4efca60c723f30ba0ff1a32f0c48",
+        "e87cbae07360fab5e9d82649447d82c7bd47471e2556909c36765d91803b064e",
     (14, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "a32d0a27bb3ff1c8aa785246fd3677608939df9622ddfbc53d91d94863869464",
     (14, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "08ede31415bb60d56ab2376e4c3e148eaecbf2390e471b2d0922daed5a0a890a",
     (14, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "c4bb34a77e244debfa3aaa15c1ecc364ebdc4efca60c723f30ba0ff1a32f0c48",
+        "e87cbae07360fab5e9d82649447d82c7bd47471e2556909c36765d91803b064e",
     (15, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "f4d030e81fd702368518078b287cdadf4227cd8e161cd619eaf63a40b636cdaa",
+        "ef252d41fce7a560f714ef23d8e05bf7056d9db1d749717f136041eeeb7d93ba",
     (15, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "10233694c8f9a090143a7a39b994c93abef80b27bee07f991dc806cd559eb761",
+        "16200aee1bfc8ed298154d9e9f6ade995c6eefdaaf32406eddfdb5202a8d5fb3",
     (15, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "aeab52d66a6c22dd6affcc48792c304e3d499cc159e23690522636df32130ce8",
+        "d4e1ae786d54cff146f0dbf89e6d838a274ae12b1a86db2e4575e800220b2839",
     (15, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "125a281135659fdbb919869c8722317228879c746b9c7c9a5ed16b908244eb07",
     (15, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "7aa601f62a75788b69ff2b0a30cdc3e86672f5d825a7bc2cad5f6929ecd74f3c",
     (15, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "2bf4d025b6149ac8a659a20107a4bd30f18e7ec9c7feab66909c5370a1cc853d",
+        "33b966944bd9731f66bde402fbd7cc5ba60793f6eb221ca8ad43703c483d3935",
     (15, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "edbd752db413d977585cb85cf126864d6bdb48dffb5e0d2a1aefaf549c83a9b4",
+        "05c1c720aeb5e8c273b2962c211ab95d83b4fb472a3c47f58fbe93209b60450a",
     (15, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "76d11331bc420e867c8509ea8cc775251bbbe6e2f3459b2d621385e5489e6ae0",
+        "fe4fa4d64a6516c9f93c773b787b7e99651ed8fcc17a7b2e064d04daf2a63afc",
     (15, "trinomial", "baseline", "ccz_form", "sequential"):
         "342dfef1ff1b047216af43c014aeefbe2b5763682403b6fb2758b35b1ed1c4d9",
     (15, "trinomial", "baseline", "toffoli_form", "sequential"):
         "696a8e750e8b1d144f1796321dfa18bcc69468e790c8dec6cd78991425ea23db",
     (15, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "8f02953d23c6b8adb2c41bb38bb7bc06f47a4fa9dd22c2c055ac27638bcba5a3",
+        "db41f7541fddc52be1d083b44d053e187d787730d1ac4fcd8a321885e044f27a",
     (15, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "6691b422cbd1f88c6fc8768afc279f1d134745026bf2820cfe191698a2899770",
     (15, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "cb4f4889c589951e1b947022c1522ab050dd1099bb67608c806a44df35e483b5",
     (15, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "8f02953d23c6b8adb2c41bb38bb7bc06f47a4fa9dd22c2c055ac27638bcba5a3",
+        "db41f7541fddc52be1d083b44d053e187d787730d1ac4fcd8a321885e044f27a",
     (16, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "fe3dc2e743ee41472dcccf1234ce360c6caf133ee080b7b8eaddfefa2604c570",
     (16, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -504,33 +504,33 @@ GOLDEN = {
     (16, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "0924d9116308c6bca8469ec9bf70d7315795535ee0c5705fa6d31d229cf412ae",
     (33, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "06a5f39a53814c584895194308d9e026d862190874b144d77ba3b3ebf18f5f37",
+        "26fd77d5a657d2ceff5e062533a37d8ff6452e9d806b9bfa5db45e5417bb425b",
     (33, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "600228ff421fa9af31855ccb1beebed2a17db47ce3094ca6dcfee99957815a5b",
+        "109b91a24af91679784f4065f1d24801596549fc74c5e44cb535bcd00646a512",
     (33, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "8afcf7d5c80ecac42dd8cdcd235f9c9cb58b35a02c0ed2ce175d43bc3a294d9c",
+        "2cbfadcb4d226099a6e2ddddab6967d07317ef17d43f40c3792e7459f890fdb6",
     (33, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "756c8ba9e85295b293989e5bd72439af539095f32928f300afb6464fd1a89943",
     (33, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "f8423c15f5029fd303ba3751b8eb8314d9c27c7a4631ad09f5b8cb233fac4e01",
     (33, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "36f3b8d532def6f00c53bdae023d757e2c7fe68143f0e322708a9fe685d09719",
+        "2ae375e65c40a10ef6d6262ee620d124d61601176f047930608b5ed843616775",
     (33, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "b41e3678497430af3dd4ca12c75ab5af892cb98c8cdeda697eb981bf323d2a46",
+        "59655dcc4a22e2a235e09ac4f7e1f8af71a9f4be109c6a7582c4effeb3a06c3f",
     (33, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "b48f3cffac63e481e1dcfe5748c344213432edf920e5389edf72211fc5f9d0cf",
+        "f40a44c4cab31c48c04bda2e060d858229c4463e0fd2f6a195ec8ee949e76cc6",
     (33, "trinomial", "baseline", "ccz_form", "sequential"):
         "986db76d864ecc96a6aef6b8491a559cf111f7d7bc8071b453b2935e607ad84c",
     (33, "trinomial", "baseline", "toffoli_form", "sequential"):
         "764d59391c84efeb4ab7ea6d7525cc583ecff2d4ea07d45e5970007b3baa24d1",
     (33, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "5c68e6ea0f99eb86f0bccbc153e33b215f22a8e913a7fa7e1bbe63d272c6a17b",
+        "d54fd2d5cef600a555e8f1be75d45f3b28221375160e7894c47f6e772c809661",
     (33, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "695412598fdedcd8fb945709f33554de89fe7d91edef69a318c3e6ae0ab18359",
     (33, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "032ebb4b3a16a9aed1d7fd048d3b66db3a99977586bea90c8d7762cd26eb5263",
     (33, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "5c68e6ea0f99eb86f0bccbc153e33b215f22a8e913a7fa7e1bbe63d272c6a17b",
+        "d54fd2d5cef600a555e8f1be75d45f3b28221375160e7894c47f6e772c809661",
     (64, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "2f2dfbc9f8061be9fd83583b640a5b3d5b8f758b7a5f57bef1ab00eb0e9ee9cf",
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -542,33 +542,33 @@ GOLDEN = {
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "2228ab8e4ed2403a1faea232c4bf5ef75bba6ba4ad7559c72f4d740592a9a012",
     (127, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "208785c856471fdfc9457819ffce981049a3804b47cf2c8c23625c67476eae29",
+        "f049a632d7e7b01b509283c002ea2c4f38ccc2c74c5c0328b63b5d4245f620c0",
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "0032153026bae7f8000033b336add068e8ec2a2abf775ddfacb268004a05369a",
+        "541c79867dc5586c9d6112eb0128287faf288857b7e4a959851b584862f1b19c",
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "06600da0011b9b170299fe06712afd180ad83be635f202b0dbf961efca8385f8",
+        "1bca886744b9c79a39b639640153e455df769b85eeb2eb78f2511d1bd1a9eb9f",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "95f88900520f98cc4b321520cb6cbe9ff9bcc8f3db22a2719047bf697b90629f",
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6c2525bc0df1011b2950cabda4a5f2164d5556fe868261521bd02b8ec134053c",
     (127, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "0331fd873438e97a2b838e2ce5daee9a2eb8a6507a6b67fc063b723a67b92838",
+        "320a59fc92f08246c3a17fedf4e00fc45c707b87f88d253bfe5dbcf09497f55e",
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "c81ca555b7b3258eb37c6020d973a218ec12a4b9d678ab233f9c4bc34973833d",
+        "f884987cd1b3864cdcf0c7cecc1f0ca6623374a0beb3304326a10a7168de772e",
     (127, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "65e5ee11b8f490d3f8c0ab917caf22bfafad112870ad93bb6fd3a6d736ae24a7",
+        "5849cf6925fe2e0213ca9ea673716e46975a1bf50d7706ae80158766ddb84a9b",
     (127, "trinomial", "baseline", "ccz_form", "sequential"):
         "7985f6e7da91e5cecbea32d3ce6c40219625a6e8304507e3752029b904a5796e",
     (127, "trinomial", "baseline", "toffoli_form", "sequential"):
         "6f638b5500b6666576a2d3346e39a907683fd8ade98cfa73f4eba35f7c604fc5",
     (127, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "22c08167abe319089df43c8e1416e477cab95b33d77f7ed9744350639f8504e4",
+        "f7c6f35fa2a91a4448c3501656c0db6ffa23dd4874ef4a5af1a9b1aff105b8c5",
     (127, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "e65bddfdcca9e48ad7eaf3c4f739a39556ad6a1e80a9179a9e202d76843194e2",
     (127, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "568417da4f1ececae7ebb8d2413ca283c79761090ff1bc6ed9fed120513cf06e",
     (127, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "22c08167abe319089df43c8e1416e477cab95b33d77f7ed9744350639f8504e4",
+        "f7c6f35fa2a91a4448c3501656c0db6ffa23dd4874ef4a5af1a9b1aff105b8c5",
     (128, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "6a1d2406ff34e9fd42c41fc800bfae7807d0e960d99f7e8975d7705e6ead8b97",
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
