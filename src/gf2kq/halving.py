@@ -74,12 +74,12 @@ def shrink(a: list[T], b: list[T], c: list[T], cp: list[T]):
 def reshape(a: list[T], b: list[T], c: list[T], cp: list[T], zero: Callable[[], T]):
     """The instance to split or, at size 1, to take as the base case.
 
-    A zero-topped instance (a and b falsy at the top) of odd size or of
-    size 2 shrinks. An even one above 2 is split as it is: its zero top
-    passes to its (A_R, B_R) sub-call, for the same M(k - 1) base cases,
-    and its c' entries stay where they are, where padding would put new
-    zeros that the scheduled builders give helper wires. An odd instance
-    above size 1 is then padded; being even, it never shrinks back.
+    A zero-topped instance (a and b falsy at the top) shrinks when its
+    size is odd or 2. An even one above 2 is split as it is: its zero top
+    passes to its (A_R, B_R) sub-call, at the same M(k - 1) base cases,
+    where a shrink would be padded straight back with new zero c' entries,
+    which the scheduled builders give helper wires. Then an odd instance
+    above size 1 is padded; being even, it never shrinks back.
     """
     if (len(a) % 2 or len(a) == 2) and not a[-1] and not b[-1]:
         a, b, c, cp = shrink(a, b, c, cp)

@@ -20,10 +20,10 @@ from functools import reduce
 from itertools import compress, count
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from . import halving
 from .circuit import K_CCZ, K_CNOT, KINDS, Circuit
 from .errors import InputError
 from .gf2 import Gf2Matrix, _mul
-from . import halving
 from .halving import C, CP, SUBCALLS, list_halves, pad_odd, split_even, xor_lists
 
 
@@ -304,11 +304,6 @@ def _pad(a, b, c, cp):
     return pad_odd(a, b, c, cp, int)
 
 
-# The halving rules are looked up at each call, so a test can swap in a faulty one.
-def _shrink(a, b, c, cp):
-    return halving.shrink(a, b, c, cp)
-
-
 def _reshape(a, b, c, cp):
     return halving.reshape(a, b, c, cp, int)
 
@@ -410,7 +405,8 @@ def check_shrink_identity(
     for regs, model in _instances(n, trials, symbolic, seed):
         regs, _ = model.lists(_zero_top, regs, n)
         lhs = _gh(model, regs, n)
-        for rule in (_shrink, _reshape):
+        # `halving.shrink` is looked up here, so a test can swap in a faulty one.
+        for rule in (halving.shrink, _reshape):
             if _gh(model, *model.lists(rule, regs, n)) != lhs:
                 return False
     return True
