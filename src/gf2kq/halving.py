@@ -10,7 +10,8 @@ ceil(k/2) and one of size floor(k/2), and has Karatsuba's unbalanced count
 of base cases, M(k) = 2 M(ceil(k/2)) + M(floor(k/2)) with M(1) = 1, which
 is at most 3^ceil(log2 k). The table and `reshape` write the recursion once
 for `ccz_count`, the builders in `synth` and the identity checks in
-`phasepoly`.
+`phasepoly`; `ROUTES` and `PREP`, derived from the table, place the
+sub-calls of the log-depth builder on wires.
 """
 
 from __future__ import annotations
@@ -32,6 +33,56 @@ SUBCALLS = (
     ((A_L,), (B_L,), (C_L, C_R), (CP_L, C_R)),
 )
 _PAIRS = tuple(tuple((e[0], e[1] if len(e) > 1 else None) for e in call) for call in SUBCALLS)
+
+
+def routes(subcalls=SUBCALLS):
+    """Where each entry of `subcalls` lives, as (home, sources) per entry.
+
+    A one-part entry is its part as it is: (part, ()). A two-part entry
+    with a part no other entry names is that part, with the other summed
+    into it in place. Any other entry gets new wires (home None) holding
+    the sum of its parts.
+    """
+    named = [part for call in subcalls for entry in call for part in entry]
+
+    def route(entry):
+        own = [part for part in entry if len(entry) == 1 or named.count(part) == 1]
+        if not own:
+            return None, entry
+        return own[0], tuple(part for part in entry if part != own[0])
+
+    return tuple(tuple(map(route, call)) for call in subcalls)
+
+
+def prep_steps(routing):
+    """The XORs of `routing` as (call, entry, part) steps, in a shallow order.
+
+    Entries of two or more sources go first: each step takes the earliest
+    layer after its entry's last step in which neither its part nor its
+    target has a step. In-place sums then fill the gaps left on their
+    parts. Steps come out layer by layer, in table order within a layer.
+    """
+    entries = [(c, e) for c, call in enumerate(routing) for e in range(len(call))]
+    entries.sort(key=lambda ce: len(routing[ce[0]][ce[1]][1]) < 2)
+    busy = set()
+    placed = []
+    for c, e in entries:
+        home, sources = routing[c][e]
+        target = (c, e) if home is None else home
+        layer = 0
+        for part in sources:
+            while (layer, part) in busy or (layer, target) in busy:
+                layer += 1
+            busy |= {(layer, part), (layer, target)}
+            placed.append((layer, c, e, part))
+            layer += 1
+    return [step[1:] for step in sorted(placed)]
+
+
+# The log-depth builder's routing and prep order. No part is the home of two
+# entries, so the three sub-calls share no wire.
+ROUTES = routes()
+PREP = prep_steps(ROUTES)
 
 
 def split_even(

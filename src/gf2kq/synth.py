@@ -12,9 +12,11 @@ variants:
 * ``linear_depth`` - same CCZ count; the two independent recursive calls run
   on disjoint wires so total depth grows linearly, using O(n log n) helper
   wires.
-* ``log_depth`` - for moduli of the form x^n+x^k+1 or sum x^(ik); every
-  recursive call gets private register copies, giving O(log n) depth with
-  O(n^1.585) helper wires.
+* ``log_depth`` - for moduli of the form x^n+x^k+1 or sum x^(ik); the
+  three recursive calls share no wire and run side by side. Each call
+  works on its parent's register halves where no sibling needs them
+  (`halving.ROUTES`) and on 4h fresh wires per size-2h node for the sums
+  that must be new, giving O(log n) depth with O(n^1.585) helper wires.
 
 The ccz-form output is an H sandwich on the c register. Inside the core,
 helper ancillas only ever hold XOR combinations of c-register values
@@ -36,7 +38,7 @@ from . import halving
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
-from .halving import SUBCALLS, list_halves, reshape, split_even, xor_lists
+from .halving import PREP, ROUTES, list_halves, reshape, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
 
@@ -500,20 +502,20 @@ class _ScheduledCore:
         return max(peak_a, peak_b, peak_c)
 
     def _rec_log(self, a, b, c, cp, base) -> int:
-        # Every entry of every sub-call gets fresh wires, so the three calls
-        # share no wire and run side by side.
+        # Each entry sits on its home part's slots (`halving.ROUTES`), with any
+        # other part summed in place, or on fresh slots. No part is the home
+        # of two entries, so the three calls share no wire and run side by side.
         h = len(a) // 2
         parts = [half for r in (a, b, c, cp) for half in list_halves(r)]
+        calls = [
+            [[Slot() for _ in range(h)] if home is None else parts[home] for home, _ in call]
+            for call in ROUTES
+        ]
         cur = base
         prep: list = []
-        calls = []
-        for call in SUBCALLS:
-            sub = [[Slot() for _ in range(h)] for _ in call]
-            for entry, column in zip(call, sub):
-                for i, slot in enumerate(column):
-                    for part in entry:
-                        cur = self._xor_into(parts[part][i], slot, prep, cur)
-            calls.append(sub)
+        for call, entry, part in PREP:
+            for src, slot in zip(parts[part], calls[call][entry]):
+                cur = self._xor_into(src, slot, prep, cur)
         peak = cur
         for sub in calls:
             peak = self.rec(*sub, peak)

@@ -4,7 +4,21 @@ import random
 
 import pytest
 
-from gf2kq.halving import SUBCALLS, list_halves, pad_odd, reshape, shrink, split_even, xor_lists
+from gf2kq.halving import (
+    C_L,
+    C_R,
+    CP_L,
+    PREP,
+    ROUTES,
+    SUBCALLS,
+    list_halves,
+    pad_odd,
+    prep_steps,
+    reshape,
+    shrink,
+    split_even,
+    xor_lists,
+)
 
 
 def _bits(x, n):
@@ -76,3 +90,67 @@ def test_reshape_shrinks_zero_topped_odd_and_size_two_then_pads_odd(k, zero_top,
     assert len(out) == 4 and all(len(r) == size for r in out)
     want = {"kept": regs, "padded": pad_odd(*regs, int), "shrunk": shrink(*regs)}[step]
     assert tuple(out) == tuple(want)
+
+
+def _routing_faults(routing, steps):
+    """Why `routing` and its prep `steps` cannot give three disjoint sub-calls."""
+    faults = []
+    for c, (call, entries) in enumerate(zip(SUBCALLS, routing)):
+        for e, (entry, (home, sources)) in enumerate(zip(call, entries)):
+            routed = [home] * (home is not None) + list(sources)
+            if sorted(routed) != sorted(entry):
+                faults.append(f"call {c} entry {e} routes {routed}, not {list(entry)}")
+    homes = [home for entries in routing for home, _ in entries if home is not None]
+    faults += [f"part {part} is the home of two entries" for part in set(homes) if homes.count(part) > 1]
+    written = {home for entries in routing for home, sources in entries if sources}
+    read = {part for _, _, part in steps}
+    faults += [f"part {part} is summed into and read" for part in written & read]
+    want = sorted((c, e, part) for c, entries in enumerate(routing)
+                  for e, (_, sources) in enumerate(entries) for part in sources)
+    if sorted(steps) != want:
+        faults.append("the steps are not one XOR per routed source")
+    return faults
+
+
+def _routed_masks(routing, steps, regs, h):
+    """Each entry's wires after `steps`, on registers held as bit masks."""
+    wires = {}
+    for r, x in enumerate(regs):
+        wires[2 * r], wires[2 * r + 1] = _mask_halves(h)(x)
+    homes = [[(c, e) if home is None else home for e, (home, _) in enumerate(entries)]
+             for c, entries in enumerate(routing)]
+    for entries in homes:
+        wires.update((key, 0) for key in entries if key not in wires)
+    for c, e, part in steps:
+        wires[homes[c][e]] ^= wires[part]
+    return [[wires[key] for key in entries] for entries in homes]
+
+
+def test_routes_cover_the_table_on_disjoint_wires():
+    assert _routing_faults(ROUTES, PREP) == []
+    # Fresh wires only for the entries that need a new sum: A_L+A_R, B_L+B_R
+    # and CP_L+C_R twice; C_L and CP_R take their sums in place.
+    fresh = [sources for entries in ROUTES for home, sources in entries if home is None]
+    assert len(fresh) == 4 and sum(map(len, fresh)) == 8
+    assert sum(len(sources) for entries in ROUTES for _, sources in entries) == 10
+    assert ROUTES[2][2] == (C_L, (C_R,))
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 64])
+def test_routed_entries_hold_their_sums_on_masks(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        regs = [rng.getrandbits(n) for _ in range(4)]
+        want = split_even(regs, lambda x, y: x ^ y, _mask_halves(n // 2))
+        assert _routed_masks(ROUTES, PREP, regs, n // 2) == want
+
+
+def test_routing_that_hands_a_part_to_two_calls_fails():
+    # C_R becomes the home of call 1's c, CP_L + C_R, as well as call 0's c.
+    broken = [list(entries) for entries in ROUTES]
+    broken[1][2] = (C_R, (CP_L,))
+    steps = prep_steps(broken)
+    faults = _routing_faults(broken, steps)
+    assert f"part {C_R} is the home of two entries" in faults
+    regs = [0b1100, 0b1010, 0b0110, 0b1001]
+    assert _routed_masks(broken, steps, regs, 2) != split_even(regs, lambda x, y: x ^ y, _mask_halves(2))

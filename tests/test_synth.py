@@ -733,3 +733,28 @@ def test_karatsuba_core_is_unbalanced_karatsuba_with_exact_phase(mode):
         assert state.is_identity(), k
         # Helpers start at 4k and hold 0 on entry.
         assert poly.restricted_to_zero(range(4 * k, frag.wire_count)) == target_polynomial(k), k
+
+
+def _log_depth_cases():
+    """Every trinomial and equally spaced catalog modulus with 4 <= n <= 64, then B-233."""
+    for n in range(4, 65):
+        for entry in catalog_entries(n):
+            if entry.family != "generic":
+                yield n, entry.polynomial
+    yield 233, BinaryPolynomial.parse("x^233+x^74+1")
+
+
+@pytest.mark.parametrize("ladder", ["sequential", "prefix_ancilla"])
+def test_log_depth_cost_and_verification(ladder):
+    # Sub-calls sit on their parent's wires where no sibling needs them, so a
+    # node takes 4h fresh wires and 10h prep CNOTs (12h and 18h with private
+    # copies of every entry, which read up to 14.97 n^log2(3) qubits and 33.7
+    # CNOTs per CCZ here).
+    for n, p in _log_depth_cases():
+        circ = synth(_opts("log_depth", p, ladder_style=ladder))
+        rep = compute_depth(circ)
+        assert rep.counts["CCZ"] == ccz_count(p) and rep.toffoli_depth == 1, p
+        assert rep.qubit_count <= 6.5 * n ** math.log2(3), p
+        assert rep.counts["CNOT"] <= 20 * rep.counts["CCZ"], p
+        trials = 1000 if n == 233 else 300
+        assert verify_multiplier(circ, p, exhaustive=n <= 6, trials=trials, seed=n).passed, p
