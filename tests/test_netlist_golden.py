@@ -144,13 +144,13 @@ GOLDEN = {
     (2, "generic", "baseline", "toffoli_form", "sequential"):
         "b8623f08bcf2a47561c9842fc39484a4e96b713830e6495f5adc9f8c2049ec3c",
     (2, "generic", "log_depth", "ccz_form", "sequential"):
-        "1c8ae6a4db675b595f032ffae34330b3e9273652c55b8a9c076f5c72f5f1513a",
+        "ad1e1bdd5559cb3e2092d01fa4f4cf1dd981690d1f05fd5e94463ec69b2f5bb3",
     (2, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "b20d9480cf1499737910582406a8e15b475b0e8d5a3824e03a627245c3207e51",
     (2, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "b8623f08bcf2a47561c9842fc39484a4e96b713830e6495f5adc9f8c2049ec3c",
     (2, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "1c8ae6a4db675b595f032ffae34330b3e9273652c55b8a9c076f5c72f5f1513a",
+        "ad1e1bdd5559cb3e2092d01fa4f4cf1dd981690d1f05fd5e94463ec69b2f5bb3",
     (3, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "3cc85775055c18531f3eb9c741ff0e5c8fae2d4f7d18ba7633f83271c310aa5a",
     (3, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -172,13 +172,13 @@ GOLDEN = {
     (3, "trinomial", "baseline", "toffoli_form", "sequential"):
         "666d3112f5ab7fe2ea05a698b05668a3b16138be5432102ddd84d9bb9089a4e5",
     (3, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "688f3d0dcd5201506fd30622536d589391de1bd81822cf49c17c9b258aeed0cd",
+        "4a91bc7a9d368b1a87d5c7ed433b5b4d920103531c972708c8192ca2455f2ce3",
     (3, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "9ab02bb3b7e071ea250a1c11c4bdcf42f2121c741dd8a98c756ad73fd99eb76c",
     (3, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "666d3112f5ab7fe2ea05a698b05668a3b16138be5432102ddd84d9bb9089a4e5",
     (3, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "688f3d0dcd5201506fd30622536d589391de1bd81822cf49c17c9b258aeed0cd",
+        "4a91bc7a9d368b1a87d5c7ed433b5b4d920103531c972708c8192ca2455f2ce3",
     (4, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "eea393a6c0dfbf88276a58b79261cba90039fc98375b74ad56c95734d34da1bd",
     (4, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -200,13 +200,13 @@ GOLDEN = {
     (4, "trinomial", "baseline", "toffoli_form", "sequential"):
         "bb7867210f03d9b641abeb0fef65d46f113f76a2ef80a7d1b5c7e524f622e8e7",
     (4, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "22f3b3fa5951861e279bc1b954b5986386bb284660b34f0167e161fc5bd1958f",
+        "4d0e7f8566ec3515746f7a57ebd7fdf8c861c475d4b81c9711915a223e124d24",
     (4, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "03a480010fa7bf08026644faf0317075ef3ee6681081513102258434fddab517",
     (4, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "bb7867210f03d9b641abeb0fef65d46f113f76a2ef80a7d1b5c7e524f622e8e7",
     (4, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "22f3b3fa5951861e279bc1b954b5986386bb284660b34f0167e161fc5bd1958f",
+        "4d0e7f8566ec3515746f7a57ebd7fdf8c861c475d4b81c9711915a223e124d24",
     (4, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
         "ff6f546c0dc0345bf18cfa84d63a46232509c2fad93ba3e6c897ba1c7cdc4920",
     (4, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
@@ -218,13 +218,13 @@ GOLDEN = {
     (4, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "f83c172ad50f55a2ec4e3d09fabdbec7fc5e6caa330bd029a6c2c0a54f55a700",
     (4, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "e699580dca52f664af928b2b22066a10466d9627c3f3f3d3565180ec82538c44",
+        "c30379a55571f606927cd7c345b4f4ee34b0d2b3abbe51d13db17d3465191c4d",
     (4, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "b041f0bfcd708ff14c60c6d034f4b25199b1ddd4aefca3f59b1987de3f5c805d",
     (4, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "95ea22553809827e33c365cc1458e0bd80284148b5d00f9496d079db25693e58",
     (4, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "205d996623e3d7f9c34701c99f3137a974f5e95d5cff3bb86bac6e201e7765e7",
+        "8bd75c7ba0c4fa6472fd37fc5cb3252671fe2b815ee3d9bda1626292704244a3",
     (5, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "f0951318fba4cbaa4309aae350970d0f811ac52ca6fc771647b7b3c39497e820",
     (5, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -236,13 +236,13 @@ GOLDEN = {
     (5, "generic", "baseline", "toffoli_form", "sequential"):
         "53ffe31aa3778b255c0569f78b2a683c9985eae760caad9e28b9eba45921cd4f",
     (5, "generic", "log_depth", "ccz_form", "sequential"):
-        "757d34cff1e3878d307bbf81775ce55282f126ae7ff1b1c0ddf47683e85d8a90",
+        "95b9c88ee4cb8cc1b928910021505c4c243ff67fa056265032c194e2c8040c83",
     (5, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "250bfd3ff79b68abd2c6726898efa411a3f33dc39e054aa1d181989e10618f68",
     (5, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "53ffe31aa3778b255c0569f78b2a683c9985eae760caad9e28b9eba45921cd4f",
     (5, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "757d34cff1e3878d307bbf81775ce55282f126ae7ff1b1c0ddf47683e85d8a90",
+        "95b9c88ee4cb8cc1b928910021505c4c243ff67fa056265032c194e2c8040c83",
     (6, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "30e30c0e3f347f33ae4154845cb2107ef8d513147e0217ffd8a48e4e5a6e360d",
     (6, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -264,13 +264,13 @@ GOLDEN = {
     (6, "trinomial", "baseline", "toffoli_form", "sequential"):
         "514d40a7384d2f80e559c5bd25662a878c0504b499a3410d88ad22f5ffa5f207",
     (6, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "9cd1c070cf11df30459648c363a2e8319bc07f4732b3ff9fbbe870e3e057a842",
+        "1efd2ab3a91997a2293728e31cc29e0a05f651b33d5c7ae05f9320197a3a4988",
     (6, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "fc618cc6ee95550fc721adfeb704b18ade9302757550ff04ba86ec8e985c2d27",
     (6, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "514d40a7384d2f80e559c5bd25662a878c0504b499a3410d88ad22f5ffa5f207",
     (6, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "9cd1c070cf11df30459648c363a2e8319bc07f4732b3ff9fbbe870e3e057a842",
+        "1efd2ab3a91997a2293728e31cc29e0a05f651b33d5c7ae05f9320197a3a4988",
     (7, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "08b3f0386d83f5facd5f364861834733b720dbc829b900881735eaa27747bb04",
     (7, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -292,13 +292,13 @@ GOLDEN = {
     (7, "trinomial", "baseline", "toffoli_form", "sequential"):
         "006038a4c016710c6f92c4735821e2d31bbcd8b3c6e34c1b1f1a3717a0e827f1",
     (7, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "d6b59b9d669c645e2e97b4c9acba1861db16ae82c07de430c6498641e3f094ae",
+        "7c7199fd993ef4089575325ed825e5493ce430d93e83011b1ce2c5ce213828c0",
     (7, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "8e7072bce8e1a7dc570a039f0ccb1c59627ca3e9e2e3ae8fdfab6e4b0938cf41",
     (7, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "006038a4c016710c6f92c4735821e2d31bbcd8b3c6e34c1b1f1a3717a0e827f1",
     (7, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "d6b59b9d669c645e2e97b4c9acba1861db16ae82c07de430c6498641e3f094ae",
+        "7c7199fd993ef4089575325ed825e5493ce430d93e83011b1ce2c5ce213828c0",
     (7, "generic-pinned", "compact", "ccz_form", "prefix_ancilla"):
         "fb313a50c69b159e7c952d1655b262094ecf983dd1d102460ea8b5b9068f4d29",
     (7, "generic-pinned", "compact", "toffoli_form", "prefix_ancilla"):
@@ -340,13 +340,13 @@ GOLDEN = {
     (9, "trinomial", "baseline", "toffoli_form", "sequential"):
         "cb9032a932fc109c04bd1bc0d043f7ca61daa902dcce02fac908ed0f166a18fc",
     (9, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "77f4b5d45a7d3b87de686528ee3804b388a8225224b7ca9422464ec7a673ae5c",
+        "b1666039b2123d3438380b6aab31640e52f66c43fe8fa4384b14deaf74a0408d",
     (9, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "332a740fe572461a1965332ab98c148f29e4af67d9f7fef1729a47b57085acaa",
     (9, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "cb9032a932fc109c04bd1bc0d043f7ca61daa902dcce02fac908ed0f166a18fc",
     (9, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "77f4b5d45a7d3b87de686528ee3804b388a8225224b7ca9422464ec7a673ae5c",
+        "b1666039b2123d3438380b6aab31640e52f66c43fe8fa4384b14deaf74a0408d",
     (10, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "45f2418324e92fb58c8254a71117b7556ded7aa5c34c12568c66e53e6bded5df",
     (10, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -358,13 +358,13 @@ GOLDEN = {
     (10, "generic", "baseline", "toffoli_form", "sequential"):
         "05c3bb4034e744c159b6d337d595ee39d55602d5c4c0241bd9a97326f80a8928",
     (10, "generic", "log_depth", "ccz_form", "sequential"):
-        "040cdd2e813b18e07faefb3f3f328416ecc3d7dd1c43658f155da0c05e1aafd2",
+        "051fca5eaa007ff9f9efcf349b60349e05c456985695f2951b64daf6183071c6",
     (10, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "eecb24ae9ed72caf8785b063bc46d406682f0f4b53e35e0effc799770c6a04e0",
     (10, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "8c6c59f9c3090bf3f705fcacf3734f60ebf393204f1ec05e61eb495d2f9c6e7f",
     (10, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "040cdd2e813b18e07faefb3f3f328416ecc3d7dd1c43658f155da0c05e1aafd2",
+        "051fca5eaa007ff9f9efcf349b60349e05c456985695f2951b64daf6183071c6",
     (10, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
         "94c023a74710de85a98d2dcf03f0b6993710904fd30b0e2b249a909cc623e1bc",
     (10, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
@@ -376,13 +376,13 @@ GOLDEN = {
     (10, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "282aedb480d7cd861ef9fc053bde19aa6853ab7e1c93d00db2f35bb246534158",
     (10, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "b6e5e80475779a3f29cdb7d6663e870930c9c58185efa5320ced47b3088d0ac1",
+        "52582390b4b9fbe5c31701e1266e39dad7a802a566b8fe1e9c251829e281cbcf",
     (10, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "34452fdd406c9503fb59ac2a8be2f4c4ea094ebbaa615dc10332073ce77a9e60",
     (10, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "53a14184b2cb814a0d8377aeb3b2dc52a849bf847a3ba163a2896d85c5fb4304",
     (10, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "a6bca64dfa342d03dc1570c099977812b8f0dd3723933f5c0e808831f468e0da",
+        "dc13ebc4805ffcd30a131590fd197e39f32d57f897460e43dd68aeb07233da44",
     (11, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "8804da6f7c3f2f1d0dded676be6fe49de1f3fa5aa55afc814e3b1a7555417346",
     (11, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -394,13 +394,13 @@ GOLDEN = {
     (11, "generic", "baseline", "toffoli_form", "sequential"):
         "4a2daf5a9f50d128b54b97005636af05f3387621e2afd406f4f1cbe97acdb69e",
     (11, "generic", "log_depth", "ccz_form", "sequential"):
-        "51e2f04438b28031f4b78a45608d2a8135bbe71ae74b044ca238d6e4fd6d495e",
+        "833c234e35d3f2cb2cf60189da3ede0a802b24b6374b7398e43e608345c924e5",
     (11, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "3b3d186a4ad4bb03e3d407cbeafc9923545d1254b928499a3b2215f73f85bc3b",
     (11, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "c90d3a0b21a70bdc4103c95967a0cadf412e4fbc4b9cb7738981f78f23bb7b0e",
     (11, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "51e2f04438b28031f4b78a45608d2a8135bbe71ae74b044ca238d6e4fd6d495e",
+        "833c234e35d3f2cb2cf60189da3ede0a802b24b6374b7398e43e608345c924e5",
     (12, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "d309c03f0ac01eeae37cccdb1c67ed31f3b378b8cbe77fd205a64ed973c0b91a",
     (12, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -412,13 +412,13 @@ GOLDEN = {
     (12, "generic", "baseline", "toffoli_form", "sequential"):
         "951fc92a4bbbb9c6171bb1f58eed2370750490b5d055314f1473ec2583f3ef33",
     (12, "generic", "log_depth", "ccz_form", "sequential"):
-        "b54aff47cf2ae22561c8a328046ba41eea2c622f0072d3b96b730370941dfbc6",
+        "4ea44bd7ca33a187f937c0b99152a05f1789117e6bcdcef8e42f4e0523df721a",
     (12, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "ff14cc7b4150926cef87f4e799742d357df946669e28df82f85fab90b3663c8a",
     (12, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "bc96f6133ff3019fb1652abb64ef9eb57ce8368998ba332d519b7e3f6ea02745",
     (12, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "b54aff47cf2ae22561c8a328046ba41eea2c622f0072d3b96b730370941dfbc6",
+        "4ea44bd7ca33a187f937c0b99152a05f1789117e6bcdcef8e42f4e0523df721a",
     (12, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
         "135e8d07a887416dd94f0903b925dfabf8bf4575a60d92b6367cb88b90309ecb",
     (12, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
@@ -430,13 +430,13 @@ GOLDEN = {
     (12, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "beb22e0f8ab5c6acb0d56091d35949f1fa607ae4eb1d61850ec555f44a08dfac",
     (12, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "7a2810d12336e6af630396cd839c938a97b77c2cbe33aca8c434b2fac5566bd1",
+        "03c93215ce524b87d381b11e6c8eb8e68bc66b110e6dc7e7ac4d9223987160db",
     (12, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "9098e5047e89042fb470ec5a19a728bad25eed56eade8e8892ea53786faa87d9",
     (12, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "20f97ffdb9893e7b62f92c56ec7d1e2c0bc3bc13102560b031a3467eb5dc19c5",
     (12, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "79835eadf9066dfc136f3d2f28afd03b970ae174f436208066d8a4f33b33781c",
+        "9b4ee882b6237c89a34cc202b369749041e1c313002af8f87876dfa16fcfc3cd",
     (13, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "d7b7f6fd402f43ff300d3d155ae639dee291e79c56947429a992fda1b2cfcf9f",
     (13, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -458,13 +458,13 @@ GOLDEN = {
     (14, "generic", "baseline", "toffoli_form", "sequential"):
         "08ede31415bb60d56ab2376e4c3e148eaecbf2390e471b2d0922daed5a0a890a",
     (14, "generic", "log_depth", "ccz_form", "sequential"):
-        "e87cbae07360fab5e9d82649447d82c7bd47471e2556909c36765d91803b064e",
+        "cba1e44724dd76fbaeb275340cdd63df94fb14fde2e85e751172f87fd98c8464",
     (14, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "a32d0a27bb3ff1c8aa785246fd3677608939df9622ddfbc53d91d94863869464",
     (14, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "08ede31415bb60d56ab2376e4c3e148eaecbf2390e471b2d0922daed5a0a890a",
     (14, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "e87cbae07360fab5e9d82649447d82c7bd47471e2556909c36765d91803b064e",
+        "cba1e44724dd76fbaeb275340cdd63df94fb14fde2e85e751172f87fd98c8464",
     (15, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "ef252d41fce7a560f714ef23d8e05bf7056d9db1d749717f136041eeeb7d93ba",
     (15, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -486,13 +486,13 @@ GOLDEN = {
     (15, "trinomial", "baseline", "toffoli_form", "sequential"):
         "696a8e750e8b1d144f1796321dfa18bcc69468e790c8dec6cd78991425ea23db",
     (15, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "db41f7541fddc52be1d083b44d053e187d787730d1ac4fcd8a321885e044f27a",
+        "a46fbac051e1f0d3aadf59c14a3f2111660d73f136d772084adfba1dd9d222b5",
     (15, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "6691b422cbd1f88c6fc8768afc279f1d134745026bf2820cfe191698a2899770",
     (15, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "cb4f4889c589951e1b947022c1522ab050dd1099bb67608c806a44df35e483b5",
     (15, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "db41f7541fddc52be1d083b44d053e187d787730d1ac4fcd8a321885e044f27a",
+        "a46fbac051e1f0d3aadf59c14a3f2111660d73f136d772084adfba1dd9d222b5",
     (16, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "fe3dc2e743ee41472dcccf1234ce360c6caf133ee080b7b8eaddfefa2604c570",
     (16, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -524,13 +524,13 @@ GOLDEN = {
     (33, "trinomial", "baseline", "toffoli_form", "sequential"):
         "764d59391c84efeb4ab7ea6d7525cc583ecff2d4ea07d45e5970007b3baa24d1",
     (33, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "d54fd2d5cef600a555e8f1be75d45f3b28221375160e7894c47f6e772c809661",
+        "b020d1af349f8aa261611377a2048d4a863afa10964d3d86fb91fe7936d254f0",
     (33, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "695412598fdedcd8fb945709f33554de89fe7d91edef69a318c3e6ae0ab18359",
     (33, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "032ebb4b3a16a9aed1d7fd048d3b66db3a99977586bea90c8d7762cd26eb5263",
     (33, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "d54fd2d5cef600a555e8f1be75d45f3b28221375160e7894c47f6e772c809661",
+        "b020d1af349f8aa261611377a2048d4a863afa10964d3d86fb91fe7936d254f0",
     (64, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "2f2dfbc9f8061be9fd83583b640a5b3d5b8f758b7a5f57bef1ab00eb0e9ee9cf",
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
@@ -562,13 +562,13 @@ GOLDEN = {
     (127, "trinomial", "baseline", "toffoli_form", "sequential"):
         "6f638b5500b6666576a2d3346e39a907683fd8ade98cfa73f4eba35f7c604fc5",
     (127, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "f7c6f35fa2a91a4448c3501656c0db6ffa23dd4874ef4a5af1a9b1aff105b8c5",
+        "6488d6bb77eb2961d151042d1b373154908248b33666b0bec9ff120aa3720932",
     (127, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "e65bddfdcca9e48ad7eaf3c4f739a39556ad6a1e80a9179a9e202d76843194e2",
     (127, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "568417da4f1ececae7ebb8d2413ca283c79761090ff1bc6ed9fed120513cf06e",
     (127, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "f7c6f35fa2a91a4448c3501656c0db6ffa23dd4874ef4a5af1a9b1aff105b8c5",
+        "6488d6bb77eb2961d151042d1b373154908248b33666b0bec9ff120aa3720932",
     (128, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "6a1d2406ff34e9fd42c41fc800bfae7807d0e960d99f7e8975d7705e6ead8b97",
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
