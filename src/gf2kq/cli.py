@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
     p = _parse_poly(args.poly)
     try:
         with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = parse_netlist(fh.read())
+            circuit = parse_netlist(fh)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_PARSE_IO

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from itertools import chain, combinations, compress, islice, repeat
 from operator import contains, eq, itemgetter
 from struct import Struct
+from typing import TextIO
 
 from .circuit import _ARITY, _CODE, KINDS, Circuit, Gate, RegisterLayout
 from .errors import NetlistParseError
@@ -85,12 +86,26 @@ def _slices(text: str) -> Iterator[tuple[int, list[str]]]:
         pos = cut
 
 
-def parse_netlist(text: str) -> Circuit:
-    """Parse netlist text into a Circuit, validating every gate line.
+def _file_slices(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """`_slices` of an open text file: the same slices, read one at a time.
+
+    Each slice is `_PARSE_SLICE` characters and the rest of the line they
+    end in, so it ends at the same "\n" as the slice of the whole text.
+    """
+    line_no = 1
+    while chunk := fh.read(_PARSE_SLICE):
+        lines = (chunk + fh.readline()).splitlines()
+        first, line_no = line_no, line_no + len(lines)
+        yield first, lines
+
+
+def parse_netlist(text: str | TextIO) -> Circuit:
+    """Parse netlist text, or an open text file, into a Circuit, validating every gate line.
 
     The text is read in slices of about 64 KiB cut at line ends, so the
     parse holds one slice's lines at a time, never a str per line of the
-    whole netlist. Each distinct raw gate line of a slice is checked once
+    whole netlist; a file is read a slice at a time, so its whole text
+    never exists. Each distinct raw gate line of a slice is checked once
     in that slice; large netlists repeat many of their lines within a
     slice. Nothing is kept from one slice to the next but the records. A
     slice's distinct lines are grouped by token count and checked a column
@@ -105,7 +120,7 @@ def parse_netlist(text: str) -> Circuit:
     records, with no loop per gate. A QUBITS total above 2^31 - 1 is
     refused: wire numbers are stored as 32-bit ints.
     """
-    slices = _slices(text)
+    slices = _slices(text) if isinstance(text, str) else _file_slices(text)
     header: list[tuple[int, str]] = []
     first, lines = 1, []
     for first, lines in slices:

@@ -204,3 +204,25 @@ def test_claim_of_an_unknown_workload_or_metric_fails(tmp_path, capsys):
     assert bench_pairs.main(["unused", "unused", "--labels", "old", "new", "--report",
                              "--out", str(tmp_path), "--claim", "w:verify_s"]) == 1
     assert "claim w:verify_s: no paired runs of that workload and metric" in capsys.readouterr().out
+
+
+def test_expect_new_netlists_fails_on_equal_digests_instead(tmp_path, capsys):
+    def report(*flags):
+        return bench_pairs.main(["unused", "unused", "--labels", "old", "new", "--report",
+                                 "--out", str(tmp_path), *flags])
+
+    values = {"compile_s": [1.0] * 4}
+    _write(tmp_path, "old", _runs("w", values, digests="abcd"))
+    _write(tmp_path, "new", _runs("w", values, digests="wxyz"))
+    assert report() == 1
+    assert report("--expect-new-netlists") == 0
+    assert "netlist_digest: 0 pairs equal, 4 different, 0 unrecorded" in capsys.readouterr().out
+    # one pair whose netlists did not change fails; an unrecorded pair does not
+    _write(tmp_path, "new", _runs("w", values, digests=["w", "x", "c", None]))
+    assert report("--expect-new-netlists") == 1
+    assert "netlist_digest: 1 pairs equal, 2 different, 1 unrecorded" in capsys.readouterr().out
+    _write(tmp_path, "new", _runs("w", values, digests=["w", "x", "y", None]))
+    assert report("--expect-new-netlists") == 0
+    # the flag does not forgive a metric past its bound
+    _write(tmp_path, "new", _runs("w", {"compile_s": [1.5] * 4}, digests="wxyz"))
+    assert report("--expect-new-netlists") == 1

@@ -1,5 +1,6 @@
 """Circuit IR, scheduling metrics, and netlist round-trip tests."""
 
+import io
 import random
 import tracemalloc
 from array import array
@@ -26,6 +27,7 @@ from gf2kq.errors import InputError, NetlistParseError
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.simulate import simulate
 from gf2kq.synth import SynthesisOptions, equally_spaced_split, synth, trinomial_split
+from test_netlist_golden import golden_cases
 
 
 def _circ(n=2, ancillas=0, gates=()):
@@ -557,3 +559,43 @@ def test_netlist_io_keeps_no_string_per_line():
     text = "QUBITS 1000\nREGISTERS a=0:300 b=300:600 c=600:900 anc=900:1000\nPHASEWIRES\n" + body
     assert _slice_of(text, text.count("\n")) > 20
     assert _traced_peak(parse_netlist, text) <= 4 * len(text)
+
+
+@pytest.mark.parametrize("n", [5, 12, 33])
+def test_parse_of_a_file_equals_parse_of_its_text_on_the_golden_sample(n, tmp_path):
+    path = tmp_path / "circuit.qnl"
+    for _, variant, form, style, p in golden_cases(n):
+        text = emit_netlist(synth(SynthesisOptions(variant, p, form, style)))
+        path.write_text(text, encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            assert parse_netlist(fh) == parse_netlist(text), (p, variant, form, style)
+        # a file is cut into the slices of its text, read one at a time
+        assert [*netlist._file_slices(io.StringIO(text))] == [*netlist._slices(text)]
+
+
+def _error_of(source):
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(source)
+    return err.value.line_no, str(err.value)
+
+
+@pytest.mark.parametrize("line,message", PARSE_ERRORS)
+def test_parse_of_a_file_reports_the_errors_of_its_text(line, message, tmp_path):
+    head = HEADER12 + _filler(SLICE + SLICE // 2) + "CNOT 7 6\n"
+    texts = [
+        HEADER12 + "CNOT 0 1\n\n# note\n" + line + "\nCNOT 0 1\n",
+        head + line + "\n" + _filler(SLICE),
+        _ended((head + _filler(SLICE) + line).splitlines(), ("\r\n", "\n")),
+        "QUBITS 12\n" + "# no header yet\n" * (SLICE // 8) + line + "\n",
+    ]
+    path = tmp_path / "bad.qnl"
+    for text in texts:
+        want = _error_of(text)
+        assert _error_of(io.StringIO(text)) == want
+        path.write_bytes(text.encode())
+        for newline in (None, ""):
+            with open(path, "r", encoding="utf-8", newline=newline) as fh:
+                assert _error_of(fh) == want
+    for text in texts[:3]:
+        line_no, error = _error_of(text)
+        assert error == f"line {line_no}: {message}"

@@ -29,7 +29,10 @@ metric is unresolved (the first side's quartile distance, relative to its
 median, exceeds the bound and not every run of the second side is better
 than every run of the first), when the second side has more failed
 operations than the first, when a pair's recorded netlist digests differ, or
-when the claim given with `--claim` fails; otherwise 0.
+when the claim given with `--claim` fails; otherwise 0. With
+`--expect-new-netlists`, for a change that means to alter the circuits, a
+pair whose recorded digests are equal fails instead, and differing digests
+do not.
 """
 
 from __future__ import annotations
@@ -162,6 +165,8 @@ def main(argv=None) -> int:
     parser.add_argument("--report", action="store_true", help="summarize existing BENCH files")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
                         help="test a claimed gain of the second side on this metric")
+    parser.add_argument("--expect-new-netlists", action="store_true",
+                        help="fail on pairs with equal netlist digests instead of different ones")
     args = parser.parse_args(argv)
 
     paths = [args.out / f"BENCH_{label}.json" for label in args.labels]
@@ -210,7 +215,8 @@ def main(argv=None) -> int:
         reason = claim_failure(claimed) if claimed else "no paired runs of that workload and metric"
         print(f"claim {args.claim}: {reason or 'claim met'}")
         claim_failed = reason is not None
-    return int(failed[1] > failed[0] or digests["different"] > 0 or claim_failed
+    unexpected = digests["equal" if args.expect_new_netlists else "different"]
+    return int(failed[1] > failed[0] or unexpected > 0 or claim_failed
                or any(row["worse"] or row["unresolved"] for row in rows))
 
 
