@@ -35,26 +35,22 @@ SUBCALLS = (
 _PAIRS = tuple(tuple((e[0], e[1] if len(e) > 1 else None) for e in call) for call in SUBCALLS)
 
 
-def routes(subcalls=SUBCALLS):
-    """Where each entry of `subcalls` lives, as (home, sources) per entry.
+def _route(entry: tuple[int, ...]) -> tuple[int | None, tuple[int, ...]]:
+    """Where an entry of `SUBCALLS` lives, as (home, sources).
 
     A one-part entry is its part as it is: (part, ()). A two-part entry
     with a part no other entry names is that part, with the other summed
     into it in place. Any other entry gets new wires (home None) holding
     the sum of its parts.
     """
-    named = [part for call in subcalls for entry in call for part in entry]
-
-    def route(entry):
-        own = [part for part in entry if len(entry) == 1 or named.count(part) == 1]
-        if not own:
-            return None, entry
-        return own[0], tuple(part for part in entry if part != own[0])
-
-    return tuple(tuple(map(route, call)) for call in subcalls)
+    named = [part for call in SUBCALLS for e in call for part in e]
+    own = [part for part in entry if len(entry) == 1 or named.count(part) == 1]
+    if not own:
+        return None, entry
+    return own[0], tuple(part for part in entry if part != own[0])
 
 
-def prep_steps(routing):
+def prep_steps(routing: Sequence[Sequence[tuple]]) -> list[tuple[int, int, int]]:
     """The XORs of `routing` as (call, entry, part) steps, in a shallow order.
 
     Entries of two or more sources go first: each step takes the earliest
@@ -81,7 +77,7 @@ def prep_steps(routing):
 
 # The log-depth builder's routing and prep order. No part is the home of two
 # entries, so the three sub-calls share no wire.
-ROUTES = routes()
+ROUTES = tuple(tuple(map(_route, call)) for call in SUBCALLS)
 PREP = prep_steps(ROUTES)
 
 

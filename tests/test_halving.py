@@ -134,6 +134,13 @@ def test_routes_cover_the_table_on_disjoint_wires():
     assert len(fresh) == 4 and sum(map(len, fresh)) == 8
     assert sum(len(sources) for entries in ROUTES for _, sources in entries) == 10
     assert ROUTES[2][2] == (C_L, (C_R,))
+    # As gates in this order, the steps take 3 layers, the fewest: C_R is read three times.
+    level = {}
+    for c, e, part in PREP:
+        home = ROUTES[c][e][0]
+        target = (c, e) if home is None else home
+        level[part] = level[target] = max(level.get(part, 0), level.get(target, 0)) + 1
+    assert max(level.values()) == 3
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 64])
