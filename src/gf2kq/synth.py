@@ -5,7 +5,8 @@ variants:
 
 * ``baseline``  - three-stage quadratic construction, built in ccz form,
   exactly n^2 CCZs (or Toffolis), no ancillas.
-* ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes,
+* ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes
+  (a and b folded half onto half, c re-expressed by a solve per base case),
   M(n) CCZ gates and zero ancillas. M is Karatsuba's unbalanced count,
   M(n) = 2 M(ceil(n/2)) + M(floor(n/2)) with M(1) = 1, at most
   3^ceil(log2 n).
@@ -310,19 +311,30 @@ def _put(kinds: bytearray, ops: array, code: int, triples) -> None:
 
 
 def _forms_recursion(
-    a: list[int], b: list[int], c: list[int], cp: list[int], leaf: Callable[[int, int, int], None]
+    a: list[int],
+    b: list[int],
+    c: list[int],
+    cp: list[int],
+    leaf: Callable[[int, int, int], None],
+    fold: Callable[[list[int], list[int]], None],
 ) -> None:
     """Drive the halving recursion on plain linear forms.
 
     `leaf(alpha, beta, gamma)` is called once per base case; zero forms are
-    passed through so the leaf can drop vanishing terms.
+    passed through so the leaf can drop vanishing terms. `fold(a, b)` is
+    called on each split instance's a and b before its (A_L + A_R, B_L + B_R)
+    sub-call and again before its (A_L, B_L) sub-call, which runs last.
     """
     a, b, c, cp = reshape(a, b, c, cp, int)  # int() is the zero form
     if len(a) == 1:
         leaf(a[0], b[0], c[0])
-    else:
-        for sub in split_even((a, b, c, cp), xor_lists, list_halves):
-            _forms_recursion(*sub, leaf)
+        return
+    summed, right, left = split_even((a, b, c, cp), xor_lists, list_halves)
+    fold(a, b)
+    _forms_recursion(*summed, leaf, fold)
+    _forms_recursion(*right, leaf, fold)
+    fold(a, b)
+    _forms_recursion(*left, leaf, fold)
 
 
 def ccz_count(p: BinaryPolynomial) -> int:
@@ -345,7 +357,7 @@ def ccz_count(p: BinaryPolynomial) -> int:
             count += 1
 
     ones = [1 << i for i in range(n)]
-    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf)
+    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf, lambda a, b: None)
     return count
 
 
@@ -375,7 +387,7 @@ class _InPlaceGroup:
         if form == 0:
             raise SynthesisError("cannot materialize the zero form")
         sel = self.state.solve(form)
-        tgt = (sel & -sel).bit_length() - 1
+        tgt = _low(sel)
         # XOR every other selected wire onto the lowest one, in wire order:
         # one CNOT each, one state update for the whole run. A form already
         # on a wire selects only that wire and emits nothing.
@@ -393,6 +405,11 @@ class _InPlaceGroup:
         wires = self.wires
         undo = ((wires[s], wires[t], -1) for s, t in _gauss_jordan(self.state.rows))
         _put(self.kinds, self.ops, K_CNOT, undo)
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +646,25 @@ def _core_gates(
     a_wires, b_wires, c_wires = range(n), range(n, 2 * n), range(2 * n, 3 * n)
     ones = [1 << i for i in range(n)]
     if mode == "compact":
-        c_group = [*c_wires, *(w for w in cp_wires if w is not None)]
-        ga, gb, gc = (_InPlaceGroup(ws, kinds, ops) for ws in (a_wires, b_wires, c_group))
+        # a and b are folded in place: each form sits on the wire of its lowest
+        # term, as a fold adds A_R_i into A_L_i, whose lowest term is lower.
+        # Only c goes through the in-place solve.
+        gc = _InPlaceGroup([*c_wires, *(w for w in cp_wires if w is not None)], kinds, ops)
+
+        def fold(a: list[int], b: list[int]) -> None:
+            h = len(a) // 2
+            for base, r in ((0, a), (n, b)):
+                pairs = ((base + _low(y), base + _low(x), -1) for x, y in zip(r, r[h:]) if x and y)
+                _put(kinds, ops, K_CNOT, pairs)
 
         def leaf(fa: int, fb: int, fc: int) -> None:
-            if not (fa and fb and fc):
-                return
-            wc = gc.materialize(fc)
-            wa = ga.materialize(fa)
-            wb = gb.materialize(fb)
-            kinds.append(K_CCZ)
-            ops.extend(sorted((wa, wb, wc)))
+            if fa and fb and fc:
+                wc = gc.materialize(fc)
+                kinds.append(K_CCZ)
+                ops.extend((_low(fa), n + _low(fb), wc))
 
-        _forms_recursion(ones, ones, ones, cp_forms, leaf)
-        for group in (ga, gb, gc):
-            group.restore()
+        _forms_recursion(ones, ones, ones, cp_forms, leaf, fold)
+        gc.restore()
         return 0
     sched = _ScheduledCore(kinds, ops, anc_base, mode)
     a, b, c = ([Slot(1 << i, w) for i, w in enumerate(ws)] for ws in (a_wires, b_wires, c_wires))
