@@ -134,9 +134,9 @@ def test_compute_depth_matches_reference_on_random_circuits():
 
 GOLDEN = {
     (2, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "046acbc138c45c2d0881f63409314f53ed31d54883c74b31b3105d7063b9eb67",
+        "49cefd24c0de3d9be82fb247a0067241061ee8d070ce2da0f07ca6d232054cb1",
     (2, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "04f1ec2ba969e18e87d76c2be8e34d03decbdc690eb21e9f49fd7dbfd43a2e65",
+        "fe5b8dad5d1b67eb5abbec1bbcde403bd8fe294ede423c0ac9030468a49860f7",
     (2, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "241c0556348c5e5f3c48c6a7b25181ab33a01e0236d4f4c519150a70e6d47fd6",
     (2, "generic", "baseline", "ccz_form", "sequential"):
@@ -152,9 +152,9 @@ GOLDEN = {
     (2, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "ad1e1bdd5559cb3e2092d01fa4f4cf1dd981690d1f05fd5e94463ec69b2f5bb3",
     (3, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "3cc85775055c18531f3eb9c741ff0e5c8fae2d4f7d18ba7633f83271c310aa5a",
+        "9aebecb753222dabdaaca2b250eacb695bfbafa24edb5c4476df27137784121f",
     (3, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "abb1dc81b4537cf298ea18aab33cd6aee45c28bed185e993fce832460554df34",
+        "17b99ca5d04c185a401eb9aa9db2d6da0cc10fcfad02572f70f2daeccaf75368",
     (3, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "6c2b9ff233b47ffe2e5fc57e1d36ae846a61ca02cdb01fbbe4d95ef2a8a71be2",
     (3, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -162,9 +162,9 @@ GOLDEN = {
     (3, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "e0bf459ef61316ded124c0ded8eef9d529dbadb5a78c99e0c920fa407cea5f60",
     (3, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "255e5bea71495b135ae1725ecda453b780f5d3c452cd9f8c3f7cdbfc654f711b",
+        "479d89858612e62c2c297dee6b0bf60b6fc73e63e0253e549efd3e583405be35",
     (3, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "10460e9b668f8cbe13b146544dd4d2bdeab5bcf89ce2ca1b205b1b83386da87b",
+        "c5d144d43c3259f08fa19bfffa3482fa328394cea7bb781d32e088b0666561db",
     (3, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "dbdb588099a64c80d5af02c698e2683a41d6c45ba68cbb1717442f0124d1d9f3",
     (3, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -180,9 +180,9 @@ GOLDEN = {
     (3, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "4a91bc7a9d368b1a87d5c7ed433b5b4d920103531c972708c8192ca2455f2ce3",
     (4, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "eea393a6c0dfbf88276a58b79261cba90039fc98375b74ad56c95734d34da1bd",
+        "062021eef22aa84eac72a66733b297324eef5ff771988df1e54f5476d30ee66b",
     (4, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "04ee2cf6b24b625cb2f7cb77f0729d0b8498d97ed140b79caa4456802545b12e",
+        "1c1dd26c7e6026cf217da34ccfa944838fe551af642d793f9faef3d6c02f10cb",
     (4, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "42b54d76e1de19eb6f61dd6ea53231c943f99830be95f0b1a80ebc2e3cd27a62",
     (4, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -190,9 +190,9 @@ GOLDEN = {
     (4, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "2b1b13cfdd467b27877d071134a28f000c2cd5a72d05b351891036f20012d547",
     (4, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "845533c957ee0d0a7bf292b8c13bb2819e67cd15f3914c123371f6eae2410d9d",
+        "2dfdde54a6eb90cef327feeaee5b927a263bc21d02ac950642e3e43e870b7523",
     (4, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "ff01ed773851000678a99be3a300cf0ea0d35a01a365970d26f0140e0732a347",
+        "ea5be610570a39a825d934797f74fbdeccac8b0ab50126cfcfdd3e3e6d01478a",
     (4, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "ce22ad20b2a1b5d4f28d3ade6c87891bffda16276b32854411454ff5fe277a9e",
     (4, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -208,9 +208,9 @@ GOLDEN = {
     (4, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "4d0e7f8566ec3515746f7a57ebd7fdf8c861c475d4b81c9711915a223e124d24",
     (4, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "ff6f546c0dc0345bf18cfa84d63a46232509c2fad93ba3e6c897ba1c7cdc4920",
+        "a2d9646e7429019cd196b6864ab1c65216b7fb817aa1d2c1c7f9e297bd3b1410",
     (4, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "5b659fc6d094a5eee087a3a3f4a69662f845f6eada1e16628a5883f185c01d4f",
+        "8156d61006c99f9931f59a1e308b0b160e3ce0262f8400a433823f4041589e64",
     (4, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5f005f9bdc919f25f794fdd70cc162a7fa69e9f0f64ff1f61415463908ef0638",
     (4, "equally_spaced", "baseline", "ccz_form", "sequential"):
@@ -226,9 +226,9 @@ GOLDEN = {
     (4, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "8bd75c7ba0c4fa6472fd37fc5cb3252671fe2b815ee3d9bda1626292704244a3",
     (5, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "f0951318fba4cbaa4309aae350970d0f811ac52ca6fc771647b7b3c39497e820",
+        "5e2a68527305a2315fdbbfdb7092ac805f8d032925ba868fcd3f2d9955194a4c",
     (5, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "e24694c08e9c7bf81be974c53273d1a00e522e26d66600e7f225de0fd795d440",
+        "58f7cbe9482d65b80a4e7a79d274d7cf22321accb21907b96ffb9283185a25b0",
     (5, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5c069512758767436814023851d80401dcc681172837bb0d1400b14642214ff0",
     (5, "generic", "baseline", "ccz_form", "sequential"):
@@ -244,9 +244,9 @@ GOLDEN = {
     (5, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "95b9c88ee4cb8cc1b928910021505c4c243ff67fa056265032c194e2c8040c83",
     (6, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "30e30c0e3f347f33ae4154845cb2107ef8d513147e0217ffd8a48e4e5a6e360d",
+        "3e5401318afc31d89a6edbf97d82f25f19de583ac2f1f33d9e3d7ee86a36c082",
     (6, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "d14b6fbae6ae9c4042af5f3552d8dc041563af1ff7c27d3997b37b366322e75d",
+        "f8388c195fb999e0f8a479a3628abda8a6ffbbbef9f55c83e9640032b05a3375",
     (6, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "455acec000a8eb7bdfd0ff33c07cf2476e7aea844e9114e32da45a146d11bcb7",
     (6, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -254,9 +254,9 @@ GOLDEN = {
     (6, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "1caf1e000107a8c23b058694c7c4432188195d2528bbca2df46cff39c078667a",
     (6, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "2c2d69000c1cf67c4d43fe8b95d585e5352a3e0aadbda00477f3978bdd7cdcf4",
+        "88723f73121ea8d217ac79c712c251b368349ff43b47b091ce94326ae58e884b",
     (6, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "bc6933c44566e49fcf96ffd7cbb2d82b7b0422a16ad003ed254efdb7c6d287ca",
+        "bf8e536a633cfb583ee2e0c8761eb81082d928d4efed6aacfe379cae711eaf7e",
     (6, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "dc98236332c6c325db42f6441acef03e604cd021b1d52dfde6281c8efd02cee0",
     (6, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -272,9 +272,9 @@ GOLDEN = {
     (6, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "1efd2ab3a91997a2293728e31cc29e0a05f651b33d5c7ae05f9320197a3a4988",
     (7, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "08b3f0386d83f5facd5f364861834733b720dbc829b900881735eaa27747bb04",
+        "d32ee041aeff898df3d8a8fff3f503e52ab23f13aa7b4ae3eb0b0fa006b6dc1c",
     (7, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "9c11d3aced75fa40ab257b89dcd07e8befa1a567ef019435245da11dc7f2dacd",
+        "5bc02cd980513a6d1a2d3dae963eb555bcf822584056d687d33161fb47939962",
     (7, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1f0c355798183abd2b78b464a5b68aae6ae7a0c1293a212597201468a238959a",
     (7, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -282,9 +282,9 @@ GOLDEN = {
     (7, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "f15b129cbc8c0501d774feb840e3525f28fddca37dbbe842dc6b91b01aa31340",
     (7, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "6de65d15f06609edcb3fd5ddd16722e8d5114f428ae777871db60393b448bd40",
+        "72f2f7d711da595fe1286ef3eb2a733f8e5042e45c7befbe1e7f1f28a5aefa03",
     (7, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "0dbb1fa9d16a88dc70ebd950372ef593a807ddfc80a95674d070233e1930b858",
+        "0c9f6e05196783d4744531dd4a9a7a80abf958e780f277a13b973dca51f3ee4c",
     (7, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "469cf64ad405ba31ca527810d7cd10a653f49ca019f70ab8bbe5ac103fde1588",
     (7, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -300,9 +300,9 @@ GOLDEN = {
     (7, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "7c7199fd993ef4089575325ed825e5493ce430d93e83011b1ce2c5ce213828c0",
     (7, "generic-pinned", "compact", "ccz_form", "prefix_ancilla"):
-        "fb313a50c69b159e7c952d1655b262094ecf983dd1d102460ea8b5b9068f4d29",
+        "2a7e4857b7b4e1e060ee45aa513c9e8f92f42865bc972d32d72c1a321ed54512",
     (7, "generic-pinned", "compact", "toffoli_form", "prefix_ancilla"):
-        "4ce393a54cf513af88dce9762ed67a5ed2d7d0c7fbc1ecce89c16f7caa5d1831",
+        "c3f7dfd5adbf3d1eeb8f24bd24e32c12c5e8d09d6613fd54e0d8ce87e919183c",
     (7, "generic-pinned", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5890284faf5a20d6956d29b43c4428829723439b1334871ced8fc9e8e725b4f6",
     (7, "generic-pinned", "baseline", "ccz_form", "prefix_ancilla"):
@@ -310,9 +310,9 @@ GOLDEN = {
     (7, "generic-pinned", "baseline", "toffoli_form", "prefix_ancilla"):
         "d06a6aa5589fb39fdce7ea64279f959e909dcd711d376b9adcc164982e14aebd",
     (8, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "bb7ee84352cae7618a7ceb9d180784492551d3a3a644837a524c38a6c9c5cbaa",
+        "aec69f701a58a43de75781c432961fd96d7afce7539567575bcd05f200272697",
     (8, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "31d8fcbc19f360c74d45e5777f366705ed022780dee7a8992804a3e227b03335",
+        "34c036618a724dd255a91902e3f269238da38593590a46acbc360b5bfdc71ddd",
     (8, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1abdf74648daee71af6dca0de26ad6d26748d4bc991887b6d8eb767eba9e75eb",
     (8, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -320,9 +320,9 @@ GOLDEN = {
     (8, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "8b8cba2394320280740ae257cc572fd28b508e3e8d7bd842d4ae51e74c056abf",
     (9, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "b3f35d74936750f4261fc1fb2b1ffe0a9e75012e228ed563d5915cb3de40bbe7",
+        "4bf7dba21ee44c0360039fd24ab407d44573494557a4c85182d5cad946a8fd6a",
     (9, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "de44ecc51d9de9d7ac171668be226cd30dc8d7e62aefe0c683178765e8346c76",
+        "f2896f984c4491f386f01c3fe9b92c9f681df35ece04ce5e3280bdee84115949",
     (9, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "cc1802c213b0e38173ebf43efa1cb88b78188692c4a032f007d3c1acc9f86aae",
     (9, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -330,9 +330,9 @@ GOLDEN = {
     (9, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6751f6da27a8bb59df4ca881b489b7ff79fb04164995eebdd0d0a8dc7520e5dd",
     (9, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "909737a38705a33a6b701081ad753ac72032a5648bf5636a484a68792acb3bde",
+        "e4be581d53c8431ba4458e988065ae8798c536bf69b7de7a5c2ec88c082c7281",
     (9, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "f2817cf242a110c1c029c1f7736ca39e73f2a28f89517feb29ff15654eefd2a9",
+        "717234792f1ef41807c0aeeafd331d38c9414620c2808a73e8fc775c9e38afc7",
     (9, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "ab01691fb0b7a4433f77a386b3d40eedd84485ef5312a12ff2563e0af7ff9de3",
     (9, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -348,9 +348,9 @@ GOLDEN = {
     (9, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "b1666039b2123d3438380b6aab31640e52f66c43fe8fa4384b14deaf74a0408d",
     (10, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "45f2418324e92fb58c8254a71117b7556ded7aa5c34c12568c66e53e6bded5df",
+        "d85570c56bd08b7484f94a568fa89ddef9033f0b6b5e00a194b3fcaa6c3033cb",
     (10, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "ef81a9114949de7d4f4ecda12155db424f97c014326aede879d266dff9396f4a",
+        "93851efbdf5b57a79ac9ac60a65ac3372597d0fc25c9060de24b0ae8648c860e",
     (10, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "b38824988578568dd252cf78f67aa7c47a28c876d7b0b90fe256716d9ad74d95",
     (10, "generic", "baseline", "ccz_form", "sequential"):
@@ -366,9 +366,9 @@ GOLDEN = {
     (10, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "051fca5eaa007ff9f9efcf349b60349e05c456985695f2951b64daf6183071c6",
     (10, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "94c023a74710de85a98d2dcf03f0b6993710904fd30b0e2b249a909cc623e1bc",
+        "363dad584a7709efebf5240c8fb41ad427b0208e3b02012dc1c420d83ee585f1",
     (10, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "a7dcf754118e9a40d834e9373d593a463b53fdfbe96bdb1346586d1c2a7a487b",
+        "fd03f61a96ce240629468870353ba7d1b9f3c5aa2f992c5f9b6c2685fd7aafb1",
     (10, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
         "f63aaafae8c269136ee74d68919d1f6f4c36e21c95222b5775219e327527ebba",
     (10, "equally_spaced", "baseline", "ccz_form", "sequential"):
@@ -384,9 +384,9 @@ GOLDEN = {
     (10, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "dc13ebc4805ffcd30a131590fd197e39f32d57f897460e43dd68aeb07233da44",
     (11, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "8804da6f7c3f2f1d0dded676be6fe49de1f3fa5aa55afc814e3b1a7555417346",
+        "b32c40fe22bd9216bb82ae07b61c278ab54e33a056326efb65273277b1d77c8d",
     (11, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "2b5b635a413e49feb6645407f6b72d2d56c92b2c249b93c1faa03f922140dd41",
+        "f0e3ffb7b07a74e19353768ed9a855719a34309f4f60f9ab361014964d0233de",
     (11, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "a259b430704fc4752f60d0e4c04b7d9a41540c7d07917f5b6a4508d6e4f144d3",
     (11, "generic", "baseline", "ccz_form", "sequential"):
@@ -402,9 +402,9 @@ GOLDEN = {
     (11, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "833c234e35d3f2cb2cf60189da3ede0a802b24b6374b7398e43e608345c924e5",
     (12, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "d309c03f0ac01eeae37cccdb1c67ed31f3b378b8cbe77fd205a64ed973c0b91a",
+        "1ac58ccdc2cef96db590fb978b52bf3b761285b8fcce724eec754a1b930ff991",
     (12, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "0ff3714d33c0bea9b577adc21af17cdf3d926337a38a63725e7c4658e44dbcb8",
+        "b4947351cb539d55a9ce70c5e1a49ec70cc175a697f75c411b7eaaad47cb7a54",
     (12, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "a1ebb083c8df48b2dc61a82c915d78adca7ab5c8578b3d0f9ee4c95d9f00e9f9",
     (12, "generic", "baseline", "ccz_form", "sequential"):
@@ -420,9 +420,9 @@ GOLDEN = {
     (12, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "4ea44bd7ca33a187f937c0b99152a05f1789117e6bcdcef8e42f4e0523df721a",
     (12, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "135e8d07a887416dd94f0903b925dfabf8bf4575a60d92b6367cb88b90309ecb",
+        "acd47fab285b44a4ca6fbd74ed65c31da951c71d06b5d3dcc6b0f33c8b493433",
     (12, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "fdb4ab9fb5f88894041c3a1980a4aa4444c54ef0340b0ca5b852026315f537fd",
+        "f08c975ee078fa857aaf5987b87c051f4dc2ad53d326a955b5903523ff44b2e2",
     (12, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1c4e31fc3db1187fbdf615414e4d878d6ab990569dc5bab3d547764ae4e51e2d",
     (12, "equally_spaced", "baseline", "ccz_form", "sequential"):
@@ -438,9 +438,9 @@ GOLDEN = {
     (12, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "9b4ee882b6237c89a34cc202b369749041e1c313002af8f87876dfa16fcfc3cd",
     (13, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "d7b7f6fd402f43ff300d3d155ae639dee291e79c56947429a992fda1b2cfcf9f",
+        "a61227bbac914cded052d0567ac9ec1f636f855d35bca6aab1745d3f6dff67b4",
     (13, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "6c5f6ca647224d1d369fe6476a4060836f7a00fad8f7a3b07cd56680e5cf7c2e",
+        "56c67e62e141860460733bc7bf6e021f7b1b647bf07e6a05cfed101d17b3ebc4",
     (13, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "b08bf9e027e498bfbfa7e2fc04c6a52c0151fa74b28f4aeb79d182cccdb3af89",
     (13, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -448,9 +448,9 @@ GOLDEN = {
     (13, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "46336f0a1111255de564c264f2ad4f632a20efb7de98aa8a25202c1da4220514",
     (14, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "88d39adaaea6e82539d7070c04e0910d0b8a17c3debe70851fa7c304f7225a7a",
+        "9fc946b4010ca8fc4e64c6000183d62bc5c7d45bd26b2141079bd0f889369a44",
     (14, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "76f8080186fee0283fdefe12d4c93b2ed530dad51b0f79c7ba151aa32f3989b2",
+        "62ea974ff037cb860d0349a81a6102f6c7cf65adc31b22a6774077721ba8e7f5",
     (14, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "4663ff9861d23490c0feb3663a0440c4023804394de0586583a374930a79bc67",
     (14, "generic", "baseline", "ccz_form", "sequential"):
@@ -466,9 +466,9 @@ GOLDEN = {
     (14, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "cba1e44724dd76fbaeb275340cdd63df94fb14fde2e85e751172f87fd98c8464",
     (15, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "ef252d41fce7a560f714ef23d8e05bf7056d9db1d749717f136041eeeb7d93ba",
+        "11f4943362294b1e492842a6caf24eb6b324df421e3f69b5dd055bb13fa182c1",
     (15, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "16200aee1bfc8ed298154d9e9f6ade995c6eefdaaf32406eddfdb5202a8d5fb3",
+        "b037b8933085acea7aef988220fc3f786b6245c9ff64295803f90aae3d3c4c00",
     (15, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "d4e1ae786d54cff146f0dbf89e6d838a274ae12b1a86db2e4575e800220b2839",
     (15, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -476,9 +476,9 @@ GOLDEN = {
     (15, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "7aa601f62a75788b69ff2b0a30cdc3e86672f5d825a7bc2cad5f6929ecd74f3c",
     (15, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "33b966944bd9731f66bde402fbd7cc5ba60793f6eb221ca8ad43703c483d3935",
+        "adc4702118bb5187f8586750842b63735cb8730539f096a77417e26ca0c8a6a9",
     (15, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "05c1c720aeb5e8c273b2962c211ab95d83b4fb472a3c47f58fbe93209b60450a",
+        "2a02493a083a6eb72ac0fa697d12a4de1e01911766b377c777e8c2aab3e9a174",
     (15, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "fe4fa4d64a6516c9f93c773b787b7e99651ed8fcc17a7b2e064d04daf2a63afc",
     (15, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -494,9 +494,9 @@ GOLDEN = {
     (15, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "a46fbac051e1f0d3aadf59c14a3f2111660d73f136d772084adfba1dd9d222b5",
     (16, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "fe3dc2e743ee41472dcccf1234ce360c6caf133ee080b7b8eaddfefa2604c570",
+        "94a294242056b41a8a4a42ae231f605a29260e88fe5f5e62ce9d13d922a814b6",
     (16, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "6bb59180509e2197ad4acd78b16209f15cfa521bc64bcd0a387f89f378f55947",
+        "c621c6cf7ede310f835ac1fe7e40c48548c577e64fd4cf0626619f2056d86d4e",
     (16, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "d769b20ba2db922d325eea7bbe38ef8f9cbd7b278986a63ccf13e35c63d8a926",
     (16, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -504,9 +504,9 @@ GOLDEN = {
     (16, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "0924d9116308c6bca8469ec9bf70d7315795535ee0c5705fa6d31d229cf412ae",
     (33, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "26fd77d5a657d2ceff5e062533a37d8ff6452e9d806b9bfa5db45e5417bb425b",
+        "927d9de01fcc5af86e7d4ef5e4a1f00a0fd91d025dade196409dfa07d16517bc",
     (33, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "109b91a24af91679784f4065f1d24801596549fc74c5e44cb535bcd00646a512",
+        "d887a4a5e4dd5c02e1a369ea5aa82bb89702280a30a0d4bd676e83c945313f28",
     (33, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "2cbfadcb4d226099a6e2ddddab6967d07317ef17d43f40c3792e7459f890fdb6",
     (33, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -514,9 +514,9 @@ GOLDEN = {
     (33, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "f8423c15f5029fd303ba3751b8eb8314d9c27c7a4631ad09f5b8cb233fac4e01",
     (33, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "2ae375e65c40a10ef6d6262ee620d124d61601176f047930608b5ed843616775",
+        "c76c263a93c740669b4665d23b531df310eebdd1466b2befb5e1d338369aa669",
     (33, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "59655dcc4a22e2a235e09ac4f7e1f8af71a9f4be109c6a7582c4effeb3a06c3f",
+        "cde6d7f30c98dfd06e75373f26f1c783ad9b1cd1306ad7ca06480cd578de3084",
     (33, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "f40a44c4cab31c48c04bda2e060d858229c4463e0fd2f6a195ec8ee949e76cc6",
     (33, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -532,9 +532,9 @@ GOLDEN = {
     (33, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "b020d1af349f8aa261611377a2048d4a863afa10964d3d86fb91fe7936d254f0",
     (64, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "2f2dfbc9f8061be9fd83583b640a5b3d5b8f758b7a5f57bef1ab00eb0e9ee9cf",
+        "265e0f2d8973ded2b10222bce60fb2dc7db7a31cd012bb4564cecfdab5af2ce2",
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "516e16aaa966170610ee4bda5ef91bbab71d4b4a0a4e7cf5141bff409d6f36d0",
+        "aa5e8bf8cf27dda0734042436cced6a5eefaeb7c2be404e104a28d5431aab744",
     (64, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "2ea630f05b1ef46ff207f7e83143d7a3fbfa11e165453151b5fd3b0ffc64ae33",
     (64, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -542,9 +542,9 @@ GOLDEN = {
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "2228ab8e4ed2403a1faea232c4bf5ef75bba6ba4ad7559c72f4d740592a9a012",
     (127, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "f049a632d7e7b01b509283c002ea2c4f38ccc2c74c5c0328b63b5d4245f620c0",
+        "8a3ed85f97e4b75ffc8387e4e888348691d016c2867041532a7779f6519d5cde",
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "541c79867dc5586c9d6112eb0128287faf288857b7e4a959851b584862f1b19c",
+        "e1dae51e8ac68839cf8c558c8863aadd4d4ea4922c25408ceb1dfe1abac4a2aa",
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1bca886744b9c79a39b639640153e455df769b85eeb2eb78f2511d1bd1a9eb9f",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -552,9 +552,9 @@ GOLDEN = {
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6c2525bc0df1011b2950cabda4a5f2164d5556fe868261521bd02b8ec134053c",
     (127, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "320a59fc92f08246c3a17fedf4e00fc45c707b87f88d253bfe5dbcf09497f55e",
+        "2c04c3f13301d55e65ade850ab9a6d6d5afaa81314f2170018fe22e8af6d2c90",
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "f884987cd1b3864cdcf0c7cecc1f0ca6623374a0beb3304326a10a7168de772e",
+        "fcb63cc3e548d2e81ace8344a955eb0e306d94970fbf9d84ac68b3f564f9d301",
     (127, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5849cf6925fe2e0213ca9ea673716e46975a1bf50d7706ae80158766ddb84a9b",
     (127, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -570,9 +570,9 @@ GOLDEN = {
     (127, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "6488d6bb77eb2961d151042d1b373154908248b33666b0bec9ff120aa3720932",
     (128, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "6a1d2406ff34e9fd42c41fc800bfae7807d0e960d99f7e8975d7705e6ead8b97",
+        "589cecf194b8d3856e983efd43af58cd6a360ee3ab59b0193695855694f011a4",
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "4eed89073840688ee7634a8bcc03295d5d055bd3b3fc2733f5c0889e381bf06e",
+        "951743f967f784af3ce0cff0afc2f6de2943202f77638a6526ced12d2ec6456a",
     (128, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "52983ee1f48f9bbde34fd32fd235d56729a9b24eea8ef801a52866c57f313cc4",
     (128, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -585,8 +585,8 @@ GOLDEN = {
 # Compact at the benchmark's size: the catalog's generic modulus of degree
 # 256, in ccz form and as its `to_toffoli_form` rewrite.
 GOLDEN_COMPACT_256 = {
-    "ccz_form": "019c4b8902247a10591f76825bed8c21240b80132e81b714627a37af49c637cc",
-    "toffoli_form": "c0661be2cc2118f07557f1ce911177fddff1e242a384e58fd5d50ed1a13ef292",
+    "ccz_form": "bd864dbc92c9f7d42a816249cbd7b45787d6237bb6de03d182ee447ecfddc33f",
+    "toffoli_form": "a83b4963f00e604dea34322c5ae34efd144c2dc66f8b8cf40325e1f678bdd1ba",
 }
 
 
