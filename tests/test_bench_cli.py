@@ -80,8 +80,8 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_synth_writes_the_emit_netlist_text(tmp_path, capsys):
-    p = catalog_lookup(64).polynomial
-    out = tmp_path / "m64.qc"
+    p = catalog_lookup(128).polynomial
+    out = tmp_path / "m128.qc"
     assert main(["synth", "--poly", str(p), "--variant", "compact", "--out", str(out)]) == 0
     want = emit_netlist(synth(SynthesisOptions("compact", p)))
     assert want.count("\n") > 2 * _EMIT_CHUNK  # the file is written in several chunks
