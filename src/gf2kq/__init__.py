@@ -50,7 +50,6 @@ from .synth import (
     cnot_ladder,
     cprime_ancilla_circuit,
     karatsuba_core,
-    pad_odd,
     prepare_parallel,
     prepare_second,
     reduction_cnot_equally_spaced,

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from itertools import chain, starmap
 from typing import Callable, Optional, Sequence
 
-from . import halving
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
@@ -429,13 +428,6 @@ class Slot:
 
     def __bool__(self) -> bool:
         return self.form != 0
-
-
-def pad_odd(a: list[Slot], b: list[Slot], c: list[Slot], cp: list[Slot]):
-    """Grow odd-size slot vectors by one: zeros for a/b, cp_0 moves into c."""
-    if len(a) % 2 == 0:
-        raise InputError("pad_odd needs odd-size slot vectors")
-    return halving.pad_odd(a, b, c, cp, Slot)
 
 
 class _ScheduledCore:

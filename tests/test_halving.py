@@ -19,6 +19,7 @@ from gf2kq.halving import (
     split_even,
     xor_lists,
 )
+from gf2kq.synth import Slot
 
 
 def _bits(x, n):
@@ -54,6 +55,24 @@ def test_pad_odd_uses_fresh_zeros():
     a, b, c, cp = pad_odd([1], [2], [4], [8], list)
     assert (a, b, c, cp) == ([1, []], [2, []], [4, 8], [[], []])
     assert cp[0] is not cp[1]
+
+
+def test_pad_odd_structure():
+    c0 = Slot(1, 10)
+    cp0 = Slot(2, 11)
+    a, b, c, cp = pad_odd([Slot(1, 0)], [Slot(1, 5)], [c0], [cp0], Slot)
+    assert [s.form for s in a] == [1, 0]
+    assert c == [c0, cp0]
+    assert [s.form for s in cp] == [0, 0]
+    a, b, c, cp = pad_odd(
+        [Slot(1, 0)] * 3,
+        [Slot(1, 5)] * 3,
+        [Slot(4, 8)] * 3,
+        [Slot(8, 12), Slot(9, 13), Slot(10, 14)],
+        Slot,
+    )
+    assert len(a) == len(b) == len(c) == len(cp) == 4
+    assert c[-1].form == 8
 
 
 def test_shrink_undoes_pad_odd():

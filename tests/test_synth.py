@@ -12,15 +12,15 @@ from array import array
 import pytest
 
 from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
-from gf2kq.circuit import Circuit, Gate, RegisterLayout, compute_depth
+from gf2kq.circuit import K_CNOT, Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.phasepoly import LinearWireState, extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
-    Slot,
     SynthesisOptions,
+    _forms_recursion,
     _InPlaceGroup,
     ccz_count,
     ccz_count_bound,
@@ -28,7 +28,6 @@ from gf2kq.synth import (
     cprime_ancilla_circuit,
     equally_spaced_split,
     karatsuba_core,
-    pad_odd,
     prepare_parallel,
     prepare_second,
     reduction_cnot_equally_spaced,
@@ -328,22 +327,6 @@ def test_linear_depth_core_opens_with_prepare_parallel():
     a, b, c, cp = (list(range(r * k, (r + 1) * k)) for r in range(4))
     prep = prepare_parallel(a, b, c, cp, [4 * k, 4 * k + 1])
     assert frag.gates[: len(prep)] == prep
-
-
-def test_pad_odd_structure():
-    c0 = Slot(1, 10)
-    cp0 = Slot(2, 11)
-    a, b, c, cp = pad_odd([Slot(1, 0)], [Slot(1, 5)], [c0], [cp0])
-    assert [s.form for s in a] == [1, 0]
-    assert c == [c0, cp0]
-    assert [s.form for s in cp] == [0, 0]
-    a, b, c, cp = pad_odd(
-        [Slot(1, 0)] * 3, [Slot(1, 5)] * 3, [Slot(4, 8)] * 3, [Slot(8, 12), Slot(9, 13), Slot(10, 14)]
-    )
-    assert len(a) == len(b) == len(c) == len(cp) == 4
-    assert c[-1].form == 8
-    with pytest.raises(InputError):
-        pad_odd([Slot(1, 0)] * 2, [Slot(1, 5)] * 2, [Slot(4, 8)] * 2, [Slot(8, 12)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -758,3 +741,45 @@ def test_log_depth_cost_and_verification(ladder):
         assert rep.counts["CNOT"] <= 20 * rep.counts["CCZ"], p
         trials = 1000 if n == 233 else 300
         assert verify_multiplier(circ, p, exhaustive=n <= 6, trials=trials, seed=n).passed, p
+
+
+def _compact_cases():
+    """Every distinct catalog modulus with n <= 64, then the n = 128 and 256 defaults."""
+    polys = dict.fromkeys(e.polynomial for n in range(2, 65) for e in catalog_entries(n))
+    return [*polys, catalog_lookup(128).polynomial, catalog_lookup(256).polynomial]
+
+
+def _c_only_solve(p):
+    """(control, target) of the CNOTs of a per-leaf solve on the c register alone:
+    `_forms_recursion`'s leaves fed to one c-only `_InPlaceGroup`, then `restore()`."""
+    n = p.degree
+    kinds, ops = bytearray(), array("i")
+    group = _InPlaceGroup(range(2 * n, 3 * n), kinds, ops)
+
+    def leaf(fa, fb, fc):
+        if fa and fb and fc:
+            group.materialize(fc)
+
+    ones = [1 << i for i in range(n)]
+    cp = [*build_reduction_matrix(p).columns(), 0]
+    _forms_recursion(ones, ones, ones, cp, leaf, lambda a, b: None)
+    group.restore()
+    return list(zip(ops[0::3], ops[1::3]))
+
+
+def test_compact_folds_a_and_b_and_keeps_the_c_solve():
+    # a and b are folded half onto half around each split, with no solve; a
+    # solve per leaf on a, as c still has, emitted 5.3 M(n) CNOTs at n = 256.
+    for p in _compact_cases():
+        n = p.degree
+        circ = synth(_opts("compact", p))
+        cnots = [(u, v) for k, u, v, _ in circ.records() if k == K_CNOT]
+        assert all(u // n == v // n for u, v in cnots), p
+        a, b, c = ([(u, v) for u, v in cnots if v // n == r] for r in range(3))
+        assert c == _c_only_solve(p), p
+        assert b == [(u + n, v + n) for u, v in a], p
+        assert len(a) <= 2 * karatsuba_m(n), p
+        rep = compute_depth(circ)
+        assert rep.counts["CCZ"] == ccz_count(p) and rep.qubit_count == 3 * n, p
+        for form in (circ, to_toffoli_form(circ)):
+            assert verify_multiplier(form, p, exhaustive=n <= 6, trials=300, seed=n).passed, p
