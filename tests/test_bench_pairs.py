@@ -226,3 +226,29 @@ def test_expect_new_netlists_fails_on_equal_digests_instead(tmp_path, capsys):
     # the flag does not forgive a metric past its bound
     _write(tmp_path, "new", _runs("w", {"compile_s": [1.5] * 4}, digests="wxyz"))
     assert report("--expect-new-netlists") == 1
+
+
+def test_a_checkout_git_cannot_describe_needs_commits(tmp_path, monkeypatch, capsys):
+    # Both checkouts are plain directories, as `git archive` copies are.
+    first, second, out = (tmp_path / d for d in ("first", "second", "out"))
+    for d in (first, second, out):
+        d.mkdir()
+    runs = []
+
+    def run_once(checkout, workload, seed):
+        runs.append(checkout)
+        return {"failed": 0, "metrics": {"compile_s": {"value": 1.0, "unit": "s"}}}, "d"
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setitem(bench_pairs.BENCHMARK, "workloads", [{"name": "w"}])
+    argv = [str(first), str(second), "--labels", "old", "new", "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert "--commits FIRST SECOND" in capsys.readouterr().err
+    assert runs == [] and list(out.iterdir()) == []
+    assert bench_pairs.main([*argv, "--commits", "abc1234", "def5678"]) == 0
+    assert runs == [first, second]
+    written = {label: json.loads((out / f"BENCH_{label}.json").read_text()) for label in ("old", "new")}
+    assert (written["old"]["commit"], written["new"]["commit"]) == ("abc1234", "def5678")

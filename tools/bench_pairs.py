@@ -33,6 +33,11 @@ when the claim given with `--claim` fails; otherwise 0. With
 `--expect-new-netlists`, for a change that means to alter the circuits, a
 pair whose recorded digests are equal fails instead, and differing digests
 do not.
+
+Each BENCH file records the commit its checkout holds, as `git describe`
+gives it. A checkout that git cannot describe, such as a `git archive`
+copy, needs `--commits FIRST SECOND`, which names both commits and is
+recorded instead; without it the tool exits 2 before running anything.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, str]:
 
 
 def describe_commit(checkout: Path) -> str | None:
+    """`git describe` of the commit `checkout` holds, or None outside a repository."""
     out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                          capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else None
@@ -167,6 +173,8 @@ def main(argv=None) -> int:
                         help="test a claimed gain of the second side on this metric")
     parser.add_argument("--expect-new-netlists", action="store_true",
                         help="fail on pairs with equal netlist digests instead of different ones")
+    parser.add_argument("--commits", nargs=2, metavar=("FIRST", "SECOND"),
+                        help="the commits the two checkouts hold, recorded in the BENCH files")
     args = parser.parse_args(argv)
 
     paths = [args.out / f"BENCH_{label}.json" for label in args.labels]
@@ -174,11 +182,16 @@ def main(argv=None) -> int:
         runs = [json.loads(p.read_text())["runs"] for p in paths]
     else:
         sides = [(args.first, args.labels[0]), (args.second, args.labels[1])]
-        records = [{"label": label, "commit": describe_commit(checkout),
+        commits = args.commits or [describe_commit(checkout) for checkout, _ in sides]
+        for (checkout, _), commit in zip(sides, commits):
+            if commit is None:
+                parser.error(f"git cannot describe the commit in {checkout}; "
+                             "name both with --commits FIRST SECOND")
+        records = [{"label": label, "commit": commit,
                     "command": COMMAND,
                     "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs; "
                             f"{PAIRS} pairs per workload, first side alternating",
-                    "runs": []} for checkout, label in sides]
+                    "runs": []} for (_, label), commit in zip(sides, commits)]
         runs = [rec["runs"] for rec in records]
         turn = 0
         for w, workload in enumerate(wl["name"] for wl in BENCHMARK["workloads"]):
