@@ -211,25 +211,40 @@ def _cprime_gates(q: Gf2Matrix, c_wires: Sequence[int], anc_wires: Sequence[int]
 
 
 # ---------------------------------------------------------------------------
-# generic in-place linear synthesis (used by the baseline reduction stage)
+# generic in-place linear synthesis (the baseline reduction stage, compact's restore)
 
 
-def _gauss_jordan(rows: Sequence[int]) -> list[tuple[int, int]]:
+def _gauss_jordan(rows: Sequence[int], support: Optional[Sequence[int]] = None) -> _Pairs:
     """Row additions (source, target) that, applied in order as
     rows[target] ^= rows[source], reduce an invertible GF(2) matrix to I.
+
+    Only the rows and columns `support` (ascending; all by default) take
+    part. That gives the same additions whenever every other row is a unit
+    row whose bit no row of `support` holds, as no addition touches it.
     """
+    idx = range(len(rows)) if support is None else support
     work = list(rows)
-    n = len(work)
-    ops: list[tuple[int, int]] = []
-    for i in range(n):
-        if not (work[i] >> i) & 1:
-            j = next(j for j in range(i + 1, n) if (work[j] >> i) & 1)
-            work[i] ^= work[j]
+    cols = [0] * len(rows)  # cols[k]: the rows of `idx` holding bit k, as a mask
+    for j in idx:
+        for k in _bits(work[j]):
+            cols[k] |= 1 << j
+    ops: _Pairs = []
+    for i in idx:
+        below = cols[i] >> i
+        if not below & 1:
+            j = i + _low(below)
             ops.append((j, i))
-        for j in range(n):
-            if j != i and (work[j] >> i) & 1:
-                work[j] ^= work[i]
+            work[i] ^= work[j]
+            for k in _bits(work[j]):
+                cols[k] ^= 1 << i
+        hits = cols[i] ^ 1 << i
+        if hits:
+            pivot = work[i]
+            for j in _bits(hits):
+                work[j] ^= pivot
                 ops.append((i, j))
+            for k in _bits(pivot):
+                cols[k] ^= hits
     return ops
 
 
@@ -316,6 +331,7 @@ def _forms_recursion(
     cp: list[int],
     leaf: Callable[[int, int, int], None],
     fold: Callable[[list[int], list[int]], None],
+    done: Callable[[int], None],
 ) -> None:
     """Drive the halving recursion on plain linear forms.
 
@@ -323,6 +339,7 @@ def _forms_recursion(
     passed through so the leaf can drop vanishing terms. `fold(a, b)` is
     called on each split instance's a and b before its (A_L + A_R, B_L + B_R)
     sub-call and again before its (A_L, B_L) sub-call, which runs last.
+    `done(k)` is called when a split instance of size k returns.
     """
     a, b, c, cp = reshape(a, b, c, cp, int)  # int() is the zero form
     if len(a) == 1:
@@ -330,10 +347,11 @@ def _forms_recursion(
         return
     summed, right, left = split_even((a, b, c, cp), xor_lists, list_halves)
     fold(a, b)
-    _forms_recursion(*summed, leaf, fold)
-    _forms_recursion(*right, leaf, fold)
+    _forms_recursion(*summed, leaf, fold, done)
+    _forms_recursion(*right, leaf, fold, done)
     fold(a, b)
-    _forms_recursion(*left, leaf, fold)
+    _forms_recursion(*left, leaf, fold, done)
+    done(len(a))
 
 
 def ccz_count(p: BinaryPolynomial) -> int:
@@ -356,7 +374,7 @@ def ccz_count(p: BinaryPolynomial) -> int:
             count += 1
 
     ones = [1 << i for i in range(n)]
-    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf, lambda a, b: None)
+    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf, lambda a, b: None, lambda k: None)
     return count
 
 
@@ -368,17 +386,23 @@ def ccz_count_bound(n: int) -> int:
 # ---------------------------------------------------------------------------
 # compact builder: in-place materialization of linear forms
 
+# Compact returns c to its initial value after every sub-call this large, so
+# each such subtree's solve starts from the identity, not from what ran before.
+_RESTORE_SIZE = 32
+
 
 class _InPlaceGroup:
     """Wires of one register whose contents are re-expressed by CNOTs.
 
     The wire state stays invertible; `materialize` makes some wire hold a
-    requested nonzero form, appending CNOT records within the group.
+    requested nonzero form, appending CNOT records within the group, and
+    `restore` puts every wire back to its initial value.
     """
 
     def __init__(self, wires: Sequence[int], kinds: bytearray, ops: array):
         self.wires = list(wires)
         self.state = LinearWireState(len(wires))
+        self.dirty = 0  # mask of the wires `materialize` has targeted
         self.kinds = kinds
         self.ops = ops
 
@@ -395,15 +419,25 @@ class _InPlaceGroup:
         others = sel & (sel - 1)
         _put(self.kinds, self.ops, K_CNOT, ((wires[j], wt, -1) for j in _bits(others)))
         self.state.fan_in(others, tgt)
+        self.dirty |= 1 << tgt
         return wt
 
     def restore(self) -> None:
-        """Emit the CNOTs that return every wire to its initial value. The
-        state is not updated, so it is stale and the group's use ends here.
+        """Emit the CNOTs that return every wire to its initial value, then
+        start again from the identity state.
+
+        A row that no `materialize` targeted is still a unit row, so the
+        reduction runs over the targeted rows and the columns they hold only.
         """
+        rows = self.state.rows
+        support = self.dirty
+        for w in _bits(self.dirty):
+            support |= rows[w]
         wires = self.wires
-        undo = ((wires[s], wires[t], -1) for s, t in _gauss_jordan(self.state.rows))
-        _put(self.kinds, self.ops, K_CNOT, undo)
+        undo = _gauss_jordan(rows, list(_bits(support)))
+        _put(self.kinds, self.ops, K_CNOT, ((wires[s], wires[t], -1) for s, t in undo))
+        self.state = LinearWireState(len(wires))
+        self.dirty = 0
 
 
 def _low(mask: int) -> int:
@@ -640,7 +674,8 @@ def _core_gates(
     if mode == "compact":
         # a and b are folded in place: each form sits on the wire of its lowest
         # term, as a fold adds A_R_i into A_L_i, whose lowest term is lower.
-        # Only c goes through the in-place solve.
+        # Only c goes through the in-place solve, which starts again from the
+        # identity after every sub-call of size _RESTORE_SIZE or more.
         gc = _InPlaceGroup([*c_wires, *(w for w in cp_wires if w is not None)], kinds, ops)
 
         def fold(a: list[int], b: list[int]) -> None:
@@ -655,7 +690,11 @@ def _core_gates(
                 kinds.append(K_CCZ)
                 ops.extend((_low(fa), n + _low(fb), wc))
 
-        _forms_recursion(ones, ones, ones, cp_forms, leaf, fold)
+        def done(k: int) -> None:
+            if k >= _RESTORE_SIZE:
+                gc.restore()
+
+        _forms_recursion(ones, ones, ones, cp_forms, leaf, fold, done)
         gc.restore()
         return 0
     sched = _ScheduledCore(kinds, ops, anc_base, mode)

@@ -12,15 +12,17 @@ from array import array
 import pytest
 
 from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
-from gf2kq.circuit import K_CNOT, Circuit, Gate, RegisterLayout, compute_depth
+from gf2kq.circuit import K_CCZ, K_CNOT, Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.phasepoly import LinearWireState, extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
+    _RESTORE_SIZE,
     SynthesisOptions,
     _forms_recursion,
+    _gauss_jordan,
     _InPlaceGroup,
     ccz_count,
     ccz_count_bound,
@@ -649,6 +651,28 @@ def test_in_place_group_materialize_and_restore():
     assert state.is_identity()
 
 
+def test_in_place_group_restore_matches_full_gauss_jordan():
+    # `restore` reduces only the rows `materialize` targeted and the columns
+    # they hold; the pairs must be those of Gauss-Jordan over every row.
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        kinds, ops = bytearray(), array("i")
+        group = _InPlaceGroup(range(3, 3 + n), kinds, ops)
+        for _ in range(8):
+            for _ in range(rng.randint(0, 2 * n)):
+                group.materialize(rng.randint(1, (1 << n) - 1))
+            ref = [(s + 3, t + 3) for s, t in _gauss_jordan(group.state.rows)]
+            start = len(ops)
+            group.restore()
+            assert list(zip(ops[start::3], ops[start + 1 :: 3])) == ref
+            assert group.state.is_identity() and group.dirty == 0
+        state = LinearWireState(3 + n)
+        for u, v in zip(ops[0::3], ops[1::3]):
+            state.cnot(u, v)
+        assert state.is_identity()
+
+
 class _NoGate:
     def __getattr__(self, name):
         raise AssertionError(f"a builder used Gate.{name}")
@@ -751,7 +775,8 @@ def _compact_cases():
 
 def _c_only_solve(p):
     """(control, target) of the CNOTs of a per-leaf solve on the c register alone:
-    `_forms_recursion`'s leaves fed to one c-only `_InPlaceGroup`, then `restore()`."""
+    `_forms_recursion`'s leaves fed to one c-only `_InPlaceGroup`, with `restore()`
+    after each sub-call of size `_RESTORE_SIZE` or more and at the end."""
     n = p.degree
     kinds, ops = bytearray(), array("i")
     group = _InPlaceGroup(range(2 * n, 3 * n), kinds, ops)
@@ -760,11 +785,87 @@ def _c_only_solve(p):
         if fa and fb and fc:
             group.materialize(fc)
 
+    def done(k):
+        if k >= _RESTORE_SIZE:
+            group.restore()
+
     ones = [1 << i for i in range(n)]
     cp = [*build_reduction_matrix(p).columns(), 0]
-    _forms_recursion(ones, ones, ones, cp, leaf, lambda a, b: None)
+    _forms_recursion(ones, ones, ones, cp, leaf, lambda a, b: None, done)
     group.restore()
     return list(zip(ops[0::3], ops[1::3]))
+
+
+def _large_call_ends(p):
+    """(ends, forms): how many CCZs compact emits before each return of a
+    sub-call of size >= 32, and the c-form of each CCZ, in order."""
+    n = p.degree
+    ends, forms = [], []
+
+    def leaf(fa, fb, fc):
+        if fa and fb and fc:
+            forms.append(fc)
+
+    def done(k):
+        if k >= 32:
+            ends.append(len(forms))
+
+    ones = [1 << i for i in range(n)]
+    cp = [*build_reduction_matrix(p).columns(), 0]
+    _forms_recursion(ones, ones, ones, cp, leaf, lambda a, b: None, done)
+    return ends, forms
+
+
+def _assert_c_restored(p, circ):
+    """Replay the c-register CNOTs of compact `circ` and check that c holds its
+    initial value wherever a sub-call of size >= 32 has returned; return how
+    many such points lie before a CCZ. Between such a point and the next CCZ
+    come only the CNOTs that put that CCZ's form on a wire, which from the
+    identity are the form's other wires onto its lowest."""
+    n = p.degree
+    ends, forms = _large_call_ends(p)
+    identity = [1 << i for i in range(n)]
+    rows = identity.copy()  # row i: wire 2n + i over the initial c values
+    pending = []
+
+    def replay(pairs):
+        for u, v in pairs:
+            rows[v - 2 * n] ^= rows[u - 2 * n]
+
+    ccz = inner = 0
+    for k, u, v, _ in circ.records():
+        if k == K_CNOT and v >= 2 * n:
+            pending.append((u, v))
+        elif k == K_CCZ:
+            if ccz in ends:
+                low, *rest = (2 * n + j for j in range(n) if forms[ccz] >> j & 1)
+                cut = len(pending) - len(rest)
+                assert pending[cut:] == [(j, low) for j in rest], p
+                replay(pending[:cut])
+                assert rows == identity, p
+                del pending[:cut]
+                inner += 1
+            replay(pending)
+            pending.clear()
+            ccz += 1
+    replay(pending)
+    assert rows == identity and ends[-1:] in ([], [ccz]), p
+    return inner
+
+
+def test_compact_c_is_identity_after_each_large_sub_call():
+    # The fold test below checks the moduli with n <= 64, 128 and 256.
+    polys = dict.fromkeys(e.polynomial for n in range(65, 128) for e in catalog_entries(n))
+    inner = 0
+    for p in polys:
+        n = p.degree
+        circ = synth(_opts("compact", p))
+        inner += _assert_c_restored(p, circ)
+        assert circ.counts()["CCZ"] == ccz_count(p) and circ.wire_count == 3 * n, p
+        if n % 8 == 1:
+            for form in (circ, to_toffoli_form(circ)):
+                assert verify_multiplier(form, p, trials=300, seed=n).passed, p
+    assert inner > 100
 
 
 def test_compact_folds_a_and_b_and_keeps_the_c_solve():
@@ -777,6 +878,7 @@ def test_compact_folds_a_and_b_and_keeps_the_c_solve():
         assert all(u // n == v // n for u, v in cnots), p
         a, b, c = ([(u, v) for u, v in cnots if v // n == r] for r in range(3))
         assert c == _c_only_solve(p), p
+        _assert_c_restored(p, circ)
         assert b == [(u + n, v + n) for u, v in a], p
         assert len(a) <= 2 * karatsuba_m(n), p
         rep = compute_depth(circ)
