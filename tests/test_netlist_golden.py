@@ -532,9 +532,9 @@ GOLDEN = {
     (33, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "b020d1af349f8aa261611377a2048d4a863afa10964d3d86fb91fe7936d254f0",
     (64, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "265e0f2d8973ded2b10222bce60fb2dc7db7a31cd012bb4564cecfdab5af2ce2",
+        "773c11d59af4f051658a00a58e1f61bb1143361cf123fbffcb94ba27e0adf671",
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "aa5e8bf8cf27dda0734042436cced6a5eefaeb7c2be404e104a28d5431aab744",
+        "125c371d7eb7efc8498fc25b0f10e1d8872680f3a9fd047c364f8af4fc7e721f",
     (64, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "2ea630f05b1ef46ff207f7e83143d7a3fbfa11e165453151b5fd3b0ffc64ae33",
     (64, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -542,9 +542,9 @@ GOLDEN = {
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "2228ab8e4ed2403a1faea232c4bf5ef75bba6ba4ad7559c72f4d740592a9a012",
     (127, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "8a3ed85f97e4b75ffc8387e4e888348691d016c2867041532a7779f6519d5cde",
+        "bb3199e65612b5aba0187b566d82ff45b90128e7ac896c5e171c4a2e3fa1dba5",
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "e1dae51e8ac68839cf8c558c8863aadd4d4ea4922c25408ceb1dfe1abac4a2aa",
+        "9595dff2fb7ca635c6cb3a36b7afa7e8b0bc080a6ae0c017b797526a44a6bebf",
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1bca886744b9c79a39b639640153e455df769b85eeb2eb78f2511d1bd1a9eb9f",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -552,9 +552,9 @@ GOLDEN = {
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6c2525bc0df1011b2950cabda4a5f2164d5556fe868261521bd02b8ec134053c",
     (127, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "2c04c3f13301d55e65ade850ab9a6d6d5afaa81314f2170018fe22e8af6d2c90",
+        "ce294ef75cd37b6285754c1c39c3b6350c4be2026fd4fcee9bd0f39ccb9cc313",
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "fcb63cc3e548d2e81ace8344a955eb0e306d94970fbf9d84ac68b3f564f9d301",
+        "7eb7e636eecf3bf6d3ac086bf1fde71959a7c053db469695e84b33c20ae8943b",
     (127, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5849cf6925fe2e0213ca9ea673716e46975a1bf50d7706ae80158766ddb84a9b",
     (127, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -570,9 +570,9 @@ GOLDEN = {
     (127, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "6488d6bb77eb2961d151042d1b373154908248b33666b0bec9ff120aa3720932",
     (128, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "589cecf194b8d3856e983efd43af58cd6a360ee3ab59b0193695855694f011a4",
+        "9f20deab8c799f8f4d486b6942619661adbe28f64027e2ecc7808d24cf91af46",
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "951743f967f784af3ce0cff0afc2f6de2943202f77638a6526ced12d2ec6456a",
+        "92e921c658c053adb286e56775fb35563012a595f86a083608323e8b44f2b321",
     (128, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "52983ee1f48f9bbde34fd32fd235d56729a9b24eea8ef801a52866c57f313cc4",
     (128, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -585,8 +585,8 @@ GOLDEN = {
 # Compact at the benchmark's size: the catalog's generic modulus of degree
 # 256, in ccz form and as its `to_toffoli_form` rewrite.
 GOLDEN_COMPACT_256 = {
-    "ccz_form": "bd864dbc92c9f7d42a816249cbd7b45787d6237bb6de03d182ee447ecfddc33f",
-    "toffoli_form": "a83b4963f00e604dea34322c5ae34efd144c2dc66f8b8cf40325e1f678bdd1ba",
+    "ccz_form": "aeb4200bad281d31c02ae212d433e0f1dba2ab1377b53ddfe9b094148182f2cb",
+    "toffoli_form": "43eac6739ad2a979326215d06ef2318c0d56269b315e096fe7dad24bd8a2d800",
 }
 
 
