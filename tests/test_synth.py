@@ -854,15 +854,14 @@ def _assert_c_restored(p, circ):
 
 
 def test_compact_c_is_identity_after_each_large_sub_call():
-    # The fold test below checks the moduli with n <= 64, 128 and 256.
-    polys = dict.fromkeys(e.polynomial for n in range(65, 128) for e in catalog_entries(n))
+    polys = dict.fromkeys(e.polynomial for n in range(2, 129) for e in catalog_entries(n))
     inner = 0
     for p in polys:
         n = p.degree
         circ = synth(_opts("compact", p))
         inner += _assert_c_restored(p, circ)
         assert circ.counts()["CCZ"] == ccz_count(p) and circ.wire_count == 3 * n, p
-        if n % 8 == 1:
+        if n > 64 and n % 8 == 1:  # the fold test below verifies n <= 64
             for form in (circ, to_toffoli_form(circ)):
                 assert verify_multiplier(form, p, trials=300, seed=n).passed, p
     assert inner > 100
@@ -878,7 +877,6 @@ def test_compact_folds_a_and_b_and_keeps_the_c_solve():
         assert all(u // n == v // n for u, v in cnots), p
         a, b, c = ([(u, v) for u, v in cnots if v // n == r] for r in range(3))
         assert c == _c_only_solve(p), p
-        _assert_c_restored(p, circ)
         assert b == [(u + n, v + n) for u, v in a], p
         assert len(a) <= 2 * karatsuba_m(n), p
         rep = compute_depth(circ)
