@@ -10,8 +10,9 @@ ceil(k/2) and one of size floor(k/2), and has Karatsuba's unbalanced count
 of base cases, M(k) = 2 M(ceil(k/2)) + M(floor(k/2)) with M(1) = 1, which
 is at most 3^ceil(log2 k). The table and `reshape` write the recursion once
 for `ccz_count`, the builders in `synth` and the identity checks in
-`phasepoly`; `ROUTES` and `PREP`, derived from the table, place the
-sub-calls of the log-depth builder on wires.
+`phasepoly`; `SCHEDULES`, derived from the table, places the sub-calls of
+every builder on wires, given which of them it runs at the same time
+(`GROUPINGS`).
 """
 
 from __future__ import annotations
@@ -35,30 +36,31 @@ SUBCALLS = (
 _PAIRS = tuple(tuple((e[0], e[1] if len(e) > 1 else None) for e in call) for call in SUBCALLS)
 
 
-def _route(entry: tuple[int, ...]) -> tuple[int | None, tuple[int, ...]]:
+def _route(entry: tuple[int, ...], named: list[int]) -> tuple[int | None, tuple[int, ...]]:
     """Where an entry of `SUBCALLS` lives, as (home, sources).
 
     A one-part entry is its part as it is: (part, ()). A two-part entry
-    with a part no other entry names is that part, with the other summed
-    into it in place. Any other entry gets new wires (home None) holding
-    the sum of its parts.
+    with a part named once in `named`, the parts of the calls run with it,
+    is that part, with the other summed into it in place. Any other entry
+    gets new wires (home None) holding the sum of its parts.
     """
-    named = [part for call in SUBCALLS for e in call for part in e]
     own = [part for part in entry if len(entry) == 1 or named.count(part) == 1]
     if not own:
         return None, entry
     return own[0], tuple(part for part in entry if part != own[0])
 
 
-def prep_steps(routing: Sequence[Sequence[tuple]]) -> list[tuple[int, int, int]]:
-    """The XORs of `routing` as (call, entry, part) steps, in a shallow order.
+def prep_steps(
+    routing: Sequence[Sequence[tuple]], calls: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """The XORs of `routing`'s `calls` as (call, entry, part) steps, in a shallow order.
 
     Entries of two or more sources go first: each step takes the earliest
     layer after its entry's last step in which neither its part nor its
     target has a step. In-place sums then fill the gaps left on their
     parts. Steps come out layer by layer, in table order within a layer.
     """
-    entries = [(c, e) for c, call in enumerate(routing) for e in range(len(call))]
+    entries = [(c, e) for c in calls for e in range(len(routing[c]))]
     entries.sort(key=lambda ce: len(routing[ce[0]][ce[1]][1]) < 2)
     busy = set()
     placed = []
@@ -75,10 +77,38 @@ def prep_steps(routing: Sequence[Sequence[tuple]]) -> list[tuple[int, int, int]]
     return [step[1:] for step in sorted(placed)]
 
 
-# The log-depth builder's routing and prep order. No part is the home of two
+def schedule(grouping: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
+    """(routes, groups) when the sub-calls of each group of `grouping` run side
+    by side. A group is (calls, steps, undo): its `prep_steps`, and the earlier
+    groups whose prep is undone, latest first, before it runs, as they sum
+    into a part it names. A last group with no calls undoes the rest."""
+    routes: list = [()] * len(SUBCALLS)
+    groups: list[tuple] = []
+    applied: dict[int, set[int]] = {}  # group -> the parts its prep sums into
+    for calls in [*grouping, ()]:
+        named = [part for c in calls for entry in SUBCALLS[c] for part in entry]
+        for c in calls:
+            routes[c] = tuple(_route(entry, named) for entry in SUBCALLS[c])
+        undo = [u for u in applied if not calls or applied[u] & set(named)]
+        for u in undo:
+            del applied[u]
+        applied[len(groups)] = {home for c in calls for home, srcs in routes[c] if srcs} - {None}
+        groups.append((tuple(calls), prep_steps(routes, calls), tuple(reversed(undo))))
+    return tuple(routes), tuple(groups)
+
+
+# Which sub-calls each builder runs at the same time, group after group:
+# compact one at a time, linear-depth {0, 1} then {2}, log-depth all three.
+GROUPINGS = {
+    "compact": ((0,), (1,), (2,)),
+    "linear_depth": ((0, 1), (2,)),
+    "log_depth": ((0, 1, 2),),
+}
+SCHEDULES = {variant: schedule(grouping) for variant, grouping in GROUPINGS.items()}
+# The log-depth builder's routing and prep order: no part is the home of two
 # entries, so the three sub-calls share no wire.
-ROUTES = tuple(tuple(map(_route, call)) for call in SUBCALLS)
-PREP = prep_steps(ROUTES)
+ROUTES = SCHEDULES["log_depth"][0]
+PREP = SCHEDULES["log_depth"][1][0][1]
 
 
 def split_even(

@@ -1,7 +1,8 @@
 """Multiplier circuit synthesis for GF(2^n).
 
 Builds circuits mapping |a>|b>|c>|0> to |a>|b>|c xor AB mod P>|0> in four
-variants:
+variants. The three Karatsuba-style ones differ in which recursive calls run
+at the same time, and `halving.SCHEDULES` places those calls on wires:
 
 * ``baseline``  - three-stage quadratic construction, built in ccz form,
   exactly n^2 CCZs (or Toffolis), no ancillas.
@@ -14,10 +15,9 @@ variants:
   on disjoint wires so total depth grows linearly, using O(n log n) helper
   wires.
 * ``log_depth`` - for moduli of the form x^n+x^k+1 or sum x^(ik); the
-  three recursive calls share no wire and run side by side. Each call
-  works on its parent's register halves where no sibling needs them
-  (`halving.ROUTES`) and on 4h fresh wires per size-2h node for the sums
-  that must be new, giving O(log n) depth with O(n^1.585) helper wires.
+  three recursive calls share no wire and run side by side, on 4h fresh
+  wires per size-2h node for the sums that must be new, giving O(log n)
+  depth with O(n^1.585) helper wires.
 
 The ccz-form output is an H sandwich on the c register. Inside the core,
 helper ancillas only ever hold XOR combinations of c-register values
@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
-from .halving import PREP, ROUTES, list_halves, reshape, split_even, xor_lists
+from .halving import C, SCHEDULES, list_halves, reshape, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
 
@@ -330,27 +330,27 @@ def _forms_recursion(
     c: list[int],
     cp: list[int],
     leaf: Callable[[int, int, int], None],
-    fold: Callable[[list[int], list[int]], None],
+    fold: Callable[[tuple[list[int], list[int]], list[tuple[int, int, int]]], None],
     done: Callable[[int], None],
 ) -> None:
-    """Drive the halving recursion on plain linear forms.
+    """Drive the halving recursion on plain linear forms in compact's schedule.
 
     `leaf(alpha, beta, gamma)` is called once per base case; zero forms are
-    passed through so the leaf can drop vanishing terms. `fold(a, b)` is
-    called on each split instance's a and b before its (A_L + A_R, B_L + B_R)
-    sub-call and again before its (A_L, B_L) sub-call, which runs last.
-    `done(k)` is called when a split instance of size k returns.
+    passed through so the leaf can drop vanishing terms. `fold((a, b), sums)`
+    gets a split instance's a and b and the in-place sums (register, home,
+    part) of their halves to emit before a group of sub-calls runs. `done(k)`
+    is called when a split instance of size k returns.
     """
     a, b, c, cp = reshape(a, b, c, cp, int)  # int() is the zero form
     if len(a) == 1:
         leaf(a[0], b[0], c[0])
         return
-    summed, right, left = split_even((a, b, c, cp), xor_lists, list_halves)
-    fold(a, b)
-    _forms_recursion(*summed, leaf, fold, done)
-    _forms_recursion(*right, leaf, fold, done)
-    fold(a, b)
-    _forms_recursion(*left, leaf, fold, done)
+    calls = split_even((a, b, c, cp), xor_lists, list_halves)
+    for group, sums in _COMPACT_FOLDS:
+        if sums:
+            fold((a, b), sums)
+        for call in group:
+            _forms_recursion(*calls[call], leaf, fold, done)
     done(len(a))
 
 
@@ -389,6 +389,14 @@ def ccz_count_bound(n: int) -> int:
 # Compact returns c to its initial value after every sub-call this large, so
 # each such subtree's solve starts from the identity, not from what ran before.
 _RESTORE_SIZE = 32
+_COMPACT_ROUTES, _COMPACT_GROUPS = SCHEDULES["compact"]
+# Per group of compact's schedule, its calls and the a and b sums to emit before
+# they run: those of the preps it undoes, then its own. c goes to the solve.
+_COMPACT_FOLDS = [
+    (calls, [(r, _COMPACT_ROUTES[c][r][0], part) for u in (*undo, g)
+             for c, r, part in _COMPACT_GROUPS[u][1] if r < C])
+    for g, (calls, _, undo) in enumerate(_COMPACT_GROUPS)
+]
 
 
 class _InPlaceGroup:
@@ -472,11 +480,11 @@ class _ScheduledCore:
     total helper count.
     """
 
-    def __init__(self, kinds: bytearray, ops: array, anc_base: int, mode: str):
+    def __init__(self, kinds: bytearray, ops: array, anc_base: int, schedule: tuple):
         self.kinds = kinds
         self.ops = ops
         self.anc_base = anc_base
-        self.mode = mode
+        self.routes, self.groups = schedule
         self.peak = 0
 
     def _xor_into(self, src: Slot, tgt: Slot, journal: list, cur: int) -> int:
@@ -518,78 +526,34 @@ class _ScheduledCore:
                 self.kinds.append(K_CCZ)
                 self.ops.extend(sorted((a[0].wire, b[0].wire, c[0].wire)))
             return base
-        if self.mode == "linear_depth":
-            return self._rec_linear(a, b, c, cp, base)
-        return self._rec_log(a, b, c, cp, base)
-
-    def _rec_linear(self, a, b, c, cp, base) -> int:
-        # Calls one and two run side by side on the folded halves and fresh
-        # wires; the third runs after both are undone, on the same window.
-        h = len(a) // 2
-        cur = base
-        prep: list = []
-
-        def xor(src: Slot, tgt: Slot) -> None:
-            nonlocal cur
-            cur = self._xor_into(src, tgt, prep, cur)
-
-        fresh = [Slot() for _ in range(h)]
-        _prepare_parallel(xor, a, b, c, cp, fresh)
-        peak_a = self.rec(a[:h], b[:h], c[h:], cp[:h], cur)
-        peak_b = self.rec(a[h:], b[h:], fresh, cp[h:], peak_a)
-        self._unprep(prep)
-        prep.clear()
-        _prepare_second(xor, c, cp)
-        peak_c = self.rec(a[:h], b[:h], c[:h], cp[:h], cur)
-        self._unprep(prep)
-        return max(peak_a, peak_b, peak_c)
-
-    def _rec_log(self, a, b, c, cp, base) -> int:
-        # Each entry sits on its home part's slots (`halving.ROUTES`), with any
-        # other part summed in place, or on fresh slots. No part is the home
-        # of two entries, so the three calls share no wire and run side by side.
+        # Each entry sits on its home part's slots, with any other part summed
+        # in place, or on fresh slots. The calls of a group share no wire and
+        # run side by side on chained windows; the groups run one by one.
         h = len(a) // 2
         parts = [half for r in (a, b, c, cp) for half in list_halves(r)]
-        calls = [
-            [[Slot() for _ in range(h)] if home is None else parts[home] for home, _ in call]
-            for call in ROUTES
-        ]
-        cur = base
-        prep: list = []
-        for call, entry, part in PREP:
-            for src, slot in zip(parts[part], calls[call][entry]):
-                cur = self._xor_into(src, slot, prep, cur)
-        peak = cur
-        for sub in calls:
-            peak = self.rec(*sub, peak)
-        self._unprep(prep)
+        calls = _routed(self.routes, parts, lambda: [Slot() for _ in range(h)])
+        journals: list[list] = [[] for _ in self.groups]
+        cur = peak = base
+        for journal, (group, steps, undo) in zip(journals, self.groups):
+            for u in undo:
+                self._unprep(journals[u])
+            for call, entry, part in steps:
+                for src, slot in zip(parts[part], calls[call][entry]):
+                    cur = self._xor_into(src, slot, journal, cur)
+            top = cur
+            for call in group:
+                top = self.rec(*calls[call], top)
+            peak = max(peak, top)
         return peak
+
+
+def _routed(routes, parts: list, fresh: Callable[[], list]) -> list:
+    """Each sub-call's entries on `parts` per `routes`, a new `fresh()` for each homeless one."""
+    return [[fresh() if home is None else parts[home] for home, _ in call] for call in routes]
 
 
 # ---------------------------------------------------------------------------
 # depth-2 preparation fragments: the linear-depth builder's schedule
-
-
-def _prepare_parallel(xor, a, b, c, cp, fresh) -> None:
-    h = len(a) // 2
-    for i in range(h):
-        xor(a[h + i], a[i])
-    for i in range(h):
-        xor(b[h + i], b[i])
-    for i in range(h):
-        xor(cp[i], cp[h + i])
-    for i in range(h):
-        xor(c[h + i], fresh[i])
-    for i in range(h):
-        xor(cp[i], fresh[i])
-
-
-def _prepare_second(xor, c, cp) -> None:
-    h = len(c) // 2
-    for i in range(h):
-        xor(c[h + i], c[i])
-    for i in range(h):
-        xor(c[h + i], cp[i])
 
 
 def prepare_parallel(
@@ -601,16 +565,16 @@ def prepare_parallel(
 ) -> list[Gate]:
     """Depth-2 CNOT fragment readying two disjoint half-size calls.
 
-    Layer 1 folds right operand halves into left ones, right c' half gets
-    the left one, and the fresh wires copy the right c half; layer 2 adds
-    the left c' half onto the fresh wires.
+    Linear-depth's prep of its first group (`halving.SCHEDULES`): right
+    operand halves fold into left ones, and the fresh wires take the left
+    c' half, then the right c half while the right c' half gets the left.
     """
     k = len(a_wires)
     if k % 2 or len(b_wires) != k or len(c_wires) != k or len(cp_wires) != k:
         raise InputError("prepare_parallel needs even equal-size registers")
     if len(fresh_wires) != k // 2:
         raise InputError("need k/2 fresh wires")
-    return _cnots(_prepare_parallel, a_wires, b_wires, c_wires, cp_wires, fresh_wires)
+    return _linear_prep(0, (a_wires, b_wires, c_wires, cp_wires), fresh_wires)
 
 
 def prepare_second(c_wires: Sequence[int], cp_wires: Sequence[int]) -> list[Gate]:
@@ -618,14 +582,17 @@ def prepare_second(c_wires: Sequence[int], cp_wires: Sequence[int]) -> list[Gate
     k = len(c_wires)
     if k % 2 or len(cp_wires) != k:
         raise InputError("prepare_second needs even equal-size registers")
-    return _cnots(_prepare_second, c_wires, cp_wires)
+    return _linear_prep(1, ((), (), c_wires, cp_wires), ())
 
 
-def _cnots(fragment, *wires) -> list[Gate]:
-    """The gates of a fragment body run on wire lists, one CNOT per xor."""
-    gates: list[Gate] = []
-    fragment(lambda s, t: gates.append(Gate.cnot(s, t)), *wires)
-    return gates
+def _linear_prep(g: int, regs, fresh_wires: Sequence[int]) -> list[Gate]:
+    """The CNOTs of linear-depth's group-g prep on the wires of (a, b, c, c'),
+    its new sums on `fresh_wires`."""
+    routes, groups = SCHEDULES["linear_depth"]
+    parts = [half for r in regs for half in list_halves(list(r))]
+    calls = _routed(routes, parts, lambda: list(fresh_wires))  # one new sum, in the first group
+    pairs = (zip(parts[part], calls[call][entry]) for call, entry, part in groups[g][1])
+    return list(starmap(Gate.cnot, chain.from_iterable(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +645,11 @@ def _core_gates(
         # identity after every sub-call of size _RESTORE_SIZE or more.
         gc = _InPlaceGroup([*c_wires, *(w for w in cp_wires if w is not None)], kinds, ops)
 
-        def fold(a: list[int], b: list[int]) -> None:
-            h = len(a) // 2
-            for base, r in ((0, a), (n, b)):
-                pairs = ((base + _low(y), base + _low(x), -1) for x, y in zip(r, r[h:]) if x and y)
+        def fold(ab: tuple[list[int], list[int]], sums: list[tuple[int, int, int]]) -> None:
+            parts = [half for r in ab for half in list_halves(r)]
+            for r, home, part in sums:
+                halves = zip(parts[part], parts[home])
+                pairs = ((r * n + _low(y), r * n + _low(x), -1) for y, x in halves if x and y)
                 _put(kinds, ops, K_CNOT, pairs)
 
         def leaf(fa: int, fb: int, fc: int) -> None:
@@ -697,7 +665,7 @@ def _core_gates(
         _forms_recursion(ones, ones, ones, cp_forms, leaf, fold, done)
         gc.restore()
         return 0
-    sched = _ScheduledCore(kinds, ops, anc_base, mode)
+    sched = _ScheduledCore(kinds, ops, anc_base, SCHEDULES[mode])
     a, b, c = ([Slot(1 << i, w) for i, w in enumerate(ws)] for ws in (a_wires, b_wires, c_wires))
     sched.rec(a, b, c, [Slot(f, w) for f, w in zip(cp_forms, cp_wires)], 0)
     return sched.peak
@@ -776,7 +744,7 @@ def karatsuba_core(k: int, mode: str = "compact") -> Circuit:
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    if mode not in ("compact", "linear_depth", "log_depth"):
+    if mode not in SCHEDULES:
         raise InputError(f"unknown mode {mode!r}")
     kinds, ops = bytearray(), array("i")
     cp_forms = [1 << (k + i) for i in range(k)]

@@ -5,11 +5,18 @@ import random
 import pytest
 
 from gf2kq.halving import (
+    A_L,
+    A_R,
+    B_L,
+    B_R,
     C_L,
     C_R,
     CP_L,
+    CP_R,
+    GROUPINGS,
     PREP,
     ROUTES,
+    SCHEDULES,
     SUBCALLS,
     list_halves,
     pad_odd,
@@ -111,28 +118,31 @@ def test_reshape_shrinks_zero_topped_odd_and_size_two_then_pads_odd(k, zero_top,
     assert tuple(out) == tuple(want)
 
 
-def _routing_faults(routing, steps):
-    """Why `routing` and its prep `steps` cannot give three disjoint sub-calls."""
+def _routing_faults(routing, groups):
+    """Why `routing` and the `groups` of its schedule cannot run the sub-calls
+    of each group side by side on disjoint wires."""
     faults = []
     for c, (call, entries) in enumerate(zip(SUBCALLS, routing)):
         for e, (entry, (home, sources)) in enumerate(zip(call, entries)):
             routed = [home] * (home is not None) + list(sources)
             if sorted(routed) != sorted(entry):
                 faults.append(f"call {c} entry {e} routes {routed}, not {list(entry)}")
-    homes = [home for entries in routing for home, _ in entries if home is not None]
-    faults += [f"part {part} is the home of two entries" for part in set(homes) if homes.count(part) > 1]
-    written = {home for entries in routing for home, sources in entries if sources}
-    read = {part for _, _, part in steps}
-    faults += [f"part {part} is summed into and read" for part in written & read]
-    want = sorted((c, e, part) for c, entries in enumerate(routing)
-                  for e, (_, sources) in enumerate(entries) for part in sources)
-    if sorted(steps) != want:
-        faults.append("the steps are not one XOR per routed source")
+    for calls, steps, _ in groups:
+        entries = [entry for c in calls for entry in routing[c]]
+        homes = [home for home, _ in entries if home is not None]
+        faults += [f"part {part} is the home of two entries" for part in set(homes) if homes.count(part) > 1]
+        written = {home for home, sources in entries if sources}
+        read = {part for _, _, part in steps}
+        faults += [f"part {part} is summed into and read" for part in written & read]
+        want = sorted((c, e, part) for c in calls for e, (_, sources) in enumerate(routing[c]) for part in sources)
+        if sorted(steps) != want:
+            faults.append(f"the steps of {calls} are not one XOR per routed source")
     return faults
 
 
-def _routed_masks(routing, steps, regs, h):
-    """Each entry's wires after `steps`, on registers held as bit masks."""
+def _routed_masks(routing, groups, regs, h):
+    """Each entry's wires, on registers held as bit masks, as its group runs,
+    and every part's wires when the node returns."""
     wires = {}
     for r, x in enumerate(regs):
         wires[2 * r], wires[2 * r + 1] = _mask_halves(h)(x)
@@ -140,15 +150,30 @@ def _routed_masks(routing, steps, regs, h):
              for c, entries in enumerate(routing)]
     for entries in homes:
         wires.update((key, 0) for key in entries if key not in wires)
-    for c, e, part in steps:
-        wires[homes[c][e]] ^= wires[part]
-    return [[wires[key] for key in entries] for entries in homes]
+    calls = [None] * len(routing)
+    for group, steps, undo in groups:
+        for u in undo:
+            for c, e, part in reversed(groups[u][1]):
+                wires[homes[c][e]] ^= wires[part]
+        for c, e, part in steps:
+            wires[homes[c][e]] ^= wires[part]
+        for c in group:
+            calls[c] = [wires[key] for key in homes[c]]
+    return calls, [wires[part] for part in range(8)]
+
+
+def _sums(routing, calls):
+    """The routed entries of `calls` that take a sum, as (home, sources), in table order."""
+    return [(home, sources) for c in calls for home, sources in routing[c] if sources]
 
 
 def test_routes_cover_the_table_on_disjoint_wires():
-    assert _routing_faults(ROUTES, PREP) == []
-    # Fresh wires only for the entries that need a new sum: A_L+A_R, B_L+B_R
-    # and CP_L+C_R twice; C_L and CP_R take their sums in place.
+    for variant in GROUPINGS:
+        routes, groups = SCHEDULES[variant]
+        assert _routing_faults(routes, groups) == [], variant
+        assert [calls for calls, _, _ in groups] == [*GROUPINGS[variant], ()], variant
+    # Log-depth: fresh wires only for the entries that need a new sum: A_L+A_R,
+    # B_L+B_R and CP_L+C_R twice; C_L and CP_R take their sums in place.
     fresh = [sources for entries in ROUTES for home, sources in entries if home is None]
     assert len(fresh) == 4 and sum(map(len, fresh)) == 8
     assert sum(len(sources) for entries in ROUTES for _, sources in entries) == 10
@@ -162,21 +187,43 @@ def test_routes_cover_the_table_on_disjoint_wires():
     assert max(level.values()) == 3
 
 
+def test_linear_depth_and_compact_routings():
+    # Linear-depth: {0, 1} fold the operand halves in place, CP_R takes CP_L, and
+    # CP_L + C_R gets fresh wires; {2} sums in place on C_L and CP_L, after {0, 1}
+    # is undone, as it names A_L.
+    routes, groups = SCHEDULES["linear_depth"]
+    assert _sums(routes, (0, 1)) == [
+        (A_L, (A_R,)), (B_L, (B_R,)), (None, (CP_L, C_R)), (CP_R, (CP_L,))
+    ]
+    assert _sums(routes, (2,)) == [(C_L, (C_R,)), (CP_L, (C_R,))]
+    assert [undo for _, _, undo in groups] == [(), (0,), (1,)]
+    # Compact: only call 0's a and b are sums, folded in place and unfolded
+    # before call 2, which names A_L and B_L; c goes through a per-leaf solve.
+    routes, groups = SCHEDULES["compact"]
+    assert [(h, s) for h, s in _sums(routes, (0,)) if h < C_L] == [(A_L, (A_R,)), (B_L, (B_R,))]
+    assert [h for c in (1, 2) for h, s in routes[c][:2] if s] == []
+    assert [undo for _, _, undo in groups] == [(), (), (1, 0), (2,)]
+
+
 @pytest.mark.parametrize("n", [2, 4, 10, 64])
 def test_routed_entries_hold_their_sums_on_masks(n):
     rng = random.Random(n)
     for _ in range(50):
         regs = [rng.getrandbits(n) for _ in range(4)]
         want = split_even(regs, lambda x, y: x ^ y, _mask_halves(n // 2))
-        assert _routed_masks(ROUTES, PREP, regs, n // 2) == want
+        halves = [half for x in regs for half in _mask_halves(n // 2)(x)]
+        for variant in GROUPINGS:
+            routes, groups = SCHEDULES[variant]
+            assert _routed_masks(routes, groups, regs, n // 2) == (want, halves), variant
 
 
 def test_routing_that_hands_a_part_to_two_calls_fails():
     # C_R becomes the home of call 1's c, CP_L + C_R, as well as call 0's c.
     broken = [list(entries) for entries in ROUTES]
     broken[1][2] = (C_R, (CP_L,))
-    steps = prep_steps(broken)
-    faults = _routing_faults(broken, steps)
+    groups = [((0, 1, 2), prep_steps(broken, (0, 1, 2)), ()), ((), [], (0,))]
+    faults = _routing_faults(broken, groups)
     assert f"part {C_R} is the home of two entries" in faults
     regs = [0b1100, 0b1010, 0b0110, 0b1001]
-    assert _routed_masks(broken, steps, regs, 2) != split_even(regs, lambda x, y: x ^ y, _mask_halves(2))
+    calls, _ = _routed_masks(broken, groups, regs, 2)
+    assert calls != split_even(regs, lambda x, y: x ^ y, _mask_halves(2))
