@@ -138,7 +138,7 @@ GOLDEN = {
     (2, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "fe5b8dad5d1b67eb5abbec1bbcde403bd8fe294ede423c0ac9030468a49860f7",
     (2, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "241c0556348c5e5f3c48c6a7b25181ab33a01e0236d4f4c519150a70e6d47fd6",
+        "a01175f81caa1e78b90724d5acaa14e27905c2d0f96c9c383e14fb1093e988af",
     (2, "generic", "baseline", "ccz_form", "sequential"):
         "b20d9480cf1499737910582406a8e15b475b0e8d5a3824e03a627245c3207e51",
     (2, "generic", "baseline", "toffoli_form", "sequential"):
@@ -156,7 +156,7 @@ GOLDEN = {
     (3, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "17b99ca5d04c185a401eb9aa9db2d6da0cc10fcfad02572f70f2daeccaf75368",
     (3, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "6c2b9ff233b47ffe2e5fc57e1d36ae846a61ca02cdb01fbbe4d95ef2a8a71be2",
+        "a1fc0b5527b9120762fffae86b686aaf3e2059c10988b191921423d353a6dea1",
     (3, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "3067ac3b896bc5b277480db139f997f7b90eee37a9bcbbf7d3f434b4ba565ba5",
     (3, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -166,7 +166,7 @@ GOLDEN = {
     (3, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "c5d144d43c3259f08fa19bfffa3482fa328394cea7bb781d32e088b0666561db",
     (3, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "dbdb588099a64c80d5af02c698e2683a41d6c45ba68cbb1717442f0124d1d9f3",
+        "716dd5e93ff76a43941fc4d7a17ffd69290793e0dc3b4fb7adae7b1db4fb8f35",
     (3, "trinomial", "baseline", "ccz_form", "sequential"):
         "9ab02bb3b7e071ea250a1c11c4bdcf42f2121c741dd8a98c756ad73fd99eb76c",
     (3, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -184,7 +184,7 @@ GOLDEN = {
     (4, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "1c1dd26c7e6026cf217da34ccfa944838fe551af642d793f9faef3d6c02f10cb",
     (4, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "42b54d76e1de19eb6f61dd6ea53231c943f99830be95f0b1a80ebc2e3cd27a62",
+        "be7ca741bdfcdeb61f5f93f234c27df913cb2a85b033db7a836bd7c37a39a351",
     (4, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "c8a28869a668a9134060bb80a3868509a5b842ef0346817f2638412017d3b689",
     (4, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -194,7 +194,7 @@ GOLDEN = {
     (4, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "ea5be610570a39a825d934797f74fbdeccac8b0ab50126cfcfdd3e3e6d01478a",
     (4, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "ce22ad20b2a1b5d4f28d3ade6c87891bffda16276b32854411454ff5fe277a9e",
+        "6b2fae8249187ca14668eb546c8cf7a2a34bc41c0d3d656b33a920b300762697",
     (4, "trinomial", "baseline", "ccz_form", "sequential"):
         "03a480010fa7bf08026644faf0317075ef3ee6681081513102258434fddab517",
     (4, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -212,7 +212,7 @@ GOLDEN = {
     (4, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
         "8156d61006c99f9931f59a1e308b0b160e3ce0262f8400a433823f4041589e64",
     (4, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "5f005f9bdc919f25f794fdd70cc162a7fa69e9f0f64ff1f61415463908ef0638",
+        "0591aa89f33f170bf1a9dc929dc638a747af6e2c9e2ca0f2d697abc4995283f3",
     (4, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "b888eb79ebf67726105ce95811f003585d169489908c5b42497dad1c20fff15c",
     (4, "equally_spaced", "baseline", "toffoli_form", "sequential"):
@@ -230,7 +230,7 @@ GOLDEN = {
     (5, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "58f7cbe9482d65b80a4e7a79d274d7cf22321accb21907b96ffb9283185a25b0",
     (5, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "5c069512758767436814023851d80401dcc681172837bb0d1400b14642214ff0",
+        "a6a455adf71a422ce78c642bc70a5764a26c1a0b95f7ea27d38f59bc80cacde1",
     (5, "generic", "baseline", "ccz_form", "sequential"):
         "250bfd3ff79b68abd2c6726898efa411a3f33dc39e054aa1d181989e10618f68",
     (5, "generic", "baseline", "toffoli_form", "sequential"):
@@ -248,7 +248,7 @@ GOLDEN = {
     (6, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "f8388c195fb999e0f8a479a3628abda8a6ffbbbef9f55c83e9640032b05a3375",
     (6, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "455acec000a8eb7bdfd0ff33c07cf2476e7aea844e9114e32da45a146d11bcb7",
+        "0602bfbe6f02e5883812b7a5805c47f6e09f0d83b6566ef8b9ac510f4ce41301",
     (6, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "df95db3c9c78202600b72427442ba9022d5872e1347621d5fe4b0da884036521",
     (6, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -258,7 +258,7 @@ GOLDEN = {
     (6, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "bf8e536a633cfb583ee2e0c8761eb81082d928d4efed6aacfe379cae711eaf7e",
     (6, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "dc98236332c6c325db42f6441acef03e604cd021b1d52dfde6281c8efd02cee0",
+        "a35b4de4c84a11495c7f9652a407469d132a5bf4f1d1af97dce4c23e3e6f0233",
     (6, "trinomial", "baseline", "ccz_form", "sequential"):
         "fc618cc6ee95550fc721adfeb704b18ade9302757550ff04ba86ec8e985c2d27",
     (6, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -276,7 +276,7 @@ GOLDEN = {
     (7, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "5bc02cd980513a6d1a2d3dae963eb555bcf822584056d687d33161fb47939962",
     (7, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "1f0c355798183abd2b78b464a5b68aae6ae7a0c1293a212597201468a238959a",
+        "ed5fbcfbed7239f8a2f82a926e515dddad9880e69d71988d653d4361a1c3dd35",
     (7, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "0e3be9a76084d5e111eb3fc933d777f84c77d0272a2ab50d4db8e382a4237392",
     (7, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -286,7 +286,7 @@ GOLDEN = {
     (7, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "0c9f6e05196783d4744531dd4a9a7a80abf958e780f277a13b973dca51f3ee4c",
     (7, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "469cf64ad405ba31ca527810d7cd10a653f49ca019f70ab8bbe5ac103fde1588",
+        "0333c71d526e052af632498136839173f9991d5cb8fe897a27b7beba861f182d",
     (7, "trinomial", "baseline", "ccz_form", "sequential"):
         "8e7072bce8e1a7dc570a039f0ccb1c59627ca3e9e2e3ae8fdfab6e4b0938cf41",
     (7, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -304,7 +304,7 @@ GOLDEN = {
     (7, "generic-pinned", "compact", "toffoli_form", "prefix_ancilla"):
         "c3f7dfd5adbf3d1eeb8f24bd24e32c12c5e8d09d6613fd54e0d8ce87e919183c",
     (7, "generic-pinned", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "5890284faf5a20d6956d29b43c4428829723439b1334871ced8fc9e8e725b4f6",
+        "9d54f4e85ef166f00ecfbc6109fd048a94f54ccb9c7d2966c1bc86189f8141c9",
     (7, "generic-pinned", "baseline", "ccz_form", "prefix_ancilla"):
         "ab5d061cd5f072904fd91bb38cf5accfde53fe0ba8c02a529195c7c662153824",
     (7, "generic-pinned", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -314,7 +314,7 @@ GOLDEN = {
     (8, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "34c036618a724dd255a91902e3f269238da38593590a46acbc360b5bfdc71ddd",
     (8, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "1abdf74648daee71af6dca0de26ad6d26748d4bc991887b6d8eb767eba9e75eb",
+        "56ec7860eed0afc4c589264e53d1b9443236a415f64c42cab21fe13fc7df1da5",
     (8, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "bf45c85834dd1f7b89211581ba0b6b25c90edc4f60556e0be9d074b62b60d8d3",
     (8, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -324,7 +324,7 @@ GOLDEN = {
     (9, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "f2896f984c4491f386f01c3fe9b92c9f681df35ece04ce5e3280bdee84115949",
     (9, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "cc1802c213b0e38173ebf43efa1cb88b78188692c4a032f007d3c1acc9f86aae",
+        "12901bc12249238a924cd4810e363cdf29825304fd9fb8f22a76898be8f9e8c6",
     (9, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "9461e6dbbeda5a4f0df93df48755a1bcde30af091cc4e8999f942c2db86dac25",
     (9, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -334,7 +334,7 @@ GOLDEN = {
     (9, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "717234792f1ef41807c0aeeafd331d38c9414620c2808a73e8fc775c9e38afc7",
     (9, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "ab01691fb0b7a4433f77a386b3d40eedd84485ef5312a12ff2563e0af7ff9de3",
+        "e0a9ce6e37aac53b2e62fab9ed3b14c941a6185c4d7da3df5c1f2cd43b8f27c2",
     (9, "trinomial", "baseline", "ccz_form", "sequential"):
         "332a740fe572461a1965332ab98c148f29e4af67d9f7fef1729a47b57085acaa",
     (9, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -352,7 +352,7 @@ GOLDEN = {
     (10, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "93851efbdf5b57a79ac9ac60a65ac3372597d0fc25c9060de24b0ae8648c860e",
     (10, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "b38824988578568dd252cf78f67aa7c47a28c876d7b0b90fe256716d9ad74d95",
+        "6b4f4aa51a607eea389ef3c01b60fb2105bbf141024001a3ba877d3aacedada0",
     (10, "generic", "baseline", "ccz_form", "sequential"):
         "e1d382c62f4eee40478b6bc3b0f30c28f7bc7b0c0ba5f3aac42d6f7ad5a575de",
     (10, "generic", "baseline", "toffoli_form", "sequential"):
@@ -370,7 +370,7 @@ GOLDEN = {
     (10, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
         "fd03f61a96ce240629468870353ba7d1b9f3c5aa2f992c5f9b6c2685fd7aafb1",
     (10, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "f63aaafae8c269136ee74d68919d1f6f4c36e21c95222b5775219e327527ebba",
+        "76837636eb8cef2411af0fef837ca9fe87538886aeeed688037ca87091b254ad",
     (10, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "4608cfc1d14335753cdf73f12ed2c49fd9793c61a851fe8ef74afc71fb103288",
     (10, "equally_spaced", "baseline", "toffoli_form", "sequential"):
@@ -388,7 +388,7 @@ GOLDEN = {
     (11, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "f0e3ffb7b07a74e19353768ed9a855719a34309f4f60f9ab361014964d0233de",
     (11, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a259b430704fc4752f60d0e4c04b7d9a41540c7d07917f5b6a4508d6e4f144d3",
+        "3e819c0dca126179aa52cfa33c10e5cd44ad51061bf76a7afefa4871d5ca3a90",
     (11, "generic", "baseline", "ccz_form", "sequential"):
         "8dbb241a42ec0969e1f654d42b0d6c7217fa5c209fa897e4e2c7833fe5e0b1ef",
     (11, "generic", "baseline", "toffoli_form", "sequential"):
@@ -406,7 +406,7 @@ GOLDEN = {
     (12, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "b4947351cb539d55a9ce70c5e1a49ec70cc175a697f75c411b7eaaad47cb7a54",
     (12, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a1ebb083c8df48b2dc61a82c915d78adca7ab5c8578b3d0f9ee4c95d9f00e9f9",
+        "c83e8ad3a82d58964f9ed0a8a13082af6d01366d71e2a8785f7ec883d8d0fb78",
     (12, "generic", "baseline", "ccz_form", "sequential"):
         "11a822bd6f6d1c190cdcfff36f45c348d1d9e85988204ee0b2135afd633e63d4",
     (12, "generic", "baseline", "toffoli_form", "sequential"):
@@ -424,7 +424,7 @@ GOLDEN = {
     (12, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
         "f08c975ee078fa857aaf5987b87c051f4dc2ad53d326a955b5903523ff44b2e2",
     (12, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "1c4e31fc3db1187fbdf615414e4d878d6ab990569dc5bab3d547764ae4e51e2d",
+        "5c1bee93d251999b1c3dd212ab004ea5229f10b4db7876a03680d1ee0f86c3ec",
     (12, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "a351d1e73b898a68a71ec8b69f4f19602b342ac8d94b8fdf42ef77d73932ec04",
     (12, "equally_spaced", "baseline", "toffoli_form", "sequential"):
@@ -442,7 +442,7 @@ GOLDEN = {
     (13, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "56c67e62e141860460733bc7bf6e021f7b1b647bf07e6a05cfed101d17b3ebc4",
     (13, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "b08bf9e027e498bfbfa7e2fc04c6a52c0151fa74b28f4aeb79d182cccdb3af89",
+        "a9c4097d60b0fcc0e8d68695ed57741214a07cb228784422d5269da4c1e00ec1",
     (13, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "1285ed696ced9bb37d53b8ea970bfdbc7a82c37f2919b7090291ee8e780c3d96",
     (13, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -452,7 +452,7 @@ GOLDEN = {
     (14, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "62ea974ff037cb860d0349a81a6102f6c7cf65adc31b22a6774077721ba8e7f5",
     (14, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "4663ff9861d23490c0feb3663a0440c4023804394de0586583a374930a79bc67",
+        "226f4621950b5a05b6d91415309a3b6a04f6c56ee474e8f3cc98113947f5bf69",
     (14, "generic", "baseline", "ccz_form", "sequential"):
         "a32d0a27bb3ff1c8aa785246fd3677608939df9622ddfbc53d91d94863869464",
     (14, "generic", "baseline", "toffoli_form", "sequential"):
@@ -470,7 +470,7 @@ GOLDEN = {
     (15, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "b037b8933085acea7aef988220fc3f786b6245c9ff64295803f90aae3d3c4c00",
     (15, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "d4e1ae786d54cff146f0dbf89e6d838a274ae12b1a86db2e4575e800220b2839",
+        "95df47f2efeaded2c394c6db64ebf1ab1c9c25b12a69ad798a6f9864117dcd05",
     (15, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "125a281135659fdbb919869c8722317228879c746b9c7c9a5ed16b908244eb07",
     (15, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -480,7 +480,7 @@ GOLDEN = {
     (15, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "2a02493a083a6eb72ac0fa697d12a4de1e01911766b377c777e8c2aab3e9a174",
     (15, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "fe4fa4d64a6516c9f93c773b787b7e99651ed8fcc17a7b2e064d04daf2a63afc",
+        "cb71a6265b34c5992e147a0bfd0a474b53809b24b329cf41911af2449aacaa21",
     (15, "trinomial", "baseline", "ccz_form", "sequential"):
         "342dfef1ff1b047216af43c014aeefbe2b5763682403b6fb2758b35b1ed1c4d9",
     (15, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -498,7 +498,7 @@ GOLDEN = {
     (16, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "c621c6cf7ede310f835ac1fe7e40c48548c577e64fd4cf0626619f2056d86d4e",
     (16, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "d769b20ba2db922d325eea7bbe38ef8f9cbd7b278986a63ccf13e35c63d8a926",
+        "ba920f38a21c566b7218a73e02b38361a812427929536203571ed734fbe38acc",
     (16, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "6d40d8ef5076b243040b1432332b0a6fac1e3b7bf22606809f73973f6832c1e9",
     (16, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -508,7 +508,7 @@ GOLDEN = {
     (33, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "d887a4a5e4dd5c02e1a369ea5aa82bb89702280a30a0d4bd676e83c945313f28",
     (33, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "2cbfadcb4d226099a6e2ddddab6967d07317ef17d43f40c3792e7459f890fdb6",
+        "0b424762bd1ca48d19bc1575893ce616ace3c175601c372f1ecaf2bf6e329745",
     (33, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "756c8ba9e85295b293989e5bd72439af539095f32928f300afb6464fd1a89943",
     (33, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -518,7 +518,7 @@ GOLDEN = {
     (33, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "cde6d7f30c98dfd06e75373f26f1c783ad9b1cd1306ad7ca06480cd578de3084",
     (33, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "f40a44c4cab31c48c04bda2e060d858229c4463e0fd2f6a195ec8ee949e76cc6",
+        "4028513fc3ad128a171c9da7008734b73fff247a89e50ef5ffe159b37f1a642f",
     (33, "trinomial", "baseline", "ccz_form", "sequential"):
         "986db76d864ecc96a6aef6b8491a559cf111f7d7bc8071b453b2935e607ad84c",
     (33, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -536,7 +536,7 @@ GOLDEN = {
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "125c371d7eb7efc8498fc25b0f10e1d8872680f3a9fd047c364f8af4fc7e721f",
     (64, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "2ea630f05b1ef46ff207f7e83143d7a3fbfa11e165453151b5fd3b0ffc64ae33",
+        "d8c17dd19d8d77df8fedf37422a37773563878ea5b121a3696d89bdc71a66f0e",
     (64, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "d43da07d9a9403e414b5178a8fcf455d3d24a79dc34451492a36e2b48fafceb7",
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -546,7 +546,7 @@ GOLDEN = {
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "9595dff2fb7ca635c6cb3a36b7afa7e8b0bc080a6ae0c017b797526a44a6bebf",
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "1bca886744b9c79a39b639640153e455df769b85eeb2eb78f2511d1bd1a9eb9f",
+        "a0b648063b190965eba135044a90616c66761bf40755c277e0a0bf00fffa05f0",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "95f88900520f98cc4b321520cb6cbe9ff9bcc8f3db22a2719047bf697b90629f",
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -556,7 +556,7 @@ GOLDEN = {
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "7eb7e636eecf3bf6d3ac086bf1fde71959a7c053db469695e84b33c20ae8943b",
     (127, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "5849cf6925fe2e0213ca9ea673716e46975a1bf50d7706ae80158766ddb84a9b",
+        "8b6185e576d2baad539c4fd8dd0f66e93634d9d508385f65c4525fe8abdaf220",
     (127, "trinomial", "baseline", "ccz_form", "sequential"):
         "7985f6e7da91e5cecbea32d3ce6c40219625a6e8304507e3752029b904a5796e",
     (127, "trinomial", "baseline", "toffoli_form", "sequential"):
@@ -574,7 +574,7 @@ GOLDEN = {
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "92e921c658c053adb286e56775fb35563012a595f86a083608323e8b44f2b321",
     (128, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "52983ee1f48f9bbde34fd32fd235d56729a9b24eea8ef801a52866c57f313cc4",
+        "c56e69a8770a0b22028bc802ed4af2c413526ee24c50c57cba6b07064aed627e",
     (128, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "de21706b010b29a08d256aee856271031ed003e6cb9111983d8185194e1c7eeb",
     (128, "generic", "baseline", "toffoli_form", "prefix_ancilla"):

@@ -284,7 +284,7 @@ _FRAGMENTS = {
     ("es-seq-4-3", "8108f940df2aea9682587aa61e99bb46795c60f67e08d1f603eb10b640f82fca"),
     ("es-pre-4-1", "bdae5448a41d0145cf8eae4a24ea75b7e5bc381215c6ad38f81c0f3fe60953b4"),
     ("es-pre-4-3", "bbb81a78819d69dbdd063992bf10917d9ed00868ffe5bf190890726b79bb6936"),
-    ("prepare-parallel-8", "e2c66f8be553a790bbbc519356c7407b77bc0cf9beae337f9038e75876d56144"),
+    ("prepare-parallel-8", "5686211741f2fa115d7c363d0badc00d008e261ce5eb810a9891ddc872e3f7c4"),
     ("prepare-second-8", "f96a6aadfbf9588639087ee66faa8e728c25189247497d3693d2f83785058ee5"),
 ])
 def test_public_fragments_keep_their_gate_lists(name, digest):
