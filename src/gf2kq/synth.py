@@ -530,7 +530,7 @@ class _ScheduledCore:
         # in place, or on fresh slots. The calls of a group share no wire and
         # run side by side on chained windows; the groups run one by one.
         h = len(a) // 2
-        parts = [half for r in (a, b, c, cp) for half in list_halves(r)]
+        parts = [a[:h], a[h:], b[:h], b[h:], c[:h], c[h:], cp[:h], cp[h:]]
         calls = _routed(self.routes, parts, lambda: [Slot() for _ in range(h)])
         journals: list[list] = [[] for _ in self.groups]
         cur = peak = base
@@ -589,7 +589,7 @@ def _linear_prep(g: int, regs, fresh_wires: Sequence[int]) -> list[Gate]:
     """The CNOTs of linear-depth's group-g prep on the wires of (a, b, c, c'),
     its new sums on `fresh_wires`."""
     routes, groups = SCHEDULES["linear_depth"]
-    parts = [half for r in regs for half in list_halves(list(r))]
+    parts = [half for r in regs for half in list_halves(r)]
     calls = _routed(routes, parts, lambda: list(fresh_wires))  # one new sum, in the first group
     pairs = (zip(parts[part], calls[call][entry]) for call, entry, part in groups[g][1])
     return list(starmap(Gate.cnot, chain.from_iterable(pairs)))
