@@ -36,6 +36,17 @@ SUBCALLS = (
 _PAIRS = tuple(tuple((e[0], e[1] if len(e) > 1 else None) for e in call) for call in SUBCALLS)
 
 
+def read_span(entry: int, size: int) -> int:
+    """How many low positions of its entry `entry` a size-`size` sub-call reads.
+
+    A size-k instance's h puts a_i b_j on c'_(i+j-k), and i + j <= 2k - 2,
+    so it reads c' only at 0..k-2: a builder may leave the top c' position
+    unbuilt. Whatever that slot holds stays on top, is padded into a
+    zero-topped instance's dead positions, or is dropped by a shrink.
+    """
+    return size - (entry == CP)
+
+
 def _route(entry: tuple[int, ...], named: list[int]) -> tuple[int | None, tuple[int, ...]]:
     """Where an entry of `SUBCALLS` lives, as (home, sources).
 

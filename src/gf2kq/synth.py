@@ -15,7 +15,7 @@ at the same time, and `halving.SCHEDULES` places those calls on wires:
   on disjoint wires so total depth grows linearly, using O(n log n) helper
   wires.
 * ``log_depth`` - for moduli of the form x^n+x^k+1 or sum x^(ik); the
-  three recursive calls share no wire and run side by side, on 4h fresh
+  three recursive calls share no wire and run side by side, on 4h - 1 fresh
   wires per size-2h node for the sums that must be new, giving O(log n)
   depth with O(n^1.585) helper wires.
 
@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
-from .halving import C, SCHEDULES, list_halves, reshape, split_even, xor_lists
+from .halving import C, SCHEDULES, list_halves, read_span, reshape, split_even, xor_lists
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
 
@@ -205,9 +205,11 @@ def cprime_ancilla_circuit(q: Gf2Matrix) -> Circuit:
 
 
 def _cprime_gates(q: Gf2Matrix, c_wires: Sequence[int], anc_wires: Sequence[int]) -> _Pairs:
+    """One CNOT c_row -> anc_col per set entry of Q, by diagonal ((row - col) mod n, col)."""
     n = q.n_rows
-    diagonals = (((col + shift) % n, col) for shift in range(n) for col in range(q.n_cols))
-    return [(c_wires[row], anc_wires[col]) for row, col in diagonals if q[row, col]]
+    entries = [(row, col) for row, bits in enumerate(q.rows) for col in _bits(bits)]
+    entries.sort(key=lambda rc: ((rc[0] - rc[1]) % n, rc[1]))
+    return [(c_wires[row], anc_wires[col]) for row, col in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +540,7 @@ class _ScheduledCore:
             for u in undo:
                 self._unprep(journals[u])
             for call, entry, part in steps:
-                for src, slot in zip(parts[part], calls[call][entry]):
+                for src, slot in zip(parts[part][: read_span(entry, h)], calls[call][entry]):
                     cur = self._xor_into(src, slot, journal, cur)
             top = cur
             for call in group:
@@ -567,7 +569,8 @@ def prepare_parallel(
 
     Linear-depth's prep of its first group (`halving.SCHEDULES`): right
     operand halves fold into left ones, and the fresh wires take the left
-    c' half, then the right c half while the right c' half gets the left.
+    c' half, then the right c half while the right c' half gets the left,
+    all but the top position, which the sub-call does not read.
     """
     k = len(a_wires)
     if k % 2 or len(b_wires) != k or len(c_wires) != k or len(cp_wires) != k:
@@ -591,7 +594,9 @@ def _linear_prep(g: int, regs, fresh_wires: Sequence[int]) -> list[Gate]:
     routes, groups = SCHEDULES["linear_depth"]
     parts = [half for r in regs for half in list_halves(r)]
     calls = _routed(routes, parts, lambda: list(fresh_wires))  # one new sum, in the first group
-    pairs = (zip(parts[part], calls[call][entry]) for call, entry, part in groups[g][1])
+    h = len(regs[C]) // 2
+    pairs = (zip(parts[part][: read_span(entry, h)], calls[call][entry])
+             for call, entry, part in groups[g][1])
     return list(starmap(Gate.cnot, chain.from_iterable(pairs)))
 
 

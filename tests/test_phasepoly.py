@@ -60,6 +60,16 @@ def test_target_polynomial_has_n_squared_monomials(n):
     assert len(target_polynomial(n)) == n * n
 
 
+def test_target_polynomial_reads_cprime_only_below_the_top():
+    # `halving.read_span`: a size-k instance needs no c'_(k-1), and does need c'_(k-2).
+    for k in range(1, 17):
+        used = {v for mono in target_polynomial(k).monomials for v in mono}
+        span = halving.read_span(halving.CP, k)
+        assert span == k - 1
+        assert var_cprime(k, k - 1) not in used, k
+        assert all(var_cprime(k, i) in used for i in range(span)), k
+
+
 def test_substitute_cprime_single_column():
     # P = x^2+x+1: Q = [1,1]^T, so c'_0 -> c_0 xor c_1
     q = build_reduction_matrix(BinaryPolynomial.parse("2,1,0"))

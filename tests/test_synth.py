@@ -23,6 +23,7 @@ from gf2kq.synth import (
     SynthesisOptions,
     _forms_recursion,
     _gauss_jordan,
+    _cprime_gates,
     _InPlaceGroup,
     ccz_count,
     ccz_count_bound,
@@ -181,6 +182,25 @@ def test_cprime_single_column():
     assert circ.counts()["CNOT"] <= 2
 
 
+def _cprime_gates_by_probing(q, c_wires, anc_wires):
+    """Reference: probe every position of Q, diagonal after diagonal."""
+    n = q.n_rows
+    diagonals = (((col + shift) % n, col) for shift in range(n) for col in range(q.n_cols))
+    return [(c_wires[row], anc_wires[col]) for row, col in diagonals if q[row, col]]
+
+
+def test_cprime_gates_walk_the_set_entries_in_probing_order():
+    polys = dict.fromkeys(e.polynomial for n in range(2, 65) for e in catalog_entries(n))
+    polys.update(dict.fromkeys(catalog_lookup(n).polynomial for n in (163, 233)))
+    for p in polys:
+        n = p.degree
+        q = build_reduction_matrix(p)
+        c_wires, anc_wires = range(2 * n, 3 * n), range(3 * n, 4 * n - 1)
+        want = _cprime_gates_by_probing(q, c_wires, anc_wires)
+        assert _cprime_gates(q, c_wires, anc_wires) == want, p
+        assert len(want) == q.popcount(), p
+
+
 # ---------------------------------------------------------------------------
 # preparation fragments
 
@@ -324,6 +344,17 @@ def test_karatsuba_core_k5_bound_and_phase(mode):
         poly, state = extract_phase(frag)
         assert state.is_identity(), k
         assert poly.restricted_to_zero(range(4 * k, frag.wire_count)) == target_polynomial(k), k
+
+
+@pytest.mark.parametrize("mode", ["linear_depth", "log_depth"])
+def test_karatsuba_core_leaves_the_top_cprime_wire_alone(mode):
+    # A size-k instance reads c' only at 0..k-2 (`halving.read_span`), so no
+    # node builds or unbuilds the top position; builders that did put
+    # 2 log2(k) CNOTs on wire 4k - 1.
+    for k in (2, 4, 8, 16, 32, 64):
+        frag = karatsuba_core(k, mode)
+        top = 4 * k - 1
+        assert not [r for r in frag.records() if top in r[1:]], (mode, k)
 
 
 def test_linear_depth_core_opens_with_prepare_parallel():
@@ -757,7 +788,8 @@ def _log_depth_cases():
 @pytest.mark.parametrize("ladder", ["sequential", "prefix_ancilla"])
 def test_log_depth_cost_and_verification(ladder):
     # Sub-calls sit on their parent's wires where no sibling needs them, so a
-    # node takes 4h fresh wires and 10h prep CNOTs (12h and 18h with private
+    # node takes 4h - 1 fresh wires and 10h - 3 prep CNOTs, leaving the top
+    # c' position of each sub-call unbuilt (12h and 18h with private
     # copies of every entry, which read up to 14.97 n^log2(3) qubits and 33.7
     # CNOTs per CCZ here).
     for n, p in _log_depth_cases():
