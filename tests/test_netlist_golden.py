@@ -138,25 +138,25 @@ GOLDEN = {
     (2, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "fe5b8dad5d1b67eb5abbec1bbcde403bd8fe294ede423c0ac9030468a49860f7",
     (2, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a01175f81caa1e78b90724d5acaa14e27905c2d0f96c9c383e14fb1093e988af",
+        "7c81fe9dbc1e61e12c8d54193b2567d03d1c725eb1c0eea88da694a8fef68118",
     (2, "generic", "baseline", "ccz_form", "sequential"):
         "b20d9480cf1499737910582406a8e15b475b0e8d5a3824e03a627245c3207e51",
     (2, "generic", "baseline", "toffoli_form", "sequential"):
         "b8623f08bcf2a47561c9842fc39484a4e96b713830e6495f5adc9f8c2049ec3c",
     (2, "generic", "log_depth", "ccz_form", "sequential"):
-        "ad1e1bdd5559cb3e2092d01fa4f4cf1dd981690d1f05fd5e94463ec69b2f5bb3",
+        "79ad1a7ca0a34589aa91c6691db2166cd60f0de6d39d8bba654f08a6908ca8ec",
     (2, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "b20d9480cf1499737910582406a8e15b475b0e8d5a3824e03a627245c3207e51",
     (2, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "b8623f08bcf2a47561c9842fc39484a4e96b713830e6495f5adc9f8c2049ec3c",
     (2, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "ad1e1bdd5559cb3e2092d01fa4f4cf1dd981690d1f05fd5e94463ec69b2f5bb3",
+        "79ad1a7ca0a34589aa91c6691db2166cd60f0de6d39d8bba654f08a6908ca8ec",
     (3, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "9aebecb753222dabdaaca2b250eacb695bfbafa24edb5c4476df27137784121f",
     (3, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "17b99ca5d04c185a401eb9aa9db2d6da0cc10fcfad02572f70f2daeccaf75368",
     (3, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a1fc0b5527b9120762fffae86b686aaf3e2059c10988b191921423d353a6dea1",
+        "271ddcda288b0e495f33c5aaa0d4510508e1f1aef8ab09d7be433dd0a372f145",
     (3, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "3067ac3b896bc5b277480db139f997f7b90eee37a9bcbbf7d3f434b4ba565ba5",
     (3, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -166,25 +166,25 @@ GOLDEN = {
     (3, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "c5d144d43c3259f08fa19bfffa3482fa328394cea7bb781d32e088b0666561db",
     (3, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "716dd5e93ff76a43941fc4d7a17ffd69290793e0dc3b4fb7adae7b1db4fb8f35",
+        "8ee042a305593644afd9889f21dd3559dc982d1874ceb34cf4ec57385d161423",
     (3, "trinomial", "baseline", "ccz_form", "sequential"):
         "9ab02bb3b7e071ea250a1c11c4bdcf42f2121c741dd8a98c756ad73fd99eb76c",
     (3, "trinomial", "baseline", "toffoli_form", "sequential"):
         "666d3112f5ab7fe2ea05a698b05668a3b16138be5432102ddd84d9bb9089a4e5",
     (3, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "4a91bc7a9d368b1a87d5c7ed433b5b4d920103531c972708c8192ca2455f2ce3",
+        "75cb48df0e25ba6a6c4a4be66624496147376be01345fb6e8fc97e8d4d12a478",
     (3, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "9ab02bb3b7e071ea250a1c11c4bdcf42f2121c741dd8a98c756ad73fd99eb76c",
     (3, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "666d3112f5ab7fe2ea05a698b05668a3b16138be5432102ddd84d9bb9089a4e5",
     (3, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "4a91bc7a9d368b1a87d5c7ed433b5b4d920103531c972708c8192ca2455f2ce3",
+        "75cb48df0e25ba6a6c4a4be66624496147376be01345fb6e8fc97e8d4d12a478",
     (4, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "062021eef22aa84eac72a66733b297324eef5ff771988df1e54f5476d30ee66b",
     (4, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "1c1dd26c7e6026cf217da34ccfa944838fe551af642d793f9faef3d6c02f10cb",
     (4, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "be7ca741bdfcdeb61f5f93f234c27df913cb2a85b033db7a836bd7c37a39a351",
+        "8d9b6611a573b4ccef4764408b1554a7104e9a70a7cedcfdf34332d2f119db2b",
     (4, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "c8a28869a668a9134060bb80a3868509a5b842ef0346817f2638412017d3b689",
     (4, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -194,61 +194,61 @@ GOLDEN = {
     (4, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "ea5be610570a39a825d934797f74fbdeccac8b0ab50126cfcfdd3e3e6d01478a",
     (4, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "6b2fae8249187ca14668eb546c8cf7a2a34bc41c0d3d656b33a920b300762697",
+        "643c80ebeb7acd2ac11dd9ba3d2f4769f731523d5e84b2fe0364bbd201286ea7",
     (4, "trinomial", "baseline", "ccz_form", "sequential"):
         "03a480010fa7bf08026644faf0317075ef3ee6681081513102258434fddab517",
     (4, "trinomial", "baseline", "toffoli_form", "sequential"):
         "bb7867210f03d9b641abeb0fef65d46f113f76a2ef80a7d1b5c7e524f622e8e7",
     (4, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "4d0e7f8566ec3515746f7a57ebd7fdf8c861c475d4b81c9711915a223e124d24",
+        "940308d337cc6c35ece54d7fe0717aeb8175f10983245ce6897975eb4aa424b3",
     (4, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "03a480010fa7bf08026644faf0317075ef3ee6681081513102258434fddab517",
     (4, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "bb7867210f03d9b641abeb0fef65d46f113f76a2ef80a7d1b5c7e524f622e8e7",
     (4, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "4d0e7f8566ec3515746f7a57ebd7fdf8c861c475d4b81c9711915a223e124d24",
+        "940308d337cc6c35ece54d7fe0717aeb8175f10983245ce6897975eb4aa424b3",
     (4, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
         "a2d9646e7429019cd196b6864ab1c65216b7fb817aa1d2c1c7f9e297bd3b1410",
     (4, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
         "8156d61006c99f9931f59a1e308b0b160e3ce0262f8400a433823f4041589e64",
     (4, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "0591aa89f33f170bf1a9dc929dc638a747af6e2c9e2ca0f2d697abc4995283f3",
+        "5bb246bb15223753a01fd41f1c930ee3c43c254ef0719af53727741d21523116",
     (4, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "b888eb79ebf67726105ce95811f003585d169489908c5b42497dad1c20fff15c",
     (4, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "f83c172ad50f55a2ec4e3d09fabdbec7fc5e6caa330bd029a6c2c0a54f55a700",
     (4, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "c30379a55571f606927cd7c345b4f4ee34b0d2b3abbe51d13db17d3465191c4d",
+        "0e09c872a7ddc20ff73c2066bee5a1c0cb78ef8ff835b5593ad13aaa2db1f08d",
     (4, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "b041f0bfcd708ff14c60c6d034f4b25199b1ddd4aefca3f59b1987de3f5c805d",
     (4, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "95ea22553809827e33c365cc1458e0bd80284148b5d00f9496d079db25693e58",
     (4, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "8bd75c7ba0c4fa6472fd37fc5cb3252671fe2b815ee3d9bda1626292704244a3",
+        "74165b885c69ec70abe772ac11467c105073d851d11d0c758adb60f5ec5cd581",
     (5, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "5e2a68527305a2315fdbbfdb7092ac805f8d032925ba868fcd3f2d9955194a4c",
     (5, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "58f7cbe9482d65b80a4e7a79d274d7cf22321accb21907b96ffb9283185a25b0",
     (5, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a6a455adf71a422ce78c642bc70a5764a26c1a0b95f7ea27d38f59bc80cacde1",
+        "f744bd031aef8da1c7cc7be6297c1f2e473881786a1e62017831e37fb56cddc2",
     (5, "generic", "baseline", "ccz_form", "sequential"):
         "250bfd3ff79b68abd2c6726898efa411a3f33dc39e054aa1d181989e10618f68",
     (5, "generic", "baseline", "toffoli_form", "sequential"):
         "53ffe31aa3778b255c0569f78b2a683c9985eae760caad9e28b9eba45921cd4f",
     (5, "generic", "log_depth", "ccz_form", "sequential"):
-        "95b9c88ee4cb8cc1b928910021505c4c243ff67fa056265032c194e2c8040c83",
+        "f95d4b331be7fbf410e5a68b37367d75464ec1efcd2b0c7b649324fdd763a550",
     (5, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "250bfd3ff79b68abd2c6726898efa411a3f33dc39e054aa1d181989e10618f68",
     (5, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "53ffe31aa3778b255c0569f78b2a683c9985eae760caad9e28b9eba45921cd4f",
     (5, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "95b9c88ee4cb8cc1b928910021505c4c243ff67fa056265032c194e2c8040c83",
+        "f95d4b331be7fbf410e5a68b37367d75464ec1efcd2b0c7b649324fdd763a550",
     (6, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "3e5401318afc31d89a6edbf97d82f25f19de583ac2f1f33d9e3d7ee86a36c082",
     (6, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "f8388c195fb999e0f8a479a3628abda8a6ffbbbef9f55c83e9640032b05a3375",
     (6, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "0602bfbe6f02e5883812b7a5805c47f6e09f0d83b6566ef8b9ac510f4ce41301",
+        "37ad9e1fe5090df26b1d3dbb402ee5d725ec2a6586754db76540a738b14a98f4",
     (6, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "df95db3c9c78202600b72427442ba9022d5872e1347621d5fe4b0da884036521",
     (6, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -258,25 +258,25 @@ GOLDEN = {
     (6, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "bf8e536a633cfb583ee2e0c8761eb81082d928d4efed6aacfe379cae711eaf7e",
     (6, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a35b4de4c84a11495c7f9652a407469d132a5bf4f1d1af97dce4c23e3e6f0233",
+        "ec086047e8c3c80a2c9ebcf0ba3936de84a81ca17b2bbe25c8680dbca715e839",
     (6, "trinomial", "baseline", "ccz_form", "sequential"):
         "fc618cc6ee95550fc721adfeb704b18ade9302757550ff04ba86ec8e985c2d27",
     (6, "trinomial", "baseline", "toffoli_form", "sequential"):
         "514d40a7384d2f80e559c5bd25662a878c0504b499a3410d88ad22f5ffa5f207",
     (6, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "1efd2ab3a91997a2293728e31cc29e0a05f651b33d5c7ae05f9320197a3a4988",
+        "af759df3be7af83c170753e8b2564ef5150bb9f29dfbf1bf36701c60c535f6ee",
     (6, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "fc618cc6ee95550fc721adfeb704b18ade9302757550ff04ba86ec8e985c2d27",
     (6, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "514d40a7384d2f80e559c5bd25662a878c0504b499a3410d88ad22f5ffa5f207",
     (6, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "1efd2ab3a91997a2293728e31cc29e0a05f651b33d5c7ae05f9320197a3a4988",
+        "af759df3be7af83c170753e8b2564ef5150bb9f29dfbf1bf36701c60c535f6ee",
     (7, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "d32ee041aeff898df3d8a8fff3f503e52ab23f13aa7b4ae3eb0b0fa006b6dc1c",
     (7, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "5bc02cd980513a6d1a2d3dae963eb555bcf822584056d687d33161fb47939962",
     (7, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "ed5fbcfbed7239f8a2f82a926e515dddad9880e69d71988d653d4361a1c3dd35",
+        "98bc7f984db5ce208c44e57fb8bec512afaa8ae47f71cc15b4dc8b1b678471f2",
     (7, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "0e3be9a76084d5e111eb3fc933d777f84c77d0272a2ab50d4db8e382a4237392",
     (7, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -286,25 +286,25 @@ GOLDEN = {
     (7, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "0c9f6e05196783d4744531dd4a9a7a80abf958e780f277a13b973dca51f3ee4c",
     (7, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "0333c71d526e052af632498136839173f9991d5cb8fe897a27b7beba861f182d",
+        "dc2f6afb0a47929976ed888f4f135b9430197ac15a15e9bdea6f4802111e7b8d",
     (7, "trinomial", "baseline", "ccz_form", "sequential"):
         "8e7072bce8e1a7dc570a039f0ccb1c59627ca3e9e2e3ae8fdfab6e4b0938cf41",
     (7, "trinomial", "baseline", "toffoli_form", "sequential"):
         "006038a4c016710c6f92c4735821e2d31bbcd8b3c6e34c1b1f1a3717a0e827f1",
     (7, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "7c7199fd993ef4089575325ed825e5493ce430d93e83011b1ce2c5ce213828c0",
+        "d2d98e2133ec3480d94e547ffdf731cf8b5618403f6e5a44baaacbc69a3465b2",
     (7, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "8e7072bce8e1a7dc570a039f0ccb1c59627ca3e9e2e3ae8fdfab6e4b0938cf41",
     (7, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "006038a4c016710c6f92c4735821e2d31bbcd8b3c6e34c1b1f1a3717a0e827f1",
     (7, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "7c7199fd993ef4089575325ed825e5493ce430d93e83011b1ce2c5ce213828c0",
+        "d2d98e2133ec3480d94e547ffdf731cf8b5618403f6e5a44baaacbc69a3465b2",
     (7, "generic-pinned", "compact", "ccz_form", "prefix_ancilla"):
         "2a7e4857b7b4e1e060ee45aa513c9e8f92f42865bc972d32d72c1a321ed54512",
     (7, "generic-pinned", "compact", "toffoli_form", "prefix_ancilla"):
         "c3f7dfd5adbf3d1eeb8f24bd24e32c12c5e8d09d6613fd54e0d8ce87e919183c",
     (7, "generic-pinned", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "9d54f4e85ef166f00ecfbc6109fd048a94f54ccb9c7d2966c1bc86189f8141c9",
+        "325308088a44ac29544e934ee8d0108381251d4aa42b74c58b93691b839c0d49",
     (7, "generic-pinned", "baseline", "ccz_form", "prefix_ancilla"):
         "ab5d061cd5f072904fd91bb38cf5accfde53fe0ba8c02a529195c7c662153824",
     (7, "generic-pinned", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -314,7 +314,7 @@ GOLDEN = {
     (8, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "34c036618a724dd255a91902e3f269238da38593590a46acbc360b5bfdc71ddd",
     (8, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "56ec7860eed0afc4c589264e53d1b9443236a415f64c42cab21fe13fc7df1da5",
+        "9aafcb0471954e0319f10b68ce69515547902306ac20bc85e095b01b6a525ebf",
     (8, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "bf45c85834dd1f7b89211581ba0b6b25c90edc4f60556e0be9d074b62b60d8d3",
     (8, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -324,7 +324,7 @@ GOLDEN = {
     (9, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "f2896f984c4491f386f01c3fe9b92c9f681df35ece04ce5e3280bdee84115949",
     (9, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "12901bc12249238a924cd4810e363cdf29825304fd9fb8f22a76898be8f9e8c6",
+        "7b9d1956f817d5be04d33d2426da33e6b3b40e432998717131d6388fec7aa19e",
     (9, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "9461e6dbbeda5a4f0df93df48755a1bcde30af091cc4e8999f942c2db86dac25",
     (9, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -334,115 +334,115 @@ GOLDEN = {
     (9, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "717234792f1ef41807c0aeeafd331d38c9414620c2808a73e8fc775c9e38afc7",
     (9, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "e0a9ce6e37aac53b2e62fab9ed3b14c941a6185c4d7da3df5c1f2cd43b8f27c2",
+        "4777844a828ad5117315e653f869e13cd71fb10a25c09dcaa3a71fee72496201",
     (9, "trinomial", "baseline", "ccz_form", "sequential"):
         "332a740fe572461a1965332ab98c148f29e4af67d9f7fef1729a47b57085acaa",
     (9, "trinomial", "baseline", "toffoli_form", "sequential"):
         "cb9032a932fc109c04bd1bc0d043f7ca61daa902dcce02fac908ed0f166a18fc",
     (9, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "b1666039b2123d3438380b6aab31640e52f66c43fe8fa4384b14deaf74a0408d",
+        "9320fc89fe34af70927ebca92f8ce483b83e23687ab42fdc88747aef9385dbfd",
     (9, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "332a740fe572461a1965332ab98c148f29e4af67d9f7fef1729a47b57085acaa",
     (9, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "cb9032a932fc109c04bd1bc0d043f7ca61daa902dcce02fac908ed0f166a18fc",
     (9, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "b1666039b2123d3438380b6aab31640e52f66c43fe8fa4384b14deaf74a0408d",
+        "9320fc89fe34af70927ebca92f8ce483b83e23687ab42fdc88747aef9385dbfd",
     (10, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "d85570c56bd08b7484f94a568fa89ddef9033f0b6b5e00a194b3fcaa6c3033cb",
     (10, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "93851efbdf5b57a79ac9ac60a65ac3372597d0fc25c9060de24b0ae8648c860e",
     (10, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "6b4f4aa51a607eea389ef3c01b60fb2105bbf141024001a3ba877d3aacedada0",
+        "e63405ead81ab80b66a981d1a2713b3f5efda20931c493f9c4078e2fcec84a2a",
     (10, "generic", "baseline", "ccz_form", "sequential"):
         "e1d382c62f4eee40478b6bc3b0f30c28f7bc7b0c0ba5f3aac42d6f7ad5a575de",
     (10, "generic", "baseline", "toffoli_form", "sequential"):
         "05c3bb4034e744c159b6d337d595ee39d55602d5c4c0241bd9a97326f80a8928",
     (10, "generic", "log_depth", "ccz_form", "sequential"):
-        "051fca5eaa007ff9f9efcf349b60349e05c456985695f2951b64daf6183071c6",
+        "9da71fc93f5a6905451b456024f68c862cf0ce025ef73f4d28b0c826d1e20061",
     (10, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "eecb24ae9ed72caf8785b063bc46d406682f0f4b53e35e0effc799770c6a04e0",
     (10, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "8c6c59f9c3090bf3f705fcacf3734f60ebf393204f1ec05e61eb495d2f9c6e7f",
     (10, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "051fca5eaa007ff9f9efcf349b60349e05c456985695f2951b64daf6183071c6",
+        "9da71fc93f5a6905451b456024f68c862cf0ce025ef73f4d28b0c826d1e20061",
     (10, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
         "363dad584a7709efebf5240c8fb41ad427b0208e3b02012dc1c420d83ee585f1",
     (10, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
         "fd03f61a96ce240629468870353ba7d1b9f3c5aa2f992c5f9b6c2685fd7aafb1",
     (10, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "76837636eb8cef2411af0fef837ca9fe87538886aeeed688037ca87091b254ad",
+        "56fdaabc8f04b8ee99e9f432869d0211e6e78f05b18c2eda2621457eec514251",
     (10, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "4608cfc1d14335753cdf73f12ed2c49fd9793c61a851fe8ef74afc71fb103288",
     (10, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "282aedb480d7cd861ef9fc053bde19aa6853ab7e1c93d00db2f35bb246534158",
     (10, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "52582390b4b9fbe5c31701e1266e39dad7a802a566b8fe1e9c251829e281cbcf",
+        "078f9e3dec0b8f2b1ed2d8dcdd2877e12b10edb1d441119beb696f4fbd54ec1d",
     (10, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "34452fdd406c9503fb59ac2a8be2f4c4ea094ebbaa615dc10332073ce77a9e60",
     (10, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "53a14184b2cb814a0d8377aeb3b2dc52a849bf847a3ba163a2896d85c5fb4304",
     (10, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "dc13ebc4805ffcd30a131590fd197e39f32d57f897460e43dd68aeb07233da44",
+        "6deafeb97c181259cb155fedb83611c380b1ef66d342e7df39a3921d0927c2e9",
     (11, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "b32c40fe22bd9216bb82ae07b61c278ab54e33a056326efb65273277b1d77c8d",
     (11, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "f0e3ffb7b07a74e19353768ed9a855719a34309f4f60f9ab361014964d0233de",
     (11, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "3e819c0dca126179aa52cfa33c10e5cd44ad51061bf76a7afefa4871d5ca3a90",
+        "723b0f8f6078a895247582dc61c80499c9e6cb6777005bc03fa11047d5b4f52f",
     (11, "generic", "baseline", "ccz_form", "sequential"):
         "8dbb241a42ec0969e1f654d42b0d6c7217fa5c209fa897e4e2c7833fe5e0b1ef",
     (11, "generic", "baseline", "toffoli_form", "sequential"):
         "4a2daf5a9f50d128b54b97005636af05f3387621e2afd406f4f1cbe97acdb69e",
     (11, "generic", "log_depth", "ccz_form", "sequential"):
-        "833c234e35d3f2cb2cf60189da3ede0a802b24b6374b7398e43e608345c924e5",
+        "25142fc33cc7acd482fd2c3a02b0aaabd514bf5129cd17b2041c6d89d4acd4b6",
     (11, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "3b3d186a4ad4bb03e3d407cbeafc9923545d1254b928499a3b2215f73f85bc3b",
     (11, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "c90d3a0b21a70bdc4103c95967a0cadf412e4fbc4b9cb7738981f78f23bb7b0e",
     (11, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "833c234e35d3f2cb2cf60189da3ede0a802b24b6374b7398e43e608345c924e5",
+        "25142fc33cc7acd482fd2c3a02b0aaabd514bf5129cd17b2041c6d89d4acd4b6",
     (12, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "1ac58ccdc2cef96db590fb978b52bf3b761285b8fcce724eec754a1b930ff991",
     (12, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "b4947351cb539d55a9ce70c5e1a49ec70cc175a697f75c411b7eaaad47cb7a54",
     (12, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "c83e8ad3a82d58964f9ed0a8a13082af6d01366d71e2a8785f7ec883d8d0fb78",
+        "77ab31f31cf2821288aadb7a3359e4db0562b0fb6168679fb5b0e0464dcc0f0c",
     (12, "generic", "baseline", "ccz_form", "sequential"):
         "11a822bd6f6d1c190cdcfff36f45c348d1d9e85988204ee0b2135afd633e63d4",
     (12, "generic", "baseline", "toffoli_form", "sequential"):
         "951fc92a4bbbb9c6171bb1f58eed2370750490b5d055314f1473ec2583f3ef33",
     (12, "generic", "log_depth", "ccz_form", "sequential"):
-        "4ea44bd7ca33a187f937c0b99152a05f1789117e6bcdcef8e42f4e0523df721a",
+        "d1bfb406cd8e9915ad29d169fa44a508b19f8c631bddb51bf4801a169718a216",
     (12, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "ff14cc7b4150926cef87f4e799742d357df946669e28df82f85fab90b3663c8a",
     (12, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "bc96f6133ff3019fb1652abb64ef9eb57ce8368998ba332d519b7e3f6ea02745",
     (12, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "4ea44bd7ca33a187f937c0b99152a05f1789117e6bcdcef8e42f4e0523df721a",
+        "d1bfb406cd8e9915ad29d169fa44a508b19f8c631bddb51bf4801a169718a216",
     (12, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
         "acd47fab285b44a4ca6fbd74ed65c31da951c71d06b5d3dcc6b0f33c8b493433",
     (12, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
         "f08c975ee078fa857aaf5987b87c051f4dc2ad53d326a955b5903523ff44b2e2",
     (12, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "5c1bee93d251999b1c3dd212ab004ea5229f10b4db7876a03680d1ee0f86c3ec",
+        "fb0d52372852621544666843c5b501bca805e47f721f262cacce7993c31917b8",
     (12, "equally_spaced", "baseline", "ccz_form", "sequential"):
         "a351d1e73b898a68a71ec8b69f4f19602b342ac8d94b8fdf42ef77d73932ec04",
     (12, "equally_spaced", "baseline", "toffoli_form", "sequential"):
         "beb22e0f8ab5c6acb0d56091d35949f1fa607ae4eb1d61850ec555f44a08dfac",
     (12, "equally_spaced", "log_depth", "ccz_form", "sequential"):
-        "03c93215ce524b87d381b11e6c8eb8e68bc66b110e6dc7e7ac4d9223987160db",
+        "a741f9cf81c0b07fc5f40d2a11636bf2a2159203a9699d5847ee9435f0b009a9",
     (12, "equally_spaced", "baseline", "ccz_form", "prefix_ancilla"):
         "9098e5047e89042fb470ec5a19a728bad25eed56eade8e8892ea53786faa87d9",
     (12, "equally_spaced", "baseline", "toffoli_form", "prefix_ancilla"):
         "20f97ffdb9893e7b62f92c56ec7d1e2c0bc3bc13102560b031a3467eb5dc19c5",
     (12, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
-        "9b4ee882b6237c89a34cc202b369749041e1c313002af8f87876dfa16fcfc3cd",
+        "baab7aee977cc32fb54de5a9f700b06ef0b768632f4fc97ec9f6ab2a334933c0",
     (13, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "a61227bbac914cded052d0567ac9ec1f636f855d35bca6aab1745d3f6dff67b4",
     (13, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "56c67e62e141860460733bc7bf6e021f7b1b647bf07e6a05cfed101d17b3ebc4",
     (13, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a9c4097d60b0fcc0e8d68695ed57741214a07cb228784422d5269da4c1e00ec1",
+        "0e5ec794a978075d83b362a9d7801d83d643ecc746004a36bd8bfccfb91f398d",
     (13, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "1285ed696ced9bb37d53b8ea970bfdbc7a82c37f2919b7090291ee8e780c3d96",
     (13, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -452,25 +452,25 @@ GOLDEN = {
     (14, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "62ea974ff037cb860d0349a81a6102f6c7cf65adc31b22a6774077721ba8e7f5",
     (14, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "226f4621950b5a05b6d91415309a3b6a04f6c56ee474e8f3cc98113947f5bf69",
+        "9b6654332af03ed1c4916d527653c2b38398c2b15dc53585fc40fe36b80ea7b5",
     (14, "generic", "baseline", "ccz_form", "sequential"):
         "a32d0a27bb3ff1c8aa785246fd3677608939df9622ddfbc53d91d94863869464",
     (14, "generic", "baseline", "toffoli_form", "sequential"):
         "08ede31415bb60d56ab2376e4c3e148eaecbf2390e471b2d0922daed5a0a890a",
     (14, "generic", "log_depth", "ccz_form", "sequential"):
-        "cba1e44724dd76fbaeb275340cdd63df94fb14fde2e85e751172f87fd98c8464",
+        "02a8b35dd58288adcd1a64d38e1d97d96205d0ade4f390dee1f0d852ed633243",
     (14, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "a32d0a27bb3ff1c8aa785246fd3677608939df9622ddfbc53d91d94863869464",
     (14, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "08ede31415bb60d56ab2376e4c3e148eaecbf2390e471b2d0922daed5a0a890a",
     (14, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
-        "cba1e44724dd76fbaeb275340cdd63df94fb14fde2e85e751172f87fd98c8464",
+        "02a8b35dd58288adcd1a64d38e1d97d96205d0ade4f390dee1f0d852ed633243",
     (15, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "11f4943362294b1e492842a6caf24eb6b324df421e3f69b5dd055bb13fa182c1",
     (15, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "b037b8933085acea7aef988220fc3f786b6245c9ff64295803f90aae3d3c4c00",
     (15, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "95df47f2efeaded2c394c6db64ebf1ab1c9c25b12a69ad798a6f9864117dcd05",
+        "97218222dfa5bc242c2abe14b15436de435b61ccfaa3cbf90dd890e550315606",
     (15, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "125a281135659fdbb919869c8722317228879c746b9c7c9a5ed16b908244eb07",
     (15, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -480,25 +480,25 @@ GOLDEN = {
     (15, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "2a02493a083a6eb72ac0fa697d12a4de1e01911766b377c777e8c2aab3e9a174",
     (15, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "cb71a6265b34c5992e147a0bfd0a474b53809b24b329cf41911af2449aacaa21",
+        "63430143bd96d02126e84b4c907c2e8157ebfa8d8e0d96ba9fdb10482a017dae",
     (15, "trinomial", "baseline", "ccz_form", "sequential"):
         "342dfef1ff1b047216af43c014aeefbe2b5763682403b6fb2758b35b1ed1c4d9",
     (15, "trinomial", "baseline", "toffoli_form", "sequential"):
         "696a8e750e8b1d144f1796321dfa18bcc69468e790c8dec6cd78991425ea23db",
     (15, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "a46fbac051e1f0d3aadf59c14a3f2111660d73f136d772084adfba1dd9d222b5",
+        "e374abc70cfd01c34221c388e09bfbe2fe96c13f70a5b155c186c7dbd855e142",
     (15, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "6691b422cbd1f88c6fc8768afc279f1d134745026bf2820cfe191698a2899770",
     (15, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "cb4f4889c589951e1b947022c1522ab050dd1099bb67608c806a44df35e483b5",
     (15, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "a46fbac051e1f0d3aadf59c14a3f2111660d73f136d772084adfba1dd9d222b5",
+        "e374abc70cfd01c34221c388e09bfbe2fe96c13f70a5b155c186c7dbd855e142",
     (16, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "94a294242056b41a8a4a42ae231f605a29260e88fe5f5e62ce9d13d922a814b6",
     (16, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "c621c6cf7ede310f835ac1fe7e40c48548c577e64fd4cf0626619f2056d86d4e",
     (16, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "ba920f38a21c566b7218a73e02b38361a812427929536203571ed734fbe38acc",
+        "1e669cd428bf39a398ee02102a1764d2875f57de95e70fcdc72d1eeb67375bc5",
     (16, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "6d40d8ef5076b243040b1432332b0a6fac1e3b7bf22606809f73973f6832c1e9",
     (16, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -508,7 +508,7 @@ GOLDEN = {
     (33, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "d887a4a5e4dd5c02e1a369ea5aa82bb89702280a30a0d4bd676e83c945313f28",
     (33, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "0b424762bd1ca48d19bc1575893ce616ace3c175601c372f1ecaf2bf6e329745",
+        "6ba7297609efde79fb7a0e93caf4d7d9e3358f21e1ca958607cea418ec66a68f",
     (33, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "756c8ba9e85295b293989e5bd72439af539095f32928f300afb6464fd1a89943",
     (33, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -518,25 +518,25 @@ GOLDEN = {
     (33, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "cde6d7f30c98dfd06e75373f26f1c783ad9b1cd1306ad7ca06480cd578de3084",
     (33, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "4028513fc3ad128a171c9da7008734b73fff247a89e50ef5ffe159b37f1a642f",
+        "187c9a0798ba244f6750c7865f6b67a1a74af6a555d363f09d00cdd05767b335",
     (33, "trinomial", "baseline", "ccz_form", "sequential"):
         "986db76d864ecc96a6aef6b8491a559cf111f7d7bc8071b453b2935e607ad84c",
     (33, "trinomial", "baseline", "toffoli_form", "sequential"):
         "764d59391c84efeb4ab7ea6d7525cc583ecff2d4ea07d45e5970007b3baa24d1",
     (33, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "b020d1af349f8aa261611377a2048d4a863afa10964d3d86fb91fe7936d254f0",
+        "7ba551a2a764f81696418542dfe6c55ad621b1f59ba771572186e905ce598231",
     (33, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "695412598fdedcd8fb945709f33554de89fe7d91edef69a318c3e6ae0ab18359",
     (33, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "032ebb4b3a16a9aed1d7fd048d3b66db3a99977586bea90c8d7762cd26eb5263",
     (33, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "b020d1af349f8aa261611377a2048d4a863afa10964d3d86fb91fe7936d254f0",
+        "7ba551a2a764f81696418542dfe6c55ad621b1f59ba771572186e905ce598231",
     (64, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "773c11d59af4f051658a00a58e1f61bb1143361cf123fbffcb94ba27e0adf671",
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "125c371d7eb7efc8498fc25b0f10e1d8872680f3a9fd047c364f8af4fc7e721f",
     (64, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "d8c17dd19d8d77df8fedf37422a37773563878ea5b121a3696d89bdc71a66f0e",
+        "874821f832d7994943315aaf2078f3fe0a55915724a1bda09f334c70bfc54e1c",
     (64, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "d43da07d9a9403e414b5178a8fcf455d3d24a79dc34451492a36e2b48fafceb7",
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -546,7 +546,7 @@ GOLDEN = {
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "9595dff2fb7ca635c6cb3a36b7afa7e8b0bc080a6ae0c017b797526a44a6bebf",
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "a0b648063b190965eba135044a90616c66761bf40755c277e0a0bf00fffa05f0",
+        "e97b551b7b21252b0c837578672d4427858afcfbeb26f170d9a3c947f7eedccb",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "95f88900520f98cc4b321520cb6cbe9ff9bcc8f3db22a2719047bf697b90629f",
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
@@ -556,25 +556,25 @@ GOLDEN = {
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
         "7eb7e636eecf3bf6d3ac086bf1fde71959a7c053db469695e84b33c20ae8943b",
     (127, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "8b6185e576d2baad539c4fd8dd0f66e93634d9d508385f65c4525fe8abdaf220",
+        "32c04ce416487437a8fd8f1925d88544087967603e459782ac4efdd1972d50c3",
     (127, "trinomial", "baseline", "ccz_form", "sequential"):
         "7985f6e7da91e5cecbea32d3ce6c40219625a6e8304507e3752029b904a5796e",
     (127, "trinomial", "baseline", "toffoli_form", "sequential"):
         "6f638b5500b6666576a2d3346e39a907683fd8ade98cfa73f4eba35f7c604fc5",
     (127, "trinomial", "log_depth", "ccz_form", "sequential"):
-        "6488d6bb77eb2961d151042d1b373154908248b33666b0bec9ff120aa3720932",
+        "261fee9d64194a9d5e17fc406a0b30b04375da8104f61701eae0b3c75b3d8a5f",
     (127, "trinomial", "baseline", "ccz_form", "prefix_ancilla"):
         "e65bddfdcca9e48ad7eaf3c4f739a39556ad6a1e80a9179a9e202d76843194e2",
     (127, "trinomial", "baseline", "toffoli_form", "prefix_ancilla"):
         "568417da4f1ececae7ebb8d2413ca283c79761090ff1bc6ed9fed120513cf06e",
     (127, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
-        "6488d6bb77eb2961d151042d1b373154908248b33666b0bec9ff120aa3720932",
+        "261fee9d64194a9d5e17fc406a0b30b04375da8104f61701eae0b3c75b3d8a5f",
     (128, "generic", "compact", "ccz_form", "prefix_ancilla"):
         "9f20deab8c799f8f4d486b6942619661adbe28f64027e2ecc7808d24cf91af46",
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
         "92e921c658c053adb286e56775fb35563012a595f86a083608323e8b44f2b321",
     (128, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
-        "c56e69a8770a0b22028bc802ed4af2c413526ee24c50c57cba6b07064aed627e",
+        "fda9def375a70cc7451a5ecb38dea7aacded1b8ef2e4819f31ba64399844d690",
     (128, "generic", "baseline", "ccz_form", "prefix_ancilla"):
         "de21706b010b29a08d256aee856271031ed003e6cb9111983d8185194e1c7eeb",
     (128, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
