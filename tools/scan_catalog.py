@@ -49,7 +49,8 @@ def parse_sizes(text: str) -> list[int]:
 def scan(sizes: list[int], verify_against: dict[str, str], trials: int) -> list[dict]:
     """One record per (variant, ladder style, modulus) built by the `gf2kq` on the path.
 
-    Cases whose digest differs from `verify_against` (when that holds the
+    Runs in the child process, so `gf2kq` is imported here and in `_case`,
+    from the checkout that `run_checkout` put on the path. Cases whose digest differs from `verify_against` (when that holds the
     key) are verified, with `trials` random inputs above n = 8.
     """
     from gf2kq.catalog import catalog_entries
