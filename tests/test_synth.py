@@ -21,9 +21,9 @@ from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
     _RESTORE_SIZE,
     SynthesisOptions,
+    _cprime_gates,
     _forms_recursion,
     _gauss_jordan,
-    _cprime_gates,
     _InPlaceGroup,
     ccz_count,
     ccz_count_bound,
@@ -349,8 +349,7 @@ def test_karatsuba_core_k5_bound_and_phase(mode):
 @pytest.mark.parametrize("mode", ["linear_depth", "log_depth"])
 def test_karatsuba_core_leaves_the_top_cprime_wire_alone(mode):
     # A size-k instance reads c' only at 0..k-2 (`halving.read_span`), so no
-    # node builds or unbuilds the top position; builders that did put
-    # 2 log2(k) CNOTs on wire 4k - 1.
+    # node builds or unbuilds the top position, c'_(k-1) on wire 4k - 1.
     for k in (2, 4, 8, 16, 32, 64):
         frag = karatsuba_core(k, mode)
         top = 4 * k - 1
