@@ -33,18 +33,24 @@ SUBCALLS = (
     ((A_R,), (B_R,), (CP_L, C_R), (CP_L, CP_R)),
     ((A_L,), (B_L,), (C_L, C_R), (CP_L, C_R)),
 )
+RIGHT = 1  # the sub-call on (A_R, B_R), which inherits a zero top of a and b
 _PAIRS = tuple(tuple((e[0], e[1] if len(e) > 1 else None) for e in call) for call in SUBCALLS)
 
 
-def read_span(entry: int, size: int) -> int:
+def read_span(entry: int, size: int, zero_top: bool = False) -> int:
     """How many low positions of its entry `entry` a size-`size` sub-call reads.
 
     A size-k instance's h puts a_i b_j on c'_(i+j-k), and i + j <= 2k - 2,
     so it reads c' only at 0..k-2: a builder may leave the top c' position
-    unbuilt. Whatever that slot holds stays on top, is padded into a
-    zero-topped instance's dead positions, or is dropped by a shrink.
+    unbuilt. With `zero_top`, the sub-call's a and b are zero at the top, as
+    those of the (A_R, B_R) sub-call of a zero-topped instance are; then
+    i, j <= k - 2 and it reads c' only at 0..k-4. Whatever an unbuilt slot
+    holds stays above what the sub-call reads, is padded into a zero-topped
+    instance's dead positions, or is dropped by a shrink.
     """
-    return size - (entry == CP)
+    if entry != CP:
+        return size
+    return max(size - 3, 0) if zero_top else size - 1
 
 
 def _route(entry: tuple[int, ...], named: list[int]) -> tuple[int | None, tuple[int, ...]]:

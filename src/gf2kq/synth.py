@@ -38,7 +38,8 @@ from typing import Callable, Optional, Sequence
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
-from .halving import C, SCHEDULES, list_halves, read_span, reshape, split_even, xor_lists
+from .halving import (C, RIGHT, SCHEDULES, list_halves, read_span, reshape, split_even,
+                      xor_lists)
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
 
@@ -287,7 +288,8 @@ def synth_baseline(
     The high product half is accumulated on the result register conjugated
     by the reduction-stage CNOT circuit, then the low half is added
     directly; that keeps the construction ancilla-free and correct for any
-    initial value of the result register.
+    initial value of the result register. Each product stage runs in n
+    diagonal layers (`_diagonal_stage`), so the toffoli depth is 2n.
     """
     return synth(SynthesisOptions("baseline", p, "toffoli_form", ladder_style))
 
@@ -297,22 +299,49 @@ def _baseline(p: BinaryPolynomial, ladder_style: str) -> Circuit:
 
     The whole construction sits between H layers on c: each Toffoli (all
     target c) becomes a CCZ, and each stage-2 CNOT, which acts within c,
-    reverses direction. `to_toffoli_form` turns it back.
+    reverses direction. `to_toffoli_form` turns it back. The products a_j b_k
+    with j + k >= n go on c_(j+k-n) between the two copies of the reduction
+    stage, the others on c_(j+k) after them, each stage in diagonal order.
     """
     n = p.degree
-    a, b, c = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    c = range(2 * n, 3 * n)
     stage2 = _reduction_stage_gates(p, build_reduction_matrix(p), c, ladder_style)
     h_layer = [(w, -1, -1) for w in c]
     stage2 = [(t, s, -1) for s, t in stage2]
-    # (a, b, c) wires ascend: the canonical operand order of a CCZ and a Toffoli.
     kinds, ops = bytearray(), array("i")
     _put(kinds, ops, K_H, h_layer)
     _put(kinds, ops, K_CNOT, stage2[::-1])
-    _put(kinds, ops, K_CCZ, ((a[j], b[n + i - j], c[i]) for i in a for j in range(i + 1, n)))
+    _put(kinds, ops, K_CCZ, _diagonal_stage(n, high=True))
     _put(kinds, ops, K_CNOT, stage2)
-    _put(kinds, ops, K_CCZ, ((a[j], b[i - j], c[i]) for i in a for j in range(i + 1)))
+    _put(kinds, ops, K_CCZ, _diagonal_stage(n, high=False))
     _put(kinds, ops, K_H, h_layer)
     return Circuit.from_records(RegisterLayout(n=n), kinds, ops)
+
+
+def _diagonal_stage(n: int, high: bool):
+    """One baseline product stage's (a_j, b_k, c) wire triples, in n diagonal layers.
+
+    Layer t = 0..n-1 holds the products with k = (j - t) mod n, j ascending,
+    that belong to the stage: j + k >= n for the high one, j + k < n for the
+    low one. For j < t, k = j - t + n and j + k >= n iff j >= ceil(t/2); for
+    j >= t, k = j - t and j + k >= n iff j >= ceil((n+t)/2). A layer uses
+    each a and b wire at most once, so the stage's toffoli depth is n where
+    grouping by result bit gave about 2n. The gates of a stage are all CCZs,
+    diagonal, and commute (in Toffoli form: controls on a and b only,
+    targets on c only), so the order changes no result. Wires a_j, b_k and
+    c_i are j, n + k and 2n + i, so each triple ascends: the canonical
+    operand order of a CCZ and a Toffoli.
+    """
+    runs = []
+    for t in range(n):
+        half, mid = (t + 1) // 2, (n + t + 1) // 2
+        wrapped, straight = ((half, t), (mid, n)) if high else ((0, half), (t, mid))
+        for (lo, hi), shift in ((wrapped, n - t), (straight, -t)):
+            # k = j + shift; c_i with i = j + k, less n in the high stage.
+            c_base = 2 * n + shift - (n if high else 0)
+            runs.append(zip(range(lo, hi), range(n + lo + shift, n + hi + shift),
+                            range(c_base + 2 * lo, c_base + 2 * hi, 2)))
+    return chain.from_iterable(runs)
 
 
 def _put(kinds: bytearray, ops: array, code: int, triples) -> None:
@@ -530,8 +559,10 @@ class _ScheduledCore:
             return base
         # Each entry sits on its home part's slots, with any other part summed
         # in place, or on fresh slots. The calls of a group share no wire and
-        # run side by side on chained windows; the groups run one by one.
+        # run side by side on chained windows; the groups run one by one. A
+        # zero top of a and b passes to the (A_R, B_R) call, which reads less c'.
         h = len(a) // 2
+        zero_top = not a[-1] and not b[-1]
         parts = [a[:h], a[h:], b[:h], b[h:], c[:h], c[h:], cp[:h], cp[h:]]
         calls = _routed(self.routes, parts, lambda: [Slot() for _ in range(h)])
         journals: list[list] = [[] for _ in self.groups]
@@ -540,7 +571,8 @@ class _ScheduledCore:
             for u in undo:
                 self._unprep(journals[u])
             for call, entry, part in steps:
-                for src, slot in zip(parts[part][: read_span(entry, h)], calls[call][entry]):
+                span = read_span(entry, h, zero_top and call == RIGHT)
+                for src, slot in zip(parts[part][:span], calls[call][entry]):
                     cur = self._xor_into(src, slot, journal, cur)
             top = cur
             for call in group:
