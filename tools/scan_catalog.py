@@ -5,12 +5,15 @@ For every distinct catalog modulus of each scanned degree, each checkout
 synthesizes the ccz-form circuit of every variant that applies (log-depth
 only on trinomial and equally spaced moduli, where it and the baseline
 take each ladder style) and records the sha256 of its netlist and its
-CCZ, CNOT, depth, toffoli depth and qubit counts. Each checkout runs in its own process with its own `src`
-on the path. Per variant the tool then prints how many netlists are byte
+CCZ, CNOT, depth, toffoli depth and qubit counts. With `--forms ccz,toffoli`
+it also builds the toffoli form of baseline and compact, reported as the
+rows `baseline/toffoli` and `compact/toffoli`, where the ccz column counts
+Toffolis. Each checkout runs in its own process with its own `src` on the
+path. Per variant the tool then prints how many netlists are byte
 identical, the geometric mean of the change/parent ratio of each metric,
 how many cases rise in some metric and the worst rise. Run from anywhere:
 
-    python3 tools/scan_catalog.py PARENT_DIR CHANGE_DIR --verify-trials 1000
+    python3 tools/scan_catalog.py PARENT_DIR CHANGE_DIR --forms ccz,toffoli --verify-trials 1000
 
 `--sizes` takes degrees as a comma list with a..b ranges (by default every
 n <= 128 and 163, 233, 255, 256, 257, 511, 512). With `--verify-trials T`
@@ -33,6 +36,8 @@ from pathlib import Path
 
 METRICS = ("ccz", "cnot", "depth", "toffoli_depth", "qubits")
 VARIANTS = ("compact", "linear_depth", "log_depth", "baseline")
+FORMS = {"ccz": "ccz_form", "toffoli": "toffoli_form"}
+TOFFOLI_VARIANTS = ("compact", "baseline")  # the variants with a toffoli form
 DEFAULT_SIZES = "2..128,163,233,255,256,257,511,512"
 EXHAUSTIVE_UP_TO = 8
 
@@ -46,8 +51,23 @@ def parse_sizes(text: str) -> list[int]:
     return list(dict.fromkeys(sizes))
 
 
-def scan(sizes: list[int], verify_against: dict[str, str], trials: int) -> list[dict]:
-    """One record per (variant, ladder style, modulus) built by the `gf2kq` on the path.
+def parse_forms(text: str) -> list[str]:
+    """Output forms from a comma list of `FORMS` keys."""
+    forms = text.split(",")
+    unknown = set(forms) - set(FORMS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown forms {sorted(unknown)}; choose from {list(FORMS)}")
+    return list(dict.fromkeys(forms))
+
+
+def _label(variant: str, form: str) -> str:
+    """A report row: the variant for ccz form, `variant/toffoli` for toffoli form."""
+    return variant if form == "ccz" else f"{variant}/{form}"
+
+
+def scan(sizes: list[int], forms: list[str], verify_against: dict[str, str],
+         trials: int) -> list[dict]:
+    """One record per (variant, form, ladder style, modulus) built by the `gf2kq` on the path.
 
     Runs in the child process, so `gf2kq` is imported here and in `_case`,
     from the checkout that `run_checkout` put on the path. Cases whose digest differs from `verify_against` (when that holds the
@@ -64,12 +84,16 @@ def scan(sizes: list[int], verify_against: dict[str, str], trials: int) -> list[
                 if variant == "log_depth" and not structured:
                     continue
                 laddered = structured and variant in ("baseline", "log_depth")
-                for style in LADDER_STYLES if laddered else ("prefix_ancilla",):
-                    records.append(_case(variant, style, p, verify_against, trials))
+                for form in forms:
+                    if form != "ccz" and variant not in TOFFOLI_VARIANTS:
+                        continue
+                    for style in LADDER_STYLES if laddered else ("prefix_ancilla",):
+                        records.append(_case(variant, form, style, p, verify_against, trials))
     return records
 
 
-def _case(variant: str, style: str, p, verify_against: dict[str, str], trials: int) -> dict:
+def _case(variant: str, form: str, style: str, p, verify_against: dict[str, str],
+          trials: int) -> dict:
     """`scan`'s record of one circuit."""
     from gf2kq.circuit import compute_depth
     from gf2kq.netlist import emit_netlist
@@ -77,12 +101,14 @@ def _case(variant: str, style: str, p, verify_against: dict[str, str], trials: i
     from gf2kq.synth import SynthesisOptions, synth
 
     n = p.degree
-    circ = synth(SynthesisOptions(variant, p, ladder_style=style))
+    circ = synth(SynthesisOptions(variant, p, FORMS[form], style))
     rep = compute_depth(circ)
+    label = _label(variant, form)
     rec = {
-        "key": f"{variant} {style} {p}", "variant": variant,
+        "key": f"{label} {style} {p}", "variant": label,
         "sha": hashlib.sha256(emit_netlist(circ).encode()).hexdigest(),
-        "ccz": rep.counts["CCZ"], "cnot": rep.counts["CNOT"], "depth": rep.depth,
+        "ccz": rep.counts["CCZ"] + rep.counts["TOF"], "cnot": rep.counts["CNOT"],
+        "depth": rep.depth,
         "toffoli_depth": rep.toffoli_depth, "qubits": rep.qubit_count,
     }
     if trials and verify_against.get(rec["key"], rec["sha"]) != rec["sha"]:
@@ -93,11 +119,12 @@ def _case(variant: str, style: str, p, verify_against: dict[str, str], trials: i
     return rec
 
 
-def run_checkout(checkout: Path, sizes: str, against: dict[str, str], trials: int) -> list[dict]:
+def run_checkout(checkout: Path, sizes: str, forms: str, against: dict[str, str],
+                 trials: int) -> list[dict]:
     """`scan` in a child process that imports `checkout`'s `src`."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     out = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", sizes, str(trials)],
+        [sys.executable, str(Path(__file__).resolve()), "--child", sizes, forms, str(trials)],
         input=json.dumps(against), env=env, capture_output=True, text=True)
     if out.returncode:
         sys.exit(f"{checkout}: scan exited {out.returncode}\n{out.stderr[-2000:]}")
@@ -108,7 +135,7 @@ def compare(first: list[dict], second: list[dict]) -> list[dict]:
     """Per variant: cases, identical netlists, geomean ratios, rises and the worst rise."""
     by_key = {r["key"]: r for r in first}
     rows = []
-    for variant in VARIANTS:
+    for variant in (_label(v, f) for v in VARIANTS for f in FORMS):
         pairs = [(by_key[r["key"]], r) for r in second
                  if r["variant"] == variant and r["key"] in by_key]
         if not pairs:
@@ -136,10 +163,10 @@ def compare(first: list[dict], second: list[dict]) -> list[dict]:
 
 def print_report(rows: list[dict], second: list[dict]) -> int:
     """Print the comparison and the verification tally; return the exit status."""
-    print(f"{'variant':<13} {'cases':>5} {'identical':>9} "
+    print(f"{'variant':<16} {'cases':>5} {'identical':>9} "
           + " ".join(f"{m:>13}" for m in METRICS) + f" {'rises':>5}")
     for row in rows:
-        print(f"{row['variant']:<13} {row['cases']:>5} {row['identical']:>9} "
+        print(f"{row['variant']:<16} {row['cases']:>5} {row['identical']:>9} "
               + " ".join(f"{row['geomean'][m]:>13.4f}" for m in METRICS) + f" {row['rises']:>5}")
         if row["worst"]:
             rel, m, key, a, b = row["worst"]
@@ -157,7 +184,8 @@ def print_report(rows: list[dict], second: list[dict]) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        records = scan(parse_sizes(argv[1]), json.load(sys.stdin), int(argv[2]))
+        records = scan(parse_sizes(argv[1]), parse_forms(argv[2]), json.load(sys.stdin),
+                       int(argv[3]))
         json.dump(records, sys.stdout)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -165,13 +193,15 @@ def main(argv=None) -> int:
     parser.add_argument("second", type=Path, help="checkout of the change")
     parser.add_argument("--sizes", type=parse_sizes, default=DEFAULT_SIZES,
                         help=f"degrees (default {DEFAULT_SIZES})")
+    parser.add_argument("--forms", type=parse_forms, default=["ccz"],
+                        help="output forms, a comma list of ccz and toffoli (default ccz)")
     parser.add_argument("--verify-trials", type=int, default=0, metavar="T",
                         help="verify the second side's changed circuits, T samples above n = 8")
     args = parser.parse_args(argv)
-    sizes = ",".join(map(str, args.sizes))
-    first = run_checkout(args.first, sizes, {}, 0)
+    sizes, forms = ",".join(map(str, args.sizes)), ",".join(args.forms)
+    first = run_checkout(args.first, sizes, forms, {}, 0)
     against = {r["key"]: r["sha"] for r in first}
-    second = run_checkout(args.second, sizes, against, args.verify_trials)
+    second = run_checkout(args.second, sizes, forms, against, args.verify_trials)
     return print_report(compare(first, second), second)
 
 
