@@ -70,6 +70,17 @@ def test_target_polynomial_reads_cprime_only_below_the_top():
         assert all(var_cprime(k, i) in used for i in range(span)), k
 
 
+def test_zero_topped_target_reads_cprime_only_within_its_span():
+    # With a and b zero at the top, a size-k instance reads c' at 0..k-4 and
+    # needs all of them.
+    for k in range(2, 17):
+        top = (var_a(k, k - 1), var_b(k, k - 1))
+        used = {v for mono in target_polynomial(k).restricted_to_zero(top).monomials for v in mono}
+        span = halving.read_span(halving.CP, k, zero_top=True)
+        assert span == max(k - 3, 0)
+        assert {v for v in used if v >= var_cprime(k, 0)} == {var_cprime(k, i) for i in range(span)}, k
+
+
 def test_substitute_cprime_single_column():
     # P = x^2+x+1: Q = [1,1]^T, so c'_0 -> c_0 xor c_1
     q = build_reduction_matrix(BinaryPolynomial.parse("2,1,0"))

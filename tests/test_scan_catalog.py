@@ -30,6 +30,25 @@ def test_checkout_against_itself_is_identical_with_no_rise(capsys):
     assert lines[-1] == "verified 0 changed circuits (none): 0 passed, 0 failed"
 
 
+def test_both_forms_against_itself_are_identical_with_no_rise(capsys):
+    assert scan_catalog.main([str(_ROOT), str(_ROOT), "--sizes", "2..8", "--forms", "ccz,toffoli"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:] if not line.startswith(" ")}
+    # The toffoli rows repeat compact's 13 moduli and baseline's 20 cases.
+    cases = {"compact": "13", "compact/toffoli": "13", "linear_depth": "13",
+             "log_depth": "14", "baseline": "20", "baseline/toffoli": "20"}
+    assert [line.split()[0] for line in lines[1:-1]] == list(cases)
+    for variant, count in cases.items():
+        got_cases, identical, *ratios, rises = rows[variant]
+        assert got_cases == identical == count, variant
+        assert ratios == ["1.0000"] * 5 and rises == "0", variant
+
+
+def test_forms_reject_an_unknown_form():
+    with pytest.raises(SystemExit):
+        scan_catalog.main([str(_ROOT), str(_ROOT), "--forms", "ccz,qasm"])
+
+
 def _rec(key, sha, **metrics):
     return {"key": key, "variant": key.split()[0], "sha": sha,
             **dict.fromkeys(scan_catalog.METRICS, 10), **metrics}

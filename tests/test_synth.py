@@ -8,11 +8,12 @@ import random
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 
 from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
-from gf2kq.circuit import K_CCZ, K_CNOT, Circuit, Gate, RegisterLayout, compute_depth
+from gf2kq.circuit import K_CCZ, K_CNOT, K_H, K_TOF, Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
 from gf2kq.netlist import emit_netlist, parse_netlist
@@ -20,11 +21,13 @@ from gf2kq.phasepoly import LinearWireState, extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
     _RESTORE_SIZE,
+    LADDER_STYLES,
     SynthesisOptions,
     _cprime_gates,
     _forms_recursion,
     _gauss_jordan,
     _InPlaceGroup,
+    _reduction_stage_gates,
     ccz_count,
     ccz_count_bound,
     cnot_ladder,
@@ -347,6 +350,17 @@ def test_karatsuba_core_k5_bound_and_phase(mode):
 
 
 @pytest.mark.parametrize("mode", ["linear_depth", "log_depth"])
+def test_karatsuba_core_odd_sizes_extract_the_target(mode):
+    # An odd size pads to a zero top, whose (A_R, B_R) sub-call leaves its c'
+    # entry unbuilt above position h-4 (`halving.read_span`).
+    for k in range(1, 34, 2):
+        frag = karatsuba_core(k, mode)
+        poly, state = extract_phase(frag)
+        assert state.is_identity(), k
+        assert poly.restricted_to_zero(range(4 * k, frag.wire_count)) == target_polynomial(k), k
+
+
+@pytest.mark.parametrize("mode", ["linear_depth", "log_depth"])
 def test_karatsuba_core_leaves_the_top_cprime_wire_alone(mode):
     # A size-k instance reads c' only at 0..k-2 (`halving.read_span`), so no
     # node builds or unbuilds the top position, c'_(k-1) on wire 4k - 1.
@@ -539,6 +553,65 @@ def test_baseline_forms_agree_on_catalog(ladder):
         assert to_toffoli_form(ccz) == toffoli, entry.describe()
         if ladder == "sequential":
             assert synth_baseline(p) == toffoli, entry.describe()
+
+
+def _row_by_row_baseline(p, style):
+    """The ccz-form baseline with each CCZ stage grouped by result bit c_i, j
+    ascending: the order the builder emitted before its diagonal layers."""
+    n = p.degree
+    a, b, c = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    stage2 = _reduction_stage_gates(p, build_reduction_matrix(p), c, style)
+    stage2 = [(K_CNOT, t, s, -1) for s, t in stage2]
+    h_layer = [(K_H, w, -1, -1) for w in c]
+    high = [(K_CCZ, a[j], b[n + i - j], c[i]) for i in a for j in range(i + 1, n)]
+    low = [(K_CCZ, a[j], b[i - j], c[i]) for i in a for j in range(i + 1)]
+    records = [*h_layer, *stage2[::-1], *high, *stage2, *low, *h_layer]
+    kinds = bytearray(r[0] for r in records)
+    ops = array("i", (w for r in records for w in r[1:]))
+    return Circuit.from_records(RegisterLayout(n=n), kinds, ops)
+
+
+def _stages_and_rest(circ):
+    """The multiset of each maximal run of CCZ or Toffoli records, and every
+    other record with its position."""
+    stages, rest, in_stage = [], [], False
+    for pos, rec in enumerate(circ.records()):
+        phase = rec[0] in (K_CCZ, K_TOF)
+        if phase and not in_stage:
+            stages.append(Counter())
+        if phase:
+            stages[-1][rec] += 1
+        else:
+            rest.append((pos, rec))
+        in_stage = phase
+    return stages, rest
+
+
+def test_baseline_permutes_the_row_by_row_order_within_each_stage():
+    # The gates of a stage commute, so the diagonal order is exact as long as
+    # only the order within a stage moved: every CNOT and H record at its old
+    # position, each stage the same multiset of CCZs (or Toffolis).
+    moduli = dict.fromkeys(e.polynomial for e in catalog_entries() if e.n <= 32)
+    for p in moduli:
+        for style in LADDER_STYLES:
+            ref = _row_by_row_baseline(p, style)
+            for form, want in (("ccz_form", ref), ("toffoli_form", to_toffoli_form(ref))):
+                got = synth(_opts("baseline", p, output_form=form, ladder_style=style))
+                assert got.layout == want.layout and len(got) == len(want), (p, style, form)
+                got_stages, got_rest = _stages_and_rest(got)
+                want_stages, want_rest = _stages_and_rest(want)
+                assert len(got_stages) == 2, (p, style, form)
+                assert got_rest == want_rest, (p, style, form)
+                assert got_stages == want_stages, (p, style, form)
+
+
+def test_baseline_toffoli_depth_is_2n():
+    sizes = {*range(2, 65), 127, 128, 255, 256}
+    moduli = dict.fromkeys(e.polynomial for e in catalog_entries() if e.n in sizes)
+    for p in moduli:
+        for form in ("ccz_form", "toffoli_form"):
+            circ = synth(_opts("baseline", p, output_form=form))
+            assert compute_depth(circ).toffoli_depth == 2 * p.degree, (p, form)
 
 
 def _generic_path(p):
