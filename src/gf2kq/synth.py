@@ -5,7 +5,8 @@ variants. The three Karatsuba-style ones differ in which recursive calls run
 at the same time, and `halving.SCHEDULES` places those calls on wires:
 
 * ``baseline``  - three-stage quadratic construction, built in ccz form,
-  exactly n^2 CCZs (or Toffolis), no ancillas.
+  exactly n^2 CCZs (or Toffolis) in diagonal order, toffoli depth 2n, no
+  ancillas.
 * ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes
   (a and b folded half onto half, c re-expressed by a solve per base case),
   M(n) CCZ gates and zero ancillas. M is Karatsuba's unbalanced count,
@@ -325,12 +326,12 @@ def _diagonal_stage(n: int, high: bool):
     that belong to the stage: j + k >= n for the high one, j + k < n for the
     low one. For j < t, k = j - t + n and j + k >= n iff j >= ceil(t/2); for
     j >= t, k = j - t and j + k >= n iff j >= ceil((n+t)/2). A layer uses
-    each a and b wire at most once, so the stage's toffoli depth is n where
-    grouping by result bit gave about 2n. The gates of a stage are all CCZs,
-    diagonal, and commute (in Toffoli form: controls on a and b only,
-    targets on c only), so the order changes no result. Wires a_j, b_k and
-    c_i are j, n + k and 2n + i, so each triple ascends: the canonical
-    operand order of a CCZ and a Toffoli.
+    each a and b wire at most once; the circuit's toffoli depth is 2n on the
+    catalog, where grouping each stage by result bit gave about 4n - 4. The
+    gates of a stage are all CCZs, diagonal, and commute (in Toffoli form:
+    controls on a and b only, targets on c only), so the order changes no
+    result. Wires a_j, b_k and c_i are j, n + k and 2n + i, so each triple
+    ascends: the canonical operand order of a CCZ and a Toffoli.
     """
     runs = []
     for t in range(n):
