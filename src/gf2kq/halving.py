@@ -33,24 +33,30 @@ SUBCALLS = (
     ((A_R,), (B_R,), (CP_L, C_R), (CP_L, CP_R)),
     ((A_L,), (B_L,), (C_L, C_R), (CP_L, C_R)),
 )
-RIGHT = 1  # the sub-call on (A_R, B_R), which inherits a zero top of a and b
+# The sub-call on (A_R, B_R), which inherits its parent's zero top of a and b.
+RIGHT = [call[:2] for call in SUBCALLS].index(((A_R,), (B_R,)))
 _PAIRS = tuple(tuple((e[0], e[1] if len(e) > 1 else None) for e in call) for call in SUBCALLS)
 
 
-def read_span(entry: int, size: int, zero_top: bool = False) -> int:
+def zero_topped(a: Sequence, b: Sequence) -> bool:
+    """Whether an instance's a and b are zero (falsy) at the top."""
+    return not a[-1] and not b[-1]
+
+
+def read_span(entry: int, size: int, call: int | None = None, zero_top: bool = False) -> int:
     """How many low positions of its entry `entry` a size-`size` sub-call reads.
 
     A size-k instance's h puts a_i b_j on c'_(i+j-k), and i + j <= 2k - 2,
     so it reads c' only at 0..k-2: a builder may leave the top c' position
-    unbuilt. With `zero_top`, the sub-call's a and b are zero at the top, as
-    those of the (A_R, B_R) sub-call of a zero-topped instance are; then
-    i, j <= k - 2 and it reads c' only at 0..k-4. Whatever an unbuilt slot
-    holds stays above what the sub-call reads, is padded into a zero-topped
-    instance's dead positions, or is dropped by a shrink.
+    unbuilt. The (A_R, B_R) sub-call (`call`) of a `zero_top` parent has a
+    and b zero at the top too; then i, j <= k - 2 and it reads c' only at
+    0..k-4. Whatever an unbuilt slot holds stays above what the sub-call
+    reads, is padded into a zero-topped instance's dead positions, or is
+    dropped by a shrink.
     """
     if entry != CP:
         return size
-    return max(size - 3, 0) if zero_top else size - 1
+    return max(size - 3, 0) if zero_top and call == RIGHT else size - 1
 
 
 def _route(entry: tuple[int, ...], named: list[int]) -> tuple[int | None, tuple[int, ...]]:
@@ -175,7 +181,7 @@ def reshape(a: list[T], b: list[T], c: list[T], cp: list[T], zero: Callable[[], 
     which the scheduled builders give helper wires. Then an odd instance
     above size 1 is padded; being even, it never shrinks back.
     """
-    if (len(a) % 2 or len(a) == 2) and not a[-1] and not b[-1]:
+    if (len(a) % 2 or len(a) == 2) and zero_topped(a, b):
         a, b, c, cp = shrink(a, b, c, cp)
     if len(a) % 2 and len(a) > 1:
         return pad_odd(a, b, c, cp, zero)

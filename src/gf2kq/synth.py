@@ -39,8 +39,8 @@ from typing import Callable, Optional, Sequence
 from .circuit import K_CCZ, K_CNOT, K_H, Circuit, Gate, RegisterLayout
 from .errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from .gf2 import BinaryPolynomial, Gf2Matrix, build_reduction_matrix, is_irreducible
-from .halving import (C, RIGHT, SCHEDULES, list_halves, read_span, reshape, split_even,
-                      xor_lists)
+from .halving import (C, SCHEDULES, list_halves, read_span, reshape, split_even,
+                      xor_lists, zero_topped)
 from .phasepoly import LinearWireState, _bits
 from .simulate import to_toffoli_form
 
@@ -563,7 +563,7 @@ class _ScheduledCore:
         # run side by side on chained windows; the groups run one by one. A
         # zero top of a and b passes to the (A_R, B_R) call, which reads less c'.
         h = len(a) // 2
-        zero_top = not a[-1] and not b[-1]
+        zero_top = zero_topped(a, b)
         parts = [a[:h], a[h:], b[:h], b[h:], c[:h], c[h:], cp[:h], cp[h:]]
         calls = _routed(self.routes, parts, lambda: [Slot() for _ in range(h)])
         journals: list[list] = [[] for _ in self.groups]
@@ -572,7 +572,7 @@ class _ScheduledCore:
             for u in undo:
                 self._unprep(journals[u])
             for call, entry, part in steps:
-                span = read_span(entry, h, zero_top and call == RIGHT)
+                span = read_span(entry, h, call, zero_top)
                 for src, slot in zip(parts[part][:span], calls[call][entry]):
                     cur = self._xor_into(src, slot, journal, cur)
             top = cur

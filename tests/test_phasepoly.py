@@ -76,7 +76,7 @@ def test_zero_topped_target_reads_cprime_only_within_its_span():
     for k in range(2, 17):
         top = (var_a(k, k - 1), var_b(k, k - 1))
         used = {v for mono in target_polynomial(k).restricted_to_zero(top).monomials for v in mono}
-        span = halving.read_span(halving.CP, k, zero_top=True)
+        span = halving.read_span(halving.CP, k, halving.RIGHT, zero_top=True)
         assert span == max(k - 3, 0)
         assert {v for v in used if v >= var_cprime(k, 0)} == {var_cprime(k, i) for i in range(span)}, k
 
