@@ -31,7 +31,7 @@ def test_checkout_against_itself_is_identical_with_no_rise(capsys):
 
 
 def test_both_forms_against_itself_are_identical_with_no_rise(capsys):
-    assert scan_catalog.main([str(_ROOT), str(_ROOT), "--sizes", "2..8", "--forms", "ccz,toffoli"]) == 0
+    assert scan_catalog.main([str(_ROOT), str(_ROOT), "--sizes", "2..8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:] if not line.startswith(" ")}
     # The toffoli rows repeat compact's 13 moduli and baseline's 20 cases.
@@ -42,11 +42,6 @@ def test_both_forms_against_itself_are_identical_with_no_rise(capsys):
         got_cases, identical, *ratios, rises = rows[variant]
         assert got_cases == identical == count, variant
         assert ratios == ["1.0000"] * 5 and rises == "0", variant
-
-
-def test_forms_reject_an_unknown_form():
-    with pytest.raises(SystemExit):
-        scan_catalog.main([str(_ROOT), str(_ROOT), "--forms", "ccz,qasm"])
 
 
 def _rec(key, sha, **metrics):

@@ -5,15 +5,15 @@ For every distinct catalog modulus of each scanned degree, each checkout
 synthesizes the ccz-form circuit of every variant that applies (log-depth
 only on trinomial and equally spaced moduli, where it and the baseline
 take each ladder style) and records the sha256 of its netlist and its
-CCZ, CNOT, depth, toffoli depth and qubit counts. With `--forms ccz,toffoli`
-it also builds the toffoli form of baseline and compact, reported as the
-rows `baseline/toffoli` and `compact/toffoli`, where the ccz column counts
+CCZ, CNOT, depth, toffoli depth and qubit counts. It also builds the
+toffoli form of baseline and compact, reported as the rows
+`baseline/toffoli` and `compact/toffoli`, where the ccz column counts
 Toffolis. Each checkout runs in its own process with its own `src` on the
 path. Per variant the tool then prints how many netlists are byte
 identical, the geometric mean of the change/parent ratio of each metric,
 how many cases rise in some metric and the worst rise. Run from anywhere:
 
-    python3 tools/scan_catalog.py PARENT_DIR CHANGE_DIR --forms ccz,toffoli --verify-trials 1000
+    python3 tools/scan_catalog.py PARENT_DIR CHANGE_DIR --verify-trials 1000
 
 `--sizes` takes degrees as a comma list with a..b ranges (by default every
 n <= 128 and 163, 233, 255, 256, 257, 511, 512). With `--verify-trials T`
@@ -36,7 +36,6 @@ from pathlib import Path
 
 METRICS = ("ccz", "cnot", "depth", "toffoli_depth", "qubits")
 VARIANTS = ("compact", "linear_depth", "log_depth", "baseline")
-FORMS = {"ccz": "ccz_form", "toffoli": "toffoli_form"}
 TOFFOLI_VARIANTS = ("compact", "baseline")  # the variants with a toffoli form
 DEFAULT_SIZES = "2..128,163,233,255,256,257,511,512"
 EXHAUSTIVE_UP_TO = 8
@@ -51,22 +50,7 @@ def parse_sizes(text: str) -> list[int]:
     return list(dict.fromkeys(sizes))
 
 
-def parse_forms(text: str) -> list[str]:
-    """Output forms from a comma list of `FORMS` keys."""
-    forms = text.split(",")
-    unknown = set(forms) - set(FORMS)
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown forms {sorted(unknown)}; choose from {list(FORMS)}")
-    return list(dict.fromkeys(forms))
-
-
-def _label(variant: str, form: str) -> str:
-    """A report row: the variant for ccz form, `variant/toffoli` for toffoli form."""
-    return variant if form == "ccz" else f"{variant}/{form}"
-
-
-def scan(sizes: list[int], forms: list[str], verify_against: dict[str, str],
-         trials: int) -> list[dict]:
+def scan(sizes: list[int], verify_against: dict[str, str], trials: int) -> list[dict]:
     """One record per (variant, form, ladder style, modulus) built by the `gf2kq` on the path.
 
     Runs in the child process, so `gf2kq` is imported here and in `_case`,
@@ -84,9 +68,8 @@ def scan(sizes: list[int], forms: list[str], verify_against: dict[str, str],
                 if variant == "log_depth" and not structured:
                     continue
                 laddered = structured and variant in ("baseline", "log_depth")
+                forms = ("ccz_form", "toffoli_form") if variant in TOFFOLI_VARIANTS else ("ccz_form",)
                 for form in forms:
-                    if form != "ccz" and variant not in TOFFOLI_VARIANTS:
-                        continue
                     for style in LADDER_STYLES if laddered else ("prefix_ancilla",):
                         records.append(_case(variant, form, style, p, verify_against, trials))
     return records
@@ -101,9 +84,9 @@ def _case(variant: str, form: str, style: str, p, verify_against: dict[str, str]
     from gf2kq.synth import SynthesisOptions, synth
 
     n = p.degree
-    circ = synth(SynthesisOptions(variant, p, FORMS[form], style))
+    circ = synth(SynthesisOptions(variant, p, form, style))
     rep = compute_depth(circ)
-    label = _label(variant, form)
+    label = variant if form == "ccz_form" else f"{variant}/toffoli"
     rec = {
         "key": f"{label} {style} {p}", "variant": label,
         "sha": hashlib.sha256(emit_netlist(circ).encode()).hexdigest(),
@@ -119,12 +102,11 @@ def _case(variant: str, form: str, style: str, p, verify_against: dict[str, str]
     return rec
 
 
-def run_checkout(checkout: Path, sizes: str, forms: str, against: dict[str, str],
-                 trials: int) -> list[dict]:
+def run_checkout(checkout: Path, sizes: str, against: dict[str, str], trials: int) -> list[dict]:
     """`scan` in a child process that imports `checkout`'s `src`."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     out = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", sizes, forms, str(trials)],
+        [sys.executable, str(Path(__file__).resolve()), "--child", sizes, str(trials)],
         input=json.dumps(against), env=env, capture_output=True, text=True)
     if out.returncode:
         sys.exit(f"{checkout}: scan exited {out.returncode}\n{out.stderr[-2000:]}")
@@ -135,7 +117,7 @@ def compare(first: list[dict], second: list[dict]) -> list[dict]:
     """Per variant: cases, identical netlists, geomean ratios, rises and the worst rise."""
     by_key = {r["key"]: r for r in first}
     rows = []
-    for variant in (_label(v, f) for v in VARIANTS for f in FORMS):
+    for variant in (row for v in VARIANTS for row in (v, f"{v}/toffoli")):
         pairs = [(by_key[r["key"]], r) for r in second
                  if r["variant"] == variant and r["key"] in by_key]
         if not pairs:
@@ -184,8 +166,7 @@ def print_report(rows: list[dict], second: list[dict]) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        records = scan(parse_sizes(argv[1]), parse_forms(argv[2]), json.load(sys.stdin),
-                       int(argv[3]))
+        records = scan(parse_sizes(argv[1]), json.load(sys.stdin), int(argv[2]))
         json.dump(records, sys.stdout)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -193,15 +174,13 @@ def main(argv=None) -> int:
     parser.add_argument("second", type=Path, help="checkout of the change")
     parser.add_argument("--sizes", type=parse_sizes, default=DEFAULT_SIZES,
                         help=f"degrees (default {DEFAULT_SIZES})")
-    parser.add_argument("--forms", type=parse_forms, default=["ccz"],
-                        help="output forms, a comma list of ccz and toffoli (default ccz)")
     parser.add_argument("--verify-trials", type=int, default=0, metavar="T",
                         help="verify the second side's changed circuits, T samples above n = 8")
     args = parser.parse_args(argv)
-    sizes, forms = ",".join(map(str, args.sizes)), ",".join(args.forms)
-    first = run_checkout(args.first, sizes, forms, {}, 0)
+    sizes = ",".join(map(str, args.sizes))
+    first = run_checkout(args.first, sizes, {}, 0)
     against = {r["key"]: r["sha"] for r in first}
-    second = run_checkout(args.second, sizes, forms, against, args.verify_trials)
+    second = run_checkout(args.second, sizes, against, args.verify_trials)
     return print_report(compare(first, second), second)
 
 
