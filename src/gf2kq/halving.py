@@ -128,10 +128,6 @@ GROUPINGS = {
     "log_depth": ((0, 1, 2),),
 }
 SCHEDULES = {variant: schedule(grouping) for variant, grouping in GROUPINGS.items()}
-# The log-depth builder's routing and prep order: no part is the home of two
-# entries, so the three sub-calls share no wire.
-ROUTES = SCHEDULES["log_depth"][0]
-PREP = SCHEDULES["log_depth"][1][0][1]
 
 
 def split_even(

@@ -2,16 +2,17 @@
 
 Builds circuits mapping |a>|b>|c>|0> to |a>|b>|c xor AB mod P>|0> in four
 variants. The three Karatsuba-style ones differ in which recursive calls run
-at the same time, and `halving.SCHEDULES` places those calls on wires:
+at the same time; `halving.SCHEDULES` places those calls on wires, and one
+driver, `_ScheduledCore`, emits all three:
 
 * ``baseline``  - three-stage quadratic construction, built in ccz form,
   exactly n^2 CCZs (or Toffolis) in diagonal order, toffoli depth 2n, no
   ancillas.
 * ``compact``   - Karatsuba-style CCZ core with in-place CNOT basis changes
-  (a and b folded half onto half, c re-expressed by a solve per base case),
-  M(n) CCZ gates and zero ancillas. M is Karatsuba's unbalanced count,
-  M(n) = 2 M(ceil(n/2)) + M(floor(n/2)) with M(1) = 1, at most
-  3^ceil(log2 n).
+  (a and b folded half onto half and back, c kept as linear forms and put
+  on a wire by a solve per base case), M(n) CCZ gates and zero ancillas.
+  M is Karatsuba's unbalanced count, M(n) = 2 M(ceil(n/2)) + M(floor(n/2))
+  with M(1) = 1, at most 3^ceil(log2 n).
 * ``linear_depth`` - same CCZ count; the two independent recursive calls run
   on disjoint wires so total depth grows linearly, using O(n log n) helper
   wires.
@@ -362,27 +363,20 @@ def _forms_recursion(
     c: list[int],
     cp: list[int],
     leaf: Callable[[int, int, int], None],
-    fold: Callable[[tuple[list[int], list[int]], list[tuple[int, int, int]]], None],
     done: Callable[[int], None],
 ) -> None:
-    """Drive the halving recursion on plain linear forms in compact's schedule.
+    """Drive the halving recursion on plain linear forms, sub-calls in table order.
 
     `leaf(alpha, beta, gamma)` is called once per base case; zero forms are
-    passed through so the leaf can drop vanishing terms. `fold((a, b), sums)`
-    gets a split instance's a and b and the in-place sums (register, home,
-    part) of their halves to emit before a group of sub-calls runs. `done(k)`
-    is called when a split instance of size k returns.
+    passed through so the leaf can drop vanishing terms. `done(k)` is
+    called when a split instance of size k returns.
     """
     a, b, c, cp = reshape(a, b, c, cp, int)  # int() is the zero form
     if len(a) == 1:
         leaf(a[0], b[0], c[0])
         return
-    calls = split_even((a, b, c, cp), xor_lists, list_halves)
-    for group, sums in _COMPACT_FOLDS:
-        if sums:
-            fold((a, b), sums)
-        for call in group:
-            _forms_recursion(*calls[call], leaf, fold, done)
+    for call in split_even((a, b, c, cp), xor_lists, list_halves):
+        _forms_recursion(*call, leaf, done)
     done(len(a))
 
 
@@ -406,7 +400,7 @@ def ccz_count(p: BinaryPolynomial) -> int:
             count += 1
 
     ones = [1 << i for i in range(n)]
-    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf, lambda a, b: None, lambda k: None)
+    _forms_recursion(ones, ones, ones, [*q.columns(), 0], leaf, lambda k: None)
     return count
 
 
@@ -421,14 +415,6 @@ def ccz_count_bound(n: int) -> int:
 # Compact returns c to its initial value after every sub-call this large, so
 # each such subtree's solve starts from the identity, not from what ran before.
 _RESTORE_SIZE = 32
-_COMPACT_ROUTES, _COMPACT_GROUPS = SCHEDULES["compact"]
-# Per group of compact's schedule, its calls and the a and b sums to emit before
-# they run: those of the preps it undoes, then its own. c goes to the solve.
-_COMPACT_FOLDS = [
-    (calls, [(r, _COMPACT_ROUTES[c][r][0], part) for u in (*undo, g)
-             for c, r, part in _COMPACT_GROUPS[u][1] if r < C])
-    for g, (calls, _, undo) in enumerate(_COMPACT_GROUPS)
-]
 
 
 class _InPlaceGroup:
@@ -486,15 +472,16 @@ def _low(mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scheduled builders (linear-depth and log-depth)
+# the scheduled core: every Karatsuba builder
 
 
 @dataclass
 class Slot:
     """A c-side or operand-side value holder: linear form plus its wire.
 
-    Zero-valued slots are false and may have no wire until something is
-    XORed into them; `Slot()` is such a zero slot.
+    Zero-valued slots are false and may have no wire until a wired slot is
+    XORed into them; `Slot()` is such a zero slot. Compact's c-side slots
+    keep no wire at all: their forms are put on wires per base case.
     """
 
     form: int = 0
@@ -505,18 +492,23 @@ class Slot:
 
 
 class _ScheduledCore:
-    """Emit the recursion with helper wires so independent calls overlap.
+    """Emit the recursion on slots, with sub-calls placed per a `halving.SCHEDULES` entry.
 
     Helper wires are handed out in windows: simultaneous branches get
     disjoint windows, sequential branches reuse them. `peak` tracks the
-    total helper count.
+    total helper count. With a `group` (compact), the c-side slots have no
+    wire: a sum from a wireless slot, and its undo, changes forms only, a
+    base case takes its c wire from the group's solve, and the group is
+    restored when a split of size `_RESTORE_SIZE` or more returns.
     """
 
-    def __init__(self, kinds: bytearray, ops: array, anc_base: int, schedule: tuple):
+    def __init__(self, kinds: bytearray, ops: array, anc_base: int, schedule: tuple,
+                 group: Optional[_InPlaceGroup] = None):
         self.kinds = kinds
         self.ops = ops
         self.anc_base = anc_base
         self.routes, self.groups = schedule
+        self.group = group
         self.peak = 0
 
     def _xor_into(self, src: Slot, tgt: Slot, journal: list, cur: int) -> int:
@@ -525,15 +517,18 @@ class _ScheduledCore:
         if src is tgt:
             raise SynthesisError("slot aliased with itself")
         allocated = False
-        if tgt.wire is None:
-            if tgt.form != 0:
-                raise SynthesisError("nonzero slot without a wire")
-            tgt.wire = self.anc_base + cur
-            cur += 1
-            self.peak = max(self.peak, cur)
-            allocated = True
-        self.kinds.append(K_CNOT)
-        self.ops.extend((src.wire, tgt.wire, -1))
+        if src.wire is not None:
+            if tgt.wire is None:
+                if tgt.form != 0:
+                    raise SynthesisError("nonzero slot without a wire")
+                tgt.wire = self.anc_base + cur
+                cur += 1
+                self.peak = max(self.peak, cur)
+                allocated = True
+            self.kinds.append(K_CNOT)
+            self.ops.extend((src.wire, tgt.wire, -1))
+        elif tgt.wire is not None:
+            raise SynthesisError("wireless slot summed into a wire")
         tgt.form ^= src.form
         journal.append((src, tgt, allocated))
         return cur
@@ -542,8 +537,9 @@ class _ScheduledCore:
         # Wires handed to lazily-materialized slots are released once the
         # journal unwinds; sibling branches may reuse the window.
         for src, tgt, allocated in reversed(journal):
-            self.kinds.append(K_CNOT)
-            self.ops.extend((src.wire, tgt.wire, -1))
+            if src.wire is not None:
+                self.kinds.append(K_CNOT)
+                self.ops.extend((src.wire, tgt.wire, -1))
             tgt.form ^= src.form
             if allocated:
                 if tgt.form != 0:
@@ -555,8 +551,11 @@ class _ScheduledCore:
         a, b, c, cp = reshape(a, b, c, cp, Slot)
         if len(a) == 1:
             if a[0].form and b[0].form and c[0].form:
+                wc = c[0].wire
+                if wc is None:
+                    wc = self.group.materialize(c[0].form)
                 self.kinds.append(K_CCZ)
-                self.ops.extend(sorted((a[0].wire, b[0].wire, c[0].wire)))
+                self.ops.extend(sorted((a[0].wire, b[0].wire, wc)))
             return base
         # Each entry sits on its home part's slots, with any other part summed
         # in place, or on fresh slots. The calls of a group share no wire and
@@ -579,6 +578,8 @@ class _ScheduledCore:
             for call in group:
                 top = self.rec(*calls[call], top)
             peak = max(peak, top)
+        if self.group is not None and len(a) >= _RESTORE_SIZE:
+            self.group.restore()
         return peak
 
 
@@ -673,39 +674,22 @@ def _core_gates(
 
     c'_i has form `cp_forms[i]` over the c wires, then the c' wires, and sits
     on `cp_wires[i]` (None for no wire). Helpers start at wire `anc_base`.
+    Every Karatsuba variant runs `_ScheduledCore` on its schedule. Compact's
+    schedule sums in place only, so it takes no helper: a and b are folded
+    half onto half and unfolded through the journal, and its c side has no
+    slot wires, as one in-place solve over the c and c' wires puts each base
+    case's c form on a wire and ends restored.
     """
     a_wires, b_wires, c_wires = range(n), range(n, 2 * n), range(2 * n, 3 * n)
-    ones = [1 << i for i in range(n)]
+    group = None
     if mode == "compact":
-        # a and b are folded in place: each form sits on the wire of its lowest
-        # term, as a fold adds A_R_i into A_L_i, whose lowest term is lower.
-        # Only c goes through the in-place solve, which starts again from the
-        # identity after every sub-call of size _RESTORE_SIZE or more.
-        gc = _InPlaceGroup([*c_wires, *(w for w in cp_wires if w is not None)], kinds, ops)
-
-        def fold(ab: tuple[list[int], list[int]], sums: list[tuple[int, int, int]]) -> None:
-            parts = [half for r in ab for half in list_halves(r)]
-            for r, home, part in sums:
-                halves = zip(parts[part], parts[home])
-                pairs = ((r * n + _low(y), r * n + _low(x), -1) for y, x in halves if x and y)
-                _put(kinds, ops, K_CNOT, pairs)
-
-        def leaf(fa: int, fb: int, fc: int) -> None:
-            if fa and fb and fc:
-                wc = gc.materialize(fc)
-                kinds.append(K_CCZ)
-                ops.extend((_low(fa), n + _low(fb), wc))
-
-        def done(k: int) -> None:
-            if k >= _RESTORE_SIZE:
-                gc.restore()
-
-        _forms_recursion(ones, ones, ones, cp_forms, leaf, fold, done)
-        gc.restore()
-        return 0
-    sched = _ScheduledCore(kinds, ops, anc_base, SCHEDULES[mode])
+        group = _InPlaceGroup([*c_wires, *(w for w in cp_wires if w is not None)], kinds, ops)
+        c_wires = cp_wires = [None] * n
+    sched = _ScheduledCore(kinds, ops, anc_base, SCHEDULES[mode], group)
     a, b, c = ([Slot(1 << i, w) for i, w in enumerate(ws)] for ws in (a_wires, b_wires, c_wires))
     sched.rec(a, b, c, [Slot(f, w) for f, w in zip(cp_forms, cp_wires)], 0)
+    if group is not None:
+        group.restore()
     return sched.peak
 
 

@@ -14,8 +14,6 @@ from gf2kq.halving import (
     CP_L,
     CP_R,
     GROUPINGS,
-    PREP,
-    ROUTES,
     SCHEDULES,
     SUBCALLS,
     list_halves,
@@ -174,15 +172,17 @@ def test_routes_cover_the_table_on_disjoint_wires():
         assert _routing_faults(routes, groups) == [], variant
         assert [calls for calls, _, _ in groups] == [*GROUPINGS[variant], ()], variant
     # Log-depth: fresh wires only for the entries that need a new sum: A_L+A_R,
-    # B_L+B_R and CP_L+C_R twice; C_L and CP_R take their sums in place.
-    fresh = [sources for entries in ROUTES for home, sources in entries if home is None]
+    # B_L+B_R and CP_L+C_R twice; C_L and CP_R take their sums in place, as no
+    # part is the home of two entries.
+    routes, ((_, prep, _), _) = SCHEDULES["log_depth"]
+    fresh = [sources for entries in routes for home, sources in entries if home is None]
     assert len(fresh) == 4 and sum(map(len, fresh)) == 8
-    assert sum(len(sources) for entries in ROUTES for _, sources in entries) == 10
-    assert ROUTES[2][2] == (C_L, (C_R,))
+    assert sum(len(sources) for entries in routes for _, sources in entries) == 10
+    assert routes[2][2] == (C_L, (C_R,))
     # As gates in this order, the steps take 3 layers, the fewest: C_R is read three times.
     level = {}
-    for c, e, part in PREP:
-        home = ROUTES[c][e][0]
+    for c, e, part in prep:
+        home = routes[c][e][0]
         target = (c, e) if home is None else home
         level[part] = level[target] = max(level.get(part, 0), level.get(target, 0)) + 1
     assert max(level.values()) == 3
@@ -219,7 +219,7 @@ def test_routed_entries_hold_their_sums_on_masks(n):
 
 def test_routing_that_hands_a_part_to_two_calls_fails():
     # C_R becomes the home of call 1's c, CP_L + C_R, as well as call 0's c.
-    broken = [list(entries) for entries in ROUTES]
+    broken = [list(entries) for entries in SCHEDULES["log_depth"][0]]
     broken[1][2] = (C_R, (CP_L,))
     groups = [((0, 1, 2), prep_steps(broken, (0, 1, 2)), ()), ((), [], (0,))]
     faults = _routing_faults(broken, groups)

@@ -16,18 +16,21 @@ from gf2kq.catalog import catalog_entries, catalog_lookup, family_degrees
 from gf2kq.circuit import K_CCZ, K_CNOT, K_H, K_TOF, Circuit, Gate, RegisterLayout, compute_depth
 from gf2kq.errors import FormError, InputError, SynthesisError, UnsupportedFamilyError
 from gf2kq.gf2 import BinaryPolynomial, build_reduction_matrix, is_irreducible, transpose_apply
+from gf2kq.halving import SCHEDULES
 from gf2kq.netlist import emit_netlist, parse_netlist
 from gf2kq.phasepoly import LinearWireState, extract_phase, target_polynomial
 from gf2kq.simulate import simulate, to_toffoli_form, verify_multiplier
 from gf2kq.synth import (
     _RESTORE_SIZE,
     LADDER_STYLES,
+    Slot,
     SynthesisOptions,
     _cprime_gates,
     _forms_recursion,
     _gauss_jordan,
     _InPlaceGroup,
     _reduction_stage_gates,
+    _ScheduledCore,
     ccz_count,
     ccz_count_bound,
     cnot_ladder,
@@ -779,6 +782,28 @@ def test_in_place_group_restore_matches_full_gauss_jordan():
         assert state.is_identity()
 
 
+def test_scheduled_core_sums_wireless_slots_as_forms_only():
+    # Compact's c-side slots have no wire: a sum from one, and its undo,
+    # changes forms and emits nothing, and a base case puts its c form on a
+    # wire of the in-place group.
+    kinds, ops = bytearray(), array("i")
+    group = _InPlaceGroup([6, 7], kinds, ops)
+    core = _ScheduledCore(kinds, ops, 8, SCHEDULES["compact"], group)
+    src, tgt, journal = Slot(0b01), Slot(0b10), []
+    assert core._xor_into(src, tgt, journal, 0) == 0
+    assert tgt == Slot(0b11) and src == Slot(0b01) and not kinds
+    core._unprep(journal)
+    assert tgt == Slot(0b10) and not kinds and core.peak == 0
+    # A wired slot still cannot sum into a wireless nonzero one, nor a
+    # wireless one into a wire.
+    with pytest.raises(SynthesisError, match="nonzero slot without a wire"):
+        core._xor_into(Slot(0b01, 3), tgt, [], 0)
+    with pytest.raises(SynthesisError):
+        core._xor_into(tgt, Slot(0b01, 3), [], 0)
+    assert core.rec([Slot(1, 0)], [Slot(1, 2)], [Slot(0b11)], [Slot()], 0) == 0
+    assert list(kinds) == [K_CNOT, K_CCZ] and list(ops) == [7, 6, -1, 0, 2, 6]
+
+
 class _NoGate:
     def __getattr__(self, name):
         raise AssertionError(f"a builder used Gate.{name}")
@@ -898,7 +923,7 @@ def _c_only_solve(p):
 
     ones = [1 << i for i in range(n)]
     cp = [*build_reduction_matrix(p).columns(), 0]
-    _forms_recursion(ones, ones, ones, cp, leaf, lambda a, b: None, done)
+    _forms_recursion(ones, ones, ones, cp, leaf, done)
     group.restore()
     return list(zip(ops[0::3], ops[1::3]))
 
@@ -919,7 +944,7 @@ def _large_call_ends(p):
 
     ones = [1 << i for i in range(n)]
     cp = [*build_reduction_matrix(p).columns(), 0]
-    _forms_recursion(ones, ones, ones, cp, leaf, lambda a, b: None, done)
+    _forms_recursion(ones, ones, ones, cp, leaf, done)
     return ends, forms
 
 
