@@ -134,9 +134,9 @@ def test_compute_depth_matches_reference_on_random_circuits():
 
 GOLDEN = {
     (2, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "49cefd24c0de3d9be82fb247a0067241061ee8d070ce2da0f07ca6d232054cb1",
+        "d310753dbea1a4061aa1630b4c0f088ee507a112360724d5ad309cd332004618",
     (2, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "fe5b8dad5d1b67eb5abbec1bbcde403bd8fe294ede423c0ac9030468a49860f7",
+        "0d25b8f009a4c4a1ce3a0d2d6fe0503e3daa1d3cb469df0037fdf052eb6da297",
     (2, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "7c81fe9dbc1e61e12c8d54193b2567d03d1c725eb1c0eea88da694a8fef68118",
     (2, "generic", "baseline", "ccz_form", "sequential"):
@@ -152,9 +152,9 @@ GOLDEN = {
     (2, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "79ad1a7ca0a34589aa91c6691db2166cd60f0de6d39d8bba654f08a6908ca8ec",
     (3, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "9aebecb753222dabdaaca2b250eacb695bfbafa24edb5c4476df27137784121f",
+        "5b7caaed1fe0eea45ad531db37e7230a0283279a3a75445def145c34df59a93b",
     (3, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "17b99ca5d04c185a401eb9aa9db2d6da0cc10fcfad02572f70f2daeccaf75368",
+        "93e74d9d2c4f672b3bf9ff8c3a2687ab26fa658cc35eed4db8ae6028daad4f6b",
     (3, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5af6c62732b9b43bc8b347a9886bbfc81e227a51e235bffafdacadf6151c9c04",
     (3, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -162,9 +162,9 @@ GOLDEN = {
     (3, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "7f906c0edd8e127f5604f795f9061c2e88440f3f516e6b7202d69ed13b65bceb",
     (3, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "479d89858612e62c2c297dee6b0bf60b6fc73e63e0253e549efd3e583405be35",
+        "35306cd2e313749b958d39c9eeed473acab82dee7f744e81c80948fa500818a0",
     (3, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "c5d144d43c3259f08fa19bfffa3482fa328394cea7bb781d32e088b0666561db",
+        "e45b9879f10ecd4325aceb54cb56015d7dd28e9baf44282978f19181be24a8ad",
     (3, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "f8f7577bf76ffedab5ffd38c614809533f88e84506550e669ecf4f0e704803f6",
     (3, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -180,9 +180,9 @@ GOLDEN = {
     (3, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "a994b6c306eddbc0aa82e2d79b2d06df076a89c5b5556138705c5442e5bf22e6",
     (4, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "062021eef22aa84eac72a66733b297324eef5ff771988df1e54f5476d30ee66b",
+        "6e8fa8750bbe2efaf57bdcc77323b6334e737c35807f03c0f61369eee33c84a6",
     (4, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "1c1dd26c7e6026cf217da34ccfa944838fe551af642d793f9faef3d6c02f10cb",
+        "f60546d53a390fa61f4329ef81bd1946462a15143131c87844912dc0a01d0f64",
     (4, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "8d9b6611a573b4ccef4764408b1554a7104e9a70a7cedcfdf34332d2f119db2b",
     (4, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -190,9 +190,9 @@ GOLDEN = {
     (4, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "9a007d4292852598a0b007a49ce4773b2cf2ddcc6fa55b03b7d10381d12adaae",
     (4, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "2dfdde54a6eb90cef327feeaee5b927a263bc21d02ac950642e3e43e870b7523",
+        "64d7a141acf7aa9c19a66dcf153205502df49e6dbc7c0d8f83257305403df4d5",
     (4, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "ea5be610570a39a825d934797f74fbdeccac8b0ab50126cfcfdd3e3e6d01478a",
+        "f5d51963d35a74c6413b5244f0bf85604c7130a68431806b968190e993ffd5ef",
     (4, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "643c80ebeb7acd2ac11dd9ba3d2f4769f731523d5e84b2fe0364bbd201286ea7",
     (4, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -208,9 +208,9 @@ GOLDEN = {
     (4, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "940308d337cc6c35ece54d7fe0717aeb8175f10983245ce6897975eb4aa424b3",
     (4, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "a2d9646e7429019cd196b6864ab1c65216b7fb817aa1d2c1c7f9e297bd3b1410",
+        "1e8fb7474455cf67c51779a18e6d54eadae9481268d3772729567c67944db832",
     (4, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "8156d61006c99f9931f59a1e308b0b160e3ce0262f8400a433823f4041589e64",
+        "acdc01f2601d4db214e0510642e94a330bf96b0deab7a1e7251c28d5ed4759a9",
     (4, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
         "5bb246bb15223753a01fd41f1c930ee3c43c254ef0719af53727741d21523116",
     (4, "equally_spaced", "baseline", "ccz_form", "sequential"):
@@ -226,9 +226,9 @@ GOLDEN = {
     (4, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "74165b885c69ec70abe772ac11467c105073d851d11d0c758adb60f5ec5cd581",
     (5, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "5e2a68527305a2315fdbbfdb7092ac805f8d032925ba868fcd3f2d9955194a4c",
+        "e23f08e6f3061703270c1bd2d89e580ff52a80f043918619a48cee0fa9089999",
     (5, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "58f7cbe9482d65b80a4e7a79d274d7cf22321accb21907b96ffb9283185a25b0",
+        "f9c0f6219b445a04ab24b0fbd48e1cad1f53b7d06068090479248819830f35fc",
     (5, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "a773eae304f5b8bfb5e08b00152340d4b77fcde3aacd4335d20069ea737e66ae",
     (5, "generic", "baseline", "ccz_form", "sequential"):
@@ -244,9 +244,9 @@ GOLDEN = {
     (5, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "4ab83e8cb57ecc528a27e348d8c14aa5f0fb73331be530e3e16dfce3cff55a47",
     (6, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "3e5401318afc31d89a6edbf97d82f25f19de583ac2f1f33d9e3d7ee86a36c082",
+        "60966f85aa10488031528f0efb189e446a4a9749bca2a32cb2d035cd06afc676",
     (6, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "f8388c195fb999e0f8a479a3628abda8a6ffbbbef9f55c83e9640032b05a3375",
+        "cabb8b0c13b9bf4f12de64202eabba37ff55536ae5712fc508925adf08ddcca7",
     (6, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "6fb9d96ad135110ad8b9d55d5ad15f4a5c09cec0c4c1e34a39e45814c161d907",
     (6, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -254,9 +254,9 @@ GOLDEN = {
     (6, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "7e4c63f58a9bea229cce1e33a9988658da60aba5685159f7aa732e6686dfaafb",
     (6, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "88723f73121ea8d217ac79c712c251b368349ff43b47b091ce94326ae58e884b",
+        "a1a60396cd4b74e9c406a49ab7b67523b30ed32f78d7ddb341b54bc8baf516da",
     (6, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "bf8e536a633cfb583ee2e0c8761eb81082d928d4efed6aacfe379cae711eaf7e",
+        "33506ba745a46661dab4868ef1010fdddd288f9619867304389932004118589e",
     (6, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "7c624a0b3b1d0a218933b1638402b4402ea9b064ed69eaf2655a98496a9703ee",
     (6, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -272,9 +272,9 @@ GOLDEN = {
     (6, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "671beef6aeefcec8ec40de58e2ff6ee11e5826e5142f5531e2f9c947d4068f4e",
     (7, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "d32ee041aeff898df3d8a8fff3f503e52ab23f13aa7b4ae3eb0b0fa006b6dc1c",
+        "eda15ebd2186aabe51e075115c4e53b23555ac5842e41c0d5a8b8ca77f50c1d1",
     (7, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "5bc02cd980513a6d1a2d3dae963eb555bcf822584056d687d33161fb47939962",
+        "beba0b5bba97f50c94e3b9a21edb8392413bdbb8644e7b675e7c3c8f5e4fcfd9",
     (7, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "4bbc9fea18fe3c7211bd4d0051c7c29fe33a107d017edf6fbc7493ac33401573",
     (7, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -282,9 +282,9 @@ GOLDEN = {
     (7, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "84bdd5f856184d2fa6b62540c377e659aa086e8435f0086674d88232a6286dad",
     (7, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "72f2f7d711da595fe1286ef3eb2a733f8e5042e45c7befbe1e7f1f28a5aefa03",
+        "72add01de957c36ec55bc8885c17e8175e787649502ba3dd6a5cd3a992cb8830",
     (7, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "0c9f6e05196783d4744531dd4a9a7a80abf958e780f277a13b973dca51f3ee4c",
+        "2af175b892475d83cc4d6fd5835e63c305fd7b268acb4c0ebb100d9fe006442c",
     (7, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "9ed303da4da16cc5f896d440aa8f55fdc9b3e8e31550934871c780ed731070cc",
     (7, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -300,9 +300,9 @@ GOLDEN = {
     (7, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "efeb598e701f8fef0a74ecd02657623f622d6ad8ed59c49f274a4ab3c0afc4dd",
     (7, "generic-pinned", "compact", "ccz_form", "prefix_ancilla"):
-        "2a7e4857b7b4e1e060ee45aa513c9e8f92f42865bc972d32d72c1a321ed54512",
+        "f5dc7b0c6f39d22439a2c54583a2fe8d9a4eef05566aacbd328b6041e7c2b4c9",
     (7, "generic-pinned", "compact", "toffoli_form", "prefix_ancilla"):
-        "c3f7dfd5adbf3d1eeb8f24bd24e32c12c5e8d09d6613fd54e0d8ce87e919183c",
+        "c9761d03d348ee6942a5929eec04188ede4a2ad14a3671e61cdaae945ea1ad98",
     (7, "generic-pinned", "linear_depth", "ccz_form", "prefix_ancilla"):
         "bc13524b0029ac8ac95a6911994515a5aba69bb28f007312da3606e59dd237ad",
     (7, "generic-pinned", "baseline", "ccz_form", "prefix_ancilla"):
@@ -310,9 +310,9 @@ GOLDEN = {
     (7, "generic-pinned", "baseline", "toffoli_form", "prefix_ancilla"):
         "2d811b55e1683b11ee74521461b9b44889267784a4bb40efeebc60fddf278692",
     (8, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "aec69f701a58a43de75781c432961fd96d7afce7539567575bcd05f200272697",
+        "b986f678e99ba9e4764eb1b5cb6d98234ac66863db21f2b50afa6b44380c2433",
     (8, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "34c036618a724dd255a91902e3f269238da38593590a46acbc360b5bfdc71ddd",
+        "703f93d007b4e86d951a74e01e295b232e6befd5689bcb59cfa6282d592a6d3e",
     (8, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "9aafcb0471954e0319f10b68ce69515547902306ac20bc85e095b01b6a525ebf",
     (8, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -320,9 +320,9 @@ GOLDEN = {
     (8, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "dd7fadcb69f12cc5e4ba5316edf1d9eb468ebc0438e3f8c9e20193d82ed351ff",
     (9, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "4bf7dba21ee44c0360039fd24ab407d44573494557a4c85182d5cad946a8fd6a",
+        "a198e2c49c5b93e69ee978231735e313ab43541cb038a3a875d38c9cb5cc418d",
     (9, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "f2896f984c4491f386f01c3fe9b92c9f681df35ece04ce5e3280bdee84115949",
+        "48619dea0ee4ea10d84b7cb68ea08ae36a75b959a41e2dd55137411cd1103806",
     (9, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "a3471d8f3717c4738f83ce46e05468297288b4b9b528c084276850339440ad7d",
     (9, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -330,9 +330,9 @@ GOLDEN = {
     (9, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "9b60d4963bbcc7a27a71f8a392f9a04c44fd92a7f92f56c390b7bd7168b36bb2",
     (9, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "e4be581d53c8431ba4458e988065ae8798c536bf69b7de7a5c2ec88c082c7281",
+        "8ab72b4092d26e7cd2c40fdf3cb51bf6ac1eccc047107c574ffb6bd467cd3c53",
     (9, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "717234792f1ef41807c0aeeafd331d38c9414620c2808a73e8fc775c9e38afc7",
+        "9d628fa7cb9329d7795db225437b7c893aa76c0fd697e0e9f007cf99dff3d766",
     (9, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "cade012268564020622a04b01f1ebc8c92a9c38eba74ed767734472a898d576b",
     (9, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -348,9 +348,9 @@ GOLDEN = {
     (9, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "840a6b5e4046761e3481be761b050d08d16e4280baba2ff6cc0f6d1a727473b7",
     (10, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "d85570c56bd08b7484f94a568fa89ddef9033f0b6b5e00a194b3fcaa6c3033cb",
+        "a64b6855186cfc58e6bc82f7f3b4d5b73f148b2780c62387ed06dba45b2e33d4",
     (10, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "93851efbdf5b57a79ac9ac60a65ac3372597d0fc25c9060de24b0ae8648c860e",
+        "d07a722f5f81d88831a334a66a81934f72780bb5e7092baef7017809eb6caf9a",
     (10, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "d28df3277ff3e605141a34da9c161984bf374b55167eca20f0b09d11f2de941e",
     (10, "generic", "baseline", "ccz_form", "sequential"):
@@ -366,9 +366,9 @@ GOLDEN = {
     (10, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "93f6e00f75c7592fc7ec449f65269f9f093be50a3636a710e66ff12b8381f5f2",
     (10, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "363dad584a7709efebf5240c8fb41ad427b0208e3b02012dc1c420d83ee585f1",
+        "2c99163577eecd00365f2a74f4f9e5a7b018011f611df7f212d3fccb06012937",
     (10, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "fd03f61a96ce240629468870353ba7d1b9f3c5aa2f992c5f9b6c2685fd7aafb1",
+        "b8699a259538e6aee6bffac41ae95905ef17f27db1f3ea7d9b1394b3806899dc",
     (10, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
         "3fa9f7791fb708066e58b7fd73210da053a75f20350805bedfc1154270e704cb",
     (10, "equally_spaced", "baseline", "ccz_form", "sequential"):
@@ -384,9 +384,9 @@ GOLDEN = {
     (10, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "2069d124cd31f67241db552b734df4f48312eed1289d14981a1615bded755e0f",
     (11, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "b32c40fe22bd9216bb82ae07b61c278ab54e33a056326efb65273277b1d77c8d",
+        "000389ffcc7fd961c38f126b9bc82a558859ecc0b8f7f40ba858638443e6f8b8",
     (11, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "f0e3ffb7b07a74e19353768ed9a855719a34309f4f60f9ab361014964d0233de",
+        "66812d2a1dd3627245fcc25b0f989ce3653d8d8617dfc2344b99c6330b96279c",
     (11, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "e1cee530f427d50dd212dbda03196336017fb079d80bd89363e49f300b4c2dea",
     (11, "generic", "baseline", "ccz_form", "sequential"):
@@ -402,9 +402,9 @@ GOLDEN = {
     (11, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "b14c0a12f491d18aa2497700419371204dac89803ea5a6c217ae7b2b1d161c44",
     (12, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "1ac58ccdc2cef96db590fb978b52bf3b761285b8fcce724eec754a1b930ff991",
+        "783237732d1623c3c9cbb75e57d3ae9a15551d659991fcae47d40fa9c24d57e9",
     (12, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "b4947351cb539d55a9ce70c5e1a49ec70cc175a697f75c411b7eaaad47cb7a54",
+        "826939fc3972a0ab1801b2e3af602fb4f0cc1a9d11c5d4f4dec73c697b941e27",
     (12, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "3c0afaf8a30accbdd42bd28fadcd5f4f8779184bf878ef80f88335ec206d163a",
     (12, "generic", "baseline", "ccz_form", "sequential"):
@@ -420,9 +420,9 @@ GOLDEN = {
     (12, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "780d1da074fbd69436b2a4567c9aab82181cf4afb3c57f4b6104a919165e58cf",
     (12, "equally_spaced", "compact", "ccz_form", "prefix_ancilla"):
-        "acd47fab285b44a4ca6fbd74ed65c31da951c71d06b5d3dcc6b0f33c8b493433",
+        "2ad4ac420c78e04997b3aa2e9a7f490e1eeb0c7952ed8564ab424a55c81449f8",
     (12, "equally_spaced", "compact", "toffoli_form", "prefix_ancilla"):
-        "f08c975ee078fa857aaf5987b87c051f4dc2ad53d326a955b5903523ff44b2e2",
+        "10c3d8f2f686aaadbde923043bef34558dc17ba482fa8573ada300d2d8416884",
     (12, "equally_spaced", "linear_depth", "ccz_form", "prefix_ancilla"):
         "46eff80cf883b15bf8ce3a3f68b3019b59431b4c8699f2113fae10768c37cfaf",
     (12, "equally_spaced", "baseline", "ccz_form", "sequential"):
@@ -438,9 +438,9 @@ GOLDEN = {
     (12, "equally_spaced", "log_depth", "ccz_form", "prefix_ancilla"):
         "d5cd5db801117e60018101de915e983fcfe98e8335f31c5b3c9c246c6d6f9533",
     (13, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "a61227bbac914cded052d0567ac9ec1f636f855d35bca6aab1745d3f6dff67b4",
+        "bb7d9c0d4565aa53ecb0175bb643c4da0d1497d7ea7b5f89d7899d0e47d9e7ac",
     (13, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "56c67e62e141860460733bc7bf6e021f7b1b647bf07e6a05cfed101d17b3ebc4",
+        "364af8c4b5596fc4d565886a223b8f827f613eaabe6259623c3c75d33ffc206d",
     (13, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "305e87c42e006dc0f3014676d0d95e52836fb0ccc2340cbf20fa2209fe8b9600",
     (13, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -448,9 +448,9 @@ GOLDEN = {
     (13, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "f5eb8bf11a47e9ea5144449f89e774866951d762a43f5149e40197ba0f6c2701",
     (14, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "9fc946b4010ca8fc4e64c6000183d62bc5c7d45bd26b2141079bd0f889369a44",
+        "95403f2b5cd0cbc54630e719cd2443eaeee92c7d7fbc96bfe6b539882aa876a4",
     (14, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "62ea974ff037cb860d0349a81a6102f6c7cf65adc31b22a6774077721ba8e7f5",
+        "fd413653312f9654bbdd7c2d4a315947a7fc77fb4c2f164cd059f1f8d61dcc75",
     (14, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "19856da9a16233fe64e19d54ae24c75631c58c5c68239c8bd7c6d9e17884b4c7",
     (14, "generic", "baseline", "ccz_form", "sequential"):
@@ -466,9 +466,9 @@ GOLDEN = {
     (14, "generic", "log_depth", "ccz_form", "prefix_ancilla"):
         "0ee689329833d4f95f552969f38b136ee2060b7d0f093b886f6c18701f164eb0",
     (15, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "11f4943362294b1e492842a6caf24eb6b324df421e3f69b5dd055bb13fa182c1",
+        "e9ca1b84cfb4fe657ff9e67496dd56ec7ca845468e3c570e2eeb9abb0f9ac47f",
     (15, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "b037b8933085acea7aef988220fc3f786b6245c9ff64295803f90aae3d3c4c00",
+        "e369252ece4dc0c7ced957c912fc451cd30eb43f7b62b009f1fe842bcf9dec8b",
     (15, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "405f72385798d7fe9c8bf2cdcce6ca7e32184931f856f1ce9c696e60bb43ded2",
     (15, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -476,9 +476,9 @@ GOLDEN = {
     (15, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "e3489b56c3d0c1b58fde574331ea7be0195bb1806271c0efe0109d2898efe215",
     (15, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "adc4702118bb5187f8586750842b63735cb8730539f096a77417e26ca0c8a6a9",
+        "ce52f7b828669b92d98a2d004272f6b747234344b92d720666b7d08a0b51c1f9",
     (15, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "2a02493a083a6eb72ac0fa697d12a4de1e01911766b377c777e8c2aab3e9a174",
+        "a52d36446ec64b22d633e4a80241da340e58aa9f618edb5eea6663cdc47e34ea",
     (15, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "e3c37ba06e8a83aa4dda196742c96de012aed8165994161b3c678e9f6b77f6eb",
     (15, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -494,9 +494,9 @@ GOLDEN = {
     (15, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "b2bda1ee406cca7cd816c75ee786e3ed6962ce9f212def97b897dad247923037",
     (16, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "94a294242056b41a8a4a42ae231f605a29260e88fe5f5e62ce9d13d922a814b6",
+        "bb8c91c916e3e32dfd3296f8fe425e06adc6a2e364623a7c57879c6104faf991",
     (16, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "c621c6cf7ede310f835ac1fe7e40c48548c577e64fd4cf0626619f2056d86d4e",
+        "769570b3e262efbdf1199c02ab5d48b9243143a60405337406936f41cb6f6b79",
     (16, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "1e669cd428bf39a398ee02102a1764d2875f57de95e70fcdc72d1eeb67375bc5",
     (16, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -504,9 +504,9 @@ GOLDEN = {
     (16, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "6e93db0410597d0ecc18394d0249d859d439aa71bca0bc3f8afe4649e90e2c62",
     (33, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "927d9de01fcc5af86e7d4ef5e4a1f00a0fd91d025dade196409dfa07d16517bc",
+        "fad4fe9946bb3c0dacf6046f2cffec59fa1a1629965f06ce464d2cfea6f1e229",
     (33, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "d887a4a5e4dd5c02e1a369ea5aa82bb89702280a30a0d4bd676e83c945313f28",
+        "9c5b046948e3673dfc34831f75cdc5f2546bffaf2f83c77fb153da46945880e3",
     (33, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "554568d09bbbdd47d3c280c4b225bafa18f63e3e7ce9513f6af69c5055630fef",
     (33, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -514,9 +514,9 @@ GOLDEN = {
     (33, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "ca5c3bc9a4033a233e57a57740d46ce3c90212a59212c329a8d2877ef170fc23",
     (33, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "c76c263a93c740669b4665d23b531df310eebdd1466b2befb5e1d338369aa669",
+        "ea02b4755ca84bdab57ce74ccc7bc7f244854d2a3ea8b1dccd20765f7541b951",
     (33, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "cde6d7f30c98dfd06e75373f26f1c783ad9b1cd1306ad7ca06480cd578de3084",
+        "37c838429eb41b64960b8e1d13c03f80a996ae64b14e7618242c75bdd5c10537",
     (33, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "0478298fa2872258a392f23d59607d5c4f1349ee2026c89c79a1b03fbbae1014",
     (33, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -532,9 +532,9 @@ GOLDEN = {
     (33, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "6b6c13d02c1a680410dc9d437a94c037e6ac2389641d749f78495c07db5d27a7",
     (64, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "773c11d59af4f051658a00a58e1f61bb1143361cf123fbffcb94ba27e0adf671",
+        "394a5cdf16f876aacd93f434c603ea9b97af7a7c62384c5a2b59ca8b273d9a83",
     (64, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "125c371d7eb7efc8498fc25b0f10e1d8872680f3a9fd047c364f8af4fc7e721f",
+        "1d9d99f25fb3614c07878542cf6d0c36a1c4796a6cbbc6508676e28ab366da13",
     (64, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "874821f832d7994943315aaf2078f3fe0a55915724a1bda09f334c70bfc54e1c",
     (64, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -542,9 +542,9 @@ GOLDEN = {
     (64, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "7a41cbaeaa371437a4da0a526673c34332bba34054f94c8baad3306478ee4aa0",
     (127, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "bb3199e65612b5aba0187b566d82ff45b90128e7ac896c5e171c4a2e3fa1dba5",
+        "c4ce203a4bf6e14ade87285d8f894d65a85d5c9bb1d40c6199df7df044e671e0",
     (127, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "9595dff2fb7ca635c6cb3a36b7afa7e8b0bc080a6ae0c017b797526a44a6bebf",
+        "c1d8f7e91e1ec9f1fc743003e1dc784699aa51a8b64abb03a4bad5f2fde6cea8",
     (127, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "d45fedd22266310716edcc1fc0171d2a4f34e5c3a49ffbe1ce8e780353a9d968",
     (127, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -552,9 +552,9 @@ GOLDEN = {
     (127, "generic", "baseline", "toffoli_form", "prefix_ancilla"):
         "3811c7368a424198b82f3663ba1fb05704e34cf7315512cd9ab8d211579ba8cc",
     (127, "trinomial", "compact", "ccz_form", "prefix_ancilla"):
-        "ce294ef75cd37b6285754c1c39c3b6350c4be2026fd4fcee9bd0f39ccb9cc313",
+        "33d54be35f303bf1745707369b9355ffe15b6fc97d2bc984cba07fd791b65256",
     (127, "trinomial", "compact", "toffoli_form", "prefix_ancilla"):
-        "7eb7e636eecf3bf6d3ac086bf1fde71959a7c053db469695e84b33c20ae8943b",
+        "e03496b92e1db83a73eb4d5a5ee33b58f59b064afb7e83746580b0d9ebaef08f",
     (127, "trinomial", "linear_depth", "ccz_form", "prefix_ancilla"):
         "2270427c0fb2bfa15deb3974b370aa61554eaffe0ac63bd4bd868a3adb4111ca",
     (127, "trinomial", "baseline", "ccz_form", "sequential"):
@@ -570,9 +570,9 @@ GOLDEN = {
     (127, "trinomial", "log_depth", "ccz_form", "prefix_ancilla"):
         "53b1c95ed7de18f1bdd7084fb3f24aa2dd1a891663a9fded3fb4b5e6e2ceb11f",
     (128, "generic", "compact", "ccz_form", "prefix_ancilla"):
-        "9f20deab8c799f8f4d486b6942619661adbe28f64027e2ecc7808d24cf91af46",
+        "cddf553b4648f7840afe11cdf6611937c95f98b33fb8067c2f287d03a8f8e7ea",
     (128, "generic", "compact", "toffoli_form", "prefix_ancilla"):
-        "92e921c658c053adb286e56775fb35563012a595f86a083608323e8b44f2b321",
+        "c82fe68af95fd2a1406bbf43deff24d5f61d4ce208071e48acf6c0740ffec28e",
     (128, "generic", "linear_depth", "ccz_form", "prefix_ancilla"):
         "fda9def375a70cc7451a5ecb38dea7aacded1b8ef2e4819f31ba64399844d690",
     (128, "generic", "baseline", "ccz_form", "prefix_ancilla"):
@@ -585,8 +585,8 @@ GOLDEN = {
 # Compact at the benchmark's size: the catalog's generic modulus of degree
 # 256, in ccz form and as its `to_toffoli_form` rewrite.
 GOLDEN_COMPACT_256 = {
-    "ccz_form": "aeb4200bad281d31c02ae212d433e0f1dba2ab1377b53ddfe9b094148182f2cb",
-    "toffoli_form": "43eac6739ad2a979326215d06ef2318c0d56269b315e096fe7dad24bd8a2d800",
+    "ccz_form": "35c267eac5effd6ddb56e84bb32359dfceea3c87451e083d48ae083d27f699df",
+    "toffoli_form": "36c66aa38875415c863bbe9d99cffaf41fd2a7cb61fa549bcbc3c26c7b2ce5dc",
 }
 
 
