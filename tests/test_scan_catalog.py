@@ -23,8 +23,8 @@ def test_checkout_against_itself_is_identical_with_no_rise(capsys):
     # ones take both ladder styles in log-depth and baseline.
     cases = {"compact": "13", "linear_depth": "13", "log_depth": "14", "baseline": "20"}
     for variant, count in cases.items():
-        got_cases, identical, *ratios, rises = rows[variant]
-        assert got_cases == identical == count, variant
+        got_cases, identical, same_gates, *ratios, rises = rows[variant]
+        assert got_cases == identical == same_gates == count, variant
         assert ratios == ["1.0000"] * 5 and rises == "0", variant
     assert "worst rise" not in "\n".join(lines)
     assert lines[-1] == "verified 0 changed circuits (none): 0 passed, 0 failed"
@@ -39,23 +39,25 @@ def test_both_forms_against_itself_are_identical_with_no_rise(capsys):
              "log_depth": "14", "baseline": "20", "baseline/toffoli": "20"}
     assert [line.split()[0] for line in lines[1:-1]] == list(cases)
     for variant, count in cases.items():
-        got_cases, identical, *ratios, rises = rows[variant]
-        assert got_cases == identical == count, variant
+        got_cases, identical, same_gates, *ratios, rises = rows[variant]
+        assert got_cases == identical == same_gates == count, variant
         assert ratios == ["1.0000"] * 5 and rises == "0", variant
 
 
-def _rec(key, sha, **metrics):
-    return {"key": key, "variant": key.split()[0], "sha": sha,
+def _rec(key, sha, gates=None, **metrics):
+    return {"key": key, "variant": key.split()[0], "sha": sha, "gates": gates or sha,
             **dict.fromkeys(scan_catalog.METRICS, 10), **metrics}
 
 
 def test_compare_counts_rises_and_keeps_the_worst():
-    first = [_rec("compact p", "x"), _rec("compact q", "y"), _rec("compact r", "z")]
+    first = [_rec("compact p", "x"), _rec("compact q", "y"), _rec("compact r", "z"),
+             _rec("compact s", "u")]
+    # s holds the same lines as the parent's in another order.
     second = [_rec("compact p", "x"), _rec("compact q", "w", cnot=5, depth=12),
-              _rec("compact r", "v", qubits=11)]
+              _rec("compact r", "v", qubits=11), _rec("compact s", "t", gates="u")]
     (row,) = scan_catalog.compare(first, second)
-    assert (row["cases"], row["identical"], row["rises"]) == (3, 1, 2)
+    assert (row["cases"], row["identical"], row["same_gates"], row["rises"]) == (4, 1, 2, 2)
     rel, *worst = row["worst"]
     assert rel == pytest.approx(0.2) and worst == ["depth", "compact q", 10, 12]
-    assert abs(row["geomean"]["cnot"] - 0.5 ** (1 / 3)) < 1e-12
+    assert abs(row["geomean"]["cnot"] - 0.5 ** (1 / 4)) < 1e-12
     assert row["geomean"]["ccz"] == 1.0

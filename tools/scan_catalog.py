@@ -10,8 +10,10 @@ toffoli form of baseline and compact, reported as the rows
 `baseline/toffoli` and `compact/toffoli`, where the ccz column counts
 Toffolis. Each checkout runs in its own process with its own `src` on the
 path. Per variant the tool then prints how many netlists are byte
-identical, the geometric mean of the change/parent ratio of each metric,
-how many cases rise in some metric and the worst rise. Run from anywhere:
+identical, how many hold the same lines in some order (`same gates`: the
+change moved only gate order), the geometric mean of the change/parent
+ratio of each metric, how many cases rise in some metric and the worst
+rise. Run from anywhere:
 
     python3 tools/scan_catalog.py PARENT_DIR CHANGE_DIR --verify-trials 1000
 
@@ -87,9 +89,11 @@ def _case(variant: str, form: str, style: str, p, verify_against: dict[str, str]
     circ = synth(SynthesisOptions(variant, p, form, style))
     rep = compute_depth(circ)
     label = variant if form == "ccz_form" else f"{variant}/toffoli"
+    text = emit_netlist(circ)
     rec = {
         "key": f"{label} {style} {p}", "variant": label,
-        "sha": hashlib.sha256(emit_netlist(circ).encode()).hexdigest(),
+        "sha": hashlib.sha256(text.encode()).hexdigest(),
+        "gates": hashlib.sha256("\n".join(sorted(text.splitlines())).encode()).hexdigest(),
         "ccz": rep.counts["CCZ"] + rep.counts["TOF"], "cnot": rep.counts["CNOT"],
         "depth": rep.depth,
         "toffoli_depth": rep.toffoli_depth, "qubits": rep.qubit_count,
@@ -114,7 +118,8 @@ def run_checkout(checkout: Path, sizes: str, against: dict[str, str], trials: in
 
 
 def compare(first: list[dict], second: list[dict]) -> list[dict]:
-    """Per variant: cases, identical netlists, geomean ratios, rises and the worst rise."""
+    """Per variant: cases, identical netlists, netlists with the same lines in some
+    order, geomean ratios, rises and the worst rise."""
     by_key = {r["key"]: r for r in first}
     rows = []
     for variant in (row for v in VARIANTS for row in (v, f"{v}/toffoli")):
@@ -137,6 +142,7 @@ def compare(first: list[dict], second: list[dict]) -> list[dict]:
         rows.append({
             "variant": variant, "cases": len(pairs),
             "identical": sum(a["sha"] == b["sha"] for a, b in pairs),
+            "same_gates": sum(a["gates"] == b["gates"] for a, b in pairs),
             "geomean": {m: math.exp(logs[m] / len(pairs)) for m in METRICS},
             "rises": rises, "worst": worst,
         })
@@ -145,10 +151,11 @@ def compare(first: list[dict], second: list[dict]) -> list[dict]:
 
 def print_report(rows: list[dict], second: list[dict]) -> int:
     """Print the comparison and the verification tally; return the exit status."""
-    print(f"{'variant':<16} {'cases':>5} {'identical':>9} "
+    print(f"{'variant':<16} {'cases':>5} {'identical':>9} {'same gates':>10} "
           + " ".join(f"{m:>13}" for m in METRICS) + f" {'rises':>5}")
     for row in rows:
         print(f"{row['variant']:<16} {row['cases']:>5} {row['identical']:>9} "
+              f"{row['same_gates']:>10} "
               + " ".join(f"{row['geomean'][m]:>13.4f}" for m in METRICS) + f" {row['rises']:>5}")
         if row["worst"]:
             rel, m, key, a, b = row["worst"]
