@@ -410,7 +410,7 @@ def ccz_count_bound(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# compact builder: in-place materialization of linear forms
+# compact's c solve: in-place materialization of linear forms
 
 # Compact returns c to its initial value after every sub-call this large, so
 # each such subtree's solve starts from the identity, not from what ran before.
